@@ -14,7 +14,6 @@ from .classify import (
     PenaltyConfig,
     PostprocessRates,
     apply_postprocess,
-    ensemble_predict,
     ensemble_scores,
     postprocess_eqodds,
     predict_dataset,
@@ -31,7 +30,6 @@ from .data import (
     fair_resample,
     load_csv,
     read_schema,
-    scale_features,
     split_train_test,
     write_csv,
 )
@@ -39,7 +37,6 @@ from .encode import (
     AffineEncoder,
     ClusterPartition,
     EncodedDataset,
-    assign_cluster,
     cluster_missing_patterns,
     encode_affine,
     encode_indicators,
@@ -51,6 +48,7 @@ from .errors import (
     FairmissError,
     NotFittedError,
     SchemaError,
+    SolverError,
     ValidationError,
 )
 from .harness import ExperimentConfig, RunResult, load_config, run_experiment

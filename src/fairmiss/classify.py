@@ -3,33 +3,28 @@ ensemble for data with missing values.
 
 The in-processing intervention adds a smooth score-disparity penalty to the
 logistic loss; the post-processing intervention solves the small randomized
-equalized-odds program exactly by vertex enumeration. The bagging ensemble
+equalized-odds program exactly as two linear programs. The bagging ensemble
 resamples within (group, label) cells, imputes and indicator-encodes each bag
 separately, and aggregates by a uniformly random pick or by score averaging.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.optimize import linprog
 
-from .data import Dataset, Sample, fair_resample
+from . import metrics
+from .data import Dataset, fair_resample
 from .encode import EncodedDataset, encode_indicators
-from .errors import ValidationError
+from .errors import SolverError, ValidationError
 from .impute import make_imputer
-from .optim import descend, log1p_exp, sigmoid
+from .optim import OptimizerSettings, descend, make_objective, sigmoid
 
-PENALTY_CONSTRAINTS = ("mean-equalized-odds", "fnr-difference")
+# conditioning labels whose group score gaps each penalty constraint penalizes
+PENALTY_LABELS = {"mean-equalized-odds": (0, 1), "fnr-difference": (1,)}
 ENSEMBLE_MODES = ("random-pick", "score-average")
-
-
-@dataclass(frozen=True)
-class OptimizerSettings:
-    lam: float = 1e-4
-    tol: float = 1e-6
-    max_iters: int = 5000
-    step0: float = 1.0
 
 
 @dataclass(frozen=True)
@@ -93,7 +88,7 @@ class PenaltyConfig:
     def __post_init__(self):
         if self.tau < 0:
             raise ValidationError("penalty weight must be non-negative")
-        if self.constraint not in PENALTY_CONSTRAINTS:
+        if self.constraint not in PENALTY_LABELS:
             raise ValidationError(f"unknown penalty constraint {self.constraint!r}")
 
 
@@ -104,79 +99,15 @@ def _check_training_data(enc: EncodedDataset) -> None:
         raise ValidationError("training data must contain both labels")
 
 
-def _score_cells(enc: EncodedDataset):
-    """Non-empty (s, y) index lists, sorted by (s, y); errors on empty cells."""
-    cells = []
-    for s in sorted(set(enc.sensitive.tolist())):
-        for y in (0, 1):
-            idx = np.flatnonzero((enc.sensitive == s) & (enc.labels == y))
-            if idx.size == 0:
-                raise ValidationError(
-                    f"empty cell (s={s}, y={y}): disparity penalty undefined"
-                )
-            cells.append(((s, y), idx))
-    return cells
-
-
-def make_objective(enc: EncodedDataset, tau: float, constraint: str, lam: float):
-    """Closure computing (value, gradient) of the penalized training loss in
-    the augmented weight vector (bias appended). With tau = 0 this is exactly
-    the plain L2-regularized mean logistic loss."""
-    x_aug = np.hstack([enc.matrix, np.ones((enc.n_samples, 1))])
-    n = x_aug.shape[0]
-    y = enc.labels.astype(np.float64)
-    if tau > 0:
-        cells = _score_cells(enc)
-        groups = sorted({s for (s, _), _ in cells})
-        labels = (0, 1) if constraint == "mean-equalized-odds" else (1,)
-        scale = 0.5 if constraint == "mean-equalized-odds" else 1.0
-
-    def value_and_grad(w_aug):
-        z = x_aug @ w_aug
-        p = sigmoid(z)
-        loss = float(np.mean(log1p_exp(z) - y * z))
-        reg = w_aug.copy()
-        reg[-1] = 0.0
-        loss += 0.5 * lam * float(reg @ reg)
-        grad = x_aug.T @ (p - y) / n + lam * reg
-        if tau > 0:
-            sp = p * (1.0 - p)
-            mu, dmu = {}, {}
-            for (s, yy), idx in cells:
-                mu[(s, yy)] = float(np.mean(p[idx]))
-                dmu[(s, yy)] = x_aug[idx].T @ sp[idx] / idx.size
-            pen = 0.0
-            pen_grad = np.zeros_like(w_aug)
-            for yy in labels:
-                for i in range(len(groups)):
-                    for j in range(i + 1, len(groups)):
-                        gap = mu[(groups[i], yy)] - mu[(groups[j], yy)]
-                        pen += gap * gap
-                        pen_grad += 2.0 * gap * (
-                            dmu[(groups[i], yy)] - dmu[(groups[j], yy)]
-                        )
-            loss += tau * scale * pen
-            grad = grad + tau * scale * pen_grad
-        return loss, grad
-
-    return value_and_grad
-
-
-def loss_and_grad(w_aug, enc: EncodedDataset, tau: float, constraint: str,
-                  lam: float):
-    """One-shot evaluation of the penalized training objective (for gradient
-    checks)."""
-    return make_objective(enc, tau, constraint, lam)(np.asarray(w_aug, dtype=np.float64))
-
-
 def _train(enc: EncodedDataset, tau: float, constraint: str,
            settings: OptimizerSettings) -> LinearModel:
     _check_training_data(enc)
-    if tau > 0 and len(set(enc.sensitive.tolist())) < 2:
+    if tau > 0 and len(enc.group_set) < 2:
         raise ValidationError("disparity penalty requires at least two groups")
     w0 = np.zeros(enc.matrix.shape[1] + 1)
-    obj = make_objective(enc, tau, constraint, settings.lam)
-    w, _, _ = descend(obj, w0, settings.tol, settings.max_iters, settings.step0)
+    obj = make_objective(enc.matrix, enc.labels, settings.lam, tau, enc.cells(),
+                         PENALTY_LABELS[constraint])
+    w, _, _ = descend(obj, w0, settings.tol, settings.max_iters)
     return LinearModel(w[:-1], float(w[-1]), enc.columns)
 
 
@@ -212,19 +143,6 @@ class PostprocessRates:
         return 1.0 - f if base_pred == 1 else f
 
 
-def prediction_rate_table(predictions, ds) -> dict:
-    """(s, y) -> empirical Pr(prediction = 1 | y, s); errors on empty cells."""
-    pred = np.asarray(predictions).astype(np.int64)
-    out = {}
-    for s in sorted(set(ds.sensitive.tolist())):
-        for y in (0, 1):
-            idx = np.flatnonzero((ds.sensitive == s) & (ds.labels == y))
-            if idx.size == 0:
-                raise ValidationError(f"empty cell (s={s}, y={y})")
-            out[(s, y)] = float(np.mean(pred[idx] == 1))
-    return out
-
-
 def mixed_rate_table(rates: PostprocessRates, base_table: dict) -> dict:
     """Exact post-mixing Pr(output = 1 | y, s) from base rates."""
     out = {}
@@ -235,49 +153,29 @@ def mixed_rate_table(rates: PostprocessRates, base_table: dict) -> dict:
     return out
 
 
-def _lp_vertices(a_mat: np.ndarray, b_vec: np.ndarray, dim: int):
-    """Feasible vertices of {v : a_mat v <= b_vec} by active-set enumeration."""
-    from itertools import combinations
-
-    m = a_mat.shape[0]
-    vertices = []
-    for rows in combinations(range(m), dim):
-        sub = a_mat[list(rows)]
-        if abs(np.linalg.det(sub)) < 1e-12:
-            continue
-        v = np.linalg.solve(sub, b_vec[list(rows)])
-        if (a_mat @ v <= b_vec + 1e-9).all():
-            vertices.append(v)
-    return vertices
-
-
 def postprocess_eqodds(scores, ds, epsilon: float) -> PostprocessRates:
     """Exact accuracy-optimal randomized equalized-odds repair for two groups.
 
     The base prediction thresholds the given scores at 0.5; the output mixes
-    each (group, base prediction) with probabilities chosen by enumerating the
-    vertices of the feasible polytope (|FPR gap| <= epsilon, |FNR gap| <=
-    epsilon) and maximizing accuracy on the fitting data. Among equally
-    accurate vertices, the one flipping the least mass wins, so an already
-    fair base predictor stays untouched.
+    each (group, base prediction) with probabilities chosen by a linear
+    program over the feasible polytope (|FPR gap| <= epsilon, |FNR gap| <=
+    epsilon) that maximizes accuracy on the fitting data. A second program
+    then takes, among points within 1e-12 of that accuracy, the one flipping
+    the least mass, so an already fair base predictor stays untouched.
     """
     scores = np.asarray(scores, dtype=np.float64)
-    if scores.min() < 0.0 or scores.max() > 1.0:
-        raise ValidationError("scores must lie in [0, 1]")
+    if scores.shape != ds.labels.shape:
+        raise ValidationError("score length must equal dataset size")
     if epsilon < 0:
         raise ValidationError("epsilon must be non-negative")
-    groups = sorted(set(ds.sensitive.tolist()))
+    groups = ds.group_set
     if len(groups) != 2:
         raise ValidationError("equalized-odds post-processing supports exactly 2 groups")
-    base_pred = (scores >= 0.5).astype(np.int64)
-    base = prediction_rate_table(base_pred, ds)
+    if scores.min() < 0.0 or scores.max() > 1.0:
+        raise ValidationError("scores must lie in [0, 1]")
+    base = metrics.rate_table((scores >= 0.5).astype(np.int64), ds)
     n = ds.labels.shape[0]
-    p_sy = {
-        (s, y): float(np.mean((ds.sensitive == s) & (ds.labels == y)))
-        for s in groups
-        for y in (0, 1)
-    }
-    assert n == len(scores)
+    p_sy = {cell: idx.size / n for cell, idx in ds.cells()}
 
     # variables v = (a_g0, b_g0, a_g1, b_g1): Pr(output 1 | group, base pred 1/0)
     def rate_row(s_i, y):
@@ -289,33 +187,29 @@ def postprocess_eqodds(scores, ds, epsilon: float) -> PostprocessRates:
 
     tpr0, tpr1 = rate_row(0, 1), rate_row(1, 1)
     fpr0, fpr1 = rate_row(0, 0), rate_row(1, 0)
-    a_rows = [tpr0 - tpr1, tpr1 - tpr0, fpr0 - fpr1, fpr1 - fpr0]
-    b_vals = [epsilon] * 4
-    for k in range(4):
-        e = np.zeros(4)
-        e[k] = 1.0
-        a_rows += [e, -e]
-        b_vals += [1.0, 0.0]
-    a_mat = np.array(a_rows)
-    b_vec = np.array(b_vals)
-
+    a_gap = np.array([tpr0 - tpr1, tpr1 - tpr0, fpr0 - fpr1, fpr1 - fpr0])
+    b_gap = np.full(4, float(epsilon))
     obj = (
         p_sy[(groups[0], 1)] * tpr0
         + p_sy[(groups[1], 1)] * tpr1
         - p_sy[(groups[0], 0)] * fpr0
         - p_sy[(groups[1], 0)] * fpr1
     )
-    vertices = _lp_vertices(a_mat, b_vec, 4)
-    assert vertices, "equalized-odds polytope unexpectedly empty"
-
-    def flip_mass(v):
-        return (1.0 - v[0]) + v[1] + (1.0 - v[2]) + v[3]
-
-    best = max(
-        vertices,
-        key=lambda v: (float(obj @ v), -flip_mass(v), tuple(-v)),
+    bounds = [(0.0, 1.0)] * 4
+    best = linprog(-obj, A_ub=a_gap, b_ub=b_gap, bounds=bounds, method="highs")
+    if not best.success:
+        raise SolverError(f"equalized-odds LP failed: {best.message}")
+    # flip mass (1 - a_g0) + b_g0 + (1 - a_g1) + b_g1, up to its constant
+    least = linprog(
+        np.array([-1.0, 1.0, -1.0, 1.0]),
+        A_ub=np.vstack([a_gap, -obj]),
+        b_ub=np.append(b_gap, best.fun + 1e-12),
+        bounds=bounds,
+        method="highs",
     )
-    v = np.clip(best, 0.0, 1.0)
+    if not least.success:
+        raise SolverError(f"equalized-odds least-flip LP failed: {least.message}")
+    v = np.clip(least.x, 0.0, 1.0)
     flip = {
         (groups[0], 1): float(1.0 - v[0]),
         (groups[0], 0): float(v[1]),
@@ -360,9 +254,6 @@ class Intervention:
     def __post_init__(self):
         if self.kind not in ("none", "penalty", "eqodds"):
             raise ValidationError(f"unknown intervention {self.kind!r}")
-
-    def with_params(self, **kw) -> "Intervention":
-        return replace(self, **kw)
 
 
 def train_intervention(enc: EncodedDataset, interv: Intervention):
@@ -414,6 +305,9 @@ class FairEnsemble:
     @property
     def n_bags(self) -> int:
         return len(self.bags)
+
+    def predict(self, ds: Dataset, seed: int) -> np.ndarray:
+        return predict_dataset(self, ds, seed)
 
     def to_text(self) -> str:
         """Audit dump: mode, then each bag's imputer name, weights, and any
@@ -479,14 +373,3 @@ def predict_dataset(ens: FairEnsemble, ds: Dataset, seed: int) -> np.ndarray:
         else:
             out[sel] = (u[sel] < scores).astype(np.int64)
     return out
-
-
-def ensemble_predict(ens: FairEnsemble, sample: Sample, seed: int):
-    """Single-sample prediction: the random-pick label, or the averaged score
-    for a score-average ensemble (thresholding is the caller's concern)."""
-    ds = Dataset(
-        sample.features[None, :], [sample.sensitive], [sample.label]
-    )
-    if ens.mode == "score-average":
-        return float(ensemble_scores(ens, ds)[0])
-    return int(predict_dataset(ens, ds, seed)[0])

@@ -151,10 +151,10 @@ def load_csv(path, schema: dict, sensitive_values=None) -> Dataset:
 
     ``schema`` maps column name -> role in {feature, sensitive, label, ignore}.
     Missing feature cells are the literal ``NA`` or the empty string; any other
-    non-numeric feature token is a parse error. ``sensitive_values`` optionally
-    fixes the group-id encoding: value -> its index in the list. Without it,
-    integer-valued sensitive columns are used as-is and other columns are
-    encoded by sorted distinct value.
+    non-numeric or non-finite (``nan``, ``inf``) feature token is a parse
+    error. ``sensitive_values`` optionally fixes the group-id encoding: value
+    -> its index in the list. Without it, integer-valued sensitive columns are
+    used as-is and other columns are encoded by sorted distinct value.
     """
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
@@ -186,10 +186,12 @@ def load_csv(path, schema: dict, sensitive_values=None) -> Dataset:
                     try:
                         vals[k] = float(tok)
                     except ValueError:
+                        vals[k] = np.nan  # reported below, as are nan and inf
+                    if not np.isfinite(vals[k]):
                         raise CsvParseError(
                             f"row {line_no}, column {header[i]!r}: "
-                            f"cannot parse {tok!r} as a number"
-                        ) from None
+                            f"cannot parse {tok!r} as a finite number"
+                        )
             lab = row[label_col].strip()
             if lab not in ("0", "1"):
                 raise SchemaError(
@@ -264,11 +266,6 @@ class FeatureScaler:
         scaled = np.where(self.ranges > 0, scaled, 0.0)
         scaled[ds.mask] = np.nan
         return ds.with_features(scaled)
-
-
-def scale_features(ds: Dataset) -> Dataset:
-    """Min-max scale each feature to [0, 1] over its observed values."""
-    return FeatureScaler().fit(ds).transform(ds)
 
 
 def _round_half_up(x: float) -> int:

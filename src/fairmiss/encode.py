@@ -15,7 +15,7 @@ import numpy as np
 from .data import Dataset
 from .errors import NotFittedError, ValidationError
 from .impute import Imputer, ZeroImputer
-from .optim import fit_logistic_sum, logistic_sum_loss
+from .optim import OptimizerSettings, descend, log1p_exp, make_objective
 
 
 @dataclass(frozen=True)
@@ -46,6 +46,10 @@ class EncodedDataset:
     @property
     def n_samples(self) -> int:
         return self.matrix.shape[0]
+
+    # the Dataset definitions, over the carried-through s and y
+    group_set = Dataset.group_set
+    cells = Dataset.cells
 
 
 def _zero_imputed(ds: Dataset) -> np.ndarray:
@@ -229,9 +233,6 @@ def cluster_missing_patterns(
     *,
     val_fraction: float = 0.0,
     seed: int = 0,
-    lam: float = 1e-4,
-    tol: float = 1e-6,
-    max_iters: int = 5000,
 ) -> ClusterPartition:
     """Recursively split training rows by the missingness of one feature.
 
@@ -240,9 +241,11 @@ def cluster_missing_patterns(
     fraction stays within [beta, alpha] in both; among candidates the feature
     with the lowest summed children loss wins (ties to the lowest index), and
     the split is kept only when that sum is strictly below the cluster's own
-    minimized loss. The loss is the L2-regularized logistic loss of a linear
-    model on zero-imputed features; with ``val_fraction`` > 0 a stratified
-    share of the rows is held out once and losses are evaluated on it instead.
+    minimized loss. The loss is the summed logistic loss plus
+    (lam/2)||w||^2 of a linear model on zero-imputed features, minimized as
+    the mean objective with lam/n under the default OptimizerSettings; with
+    ``val_fraction`` > 0 a stratified share of the rows is held out once and
+    the unregularized summed loss is evaluated on it instead.
     """
     if train.n_samples == 0:
         raise ValidationError("cannot cluster an empty training set")
@@ -271,19 +274,24 @@ def cluster_missing_patterns(
     else:
         fit_flags = np.ones(train.n_samples, dtype=bool)
 
+    settings = OptimizerSettings()
+
     def cluster_loss(idx: np.ndarray) -> float:
         fit_rows = idx[fit_flags[idx]]
         if fit_rows.size == 0:
             return np.inf
-        w, b, sum_loss = fit_logistic_sum(
-            x[fit_rows], y[fit_rows], lam=lam, tol=tol, max_iters=max_iters
+        n = fit_rows.size
+        obj = make_objective(x[fit_rows], y[fit_rows], settings.lam / n)
+        w, mean_loss, _ = descend(
+            obj, np.zeros(x.shape[1] + 1), settings.tol, settings.max_iters
         )
         if val_fraction > 0.0:
             val_rows = idx[~fit_flags[idx]]
             if val_rows.size == 0:
                 return 0.0
-            return logistic_sum_loss(w, b, x[val_rows], y[val_rows])
-        return sum_loss
+            z = x[val_rows] @ w[:-1] + w[-1]
+            return float(np.sum(log1p_exp(z) - y[val_rows] * z))
+        return mean_loss * n
 
     part = ClusterPartition(dimension=train.dimension)
     part.nodes.append(TreeNode())
@@ -334,8 +342,3 @@ def cluster_missing_patterns(
                 )
             )
     return part
-
-
-def assign_cluster(part: ClusterPartition, mask) -> int:
-    """Route a missing pattern to its cluster id (total over all patterns)."""
-    return part.assign(mask)

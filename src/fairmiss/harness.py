@@ -5,6 +5,21 @@ method -> fairness intervention), sweeps the intervention's hyperparameter
 grid, repeats over stratified train/test splits, aggregates mean and standard
 error per grid point, and emits raw / summary / Pareto CSV files. Everything
 is a deterministic function of the config and its master seed.
+
+Each method fits to one predictor with ``predict(ds, seed) -> labels``, and
+``fit_pipeline`` is the only place that looks at the method name:
+
+- impute-then-classify, indicators and affine give a ``LinearPredictor``: the
+  fitted encoding, the intervention's LinearModel and, for eqodds, its flip
+  rates, drawn with the given seed.
+- clustering gives a ``ClusterRouter``: the missing-pattern partition plus
+  one leaf predictor per cluster, leaf q drawing with seed + q. A leaf holds
+  a zero-imputed LinearPredictor, or, when its training rows carry a single
+  label, a ``ConstantPredictor`` of that label (no model can be trained there,
+  so neither the penalty nor eqodds applies to that leaf).
+- fairmissbag gives the ``classify.FairEnsemble``.
+
+``evaluate_pipeline`` scales the test split, predicts and scores.
 """
 
 from __future__ import annotations
@@ -276,13 +291,67 @@ def _intervention_for(cfg: ExperimentConfig, gp: GridPoint) -> classify.Interven
     )
 
 
+@dataclass(frozen=True)
+class LinearPredictor:
+    """An encoding of the rows, one LinearModel over it, and the optional
+    eqodds flip rates. ``encoder`` maps a Dataset to its EncodedDataset."""
+
+    encoder: object
+    model: classify.LinearModel
+    rates: classify.PostprocessRates = None
+
+    def predict(self, ds: data.Dataset, seed: int) -> np.ndarray:
+        return self.predict_encoded(self.encoder(ds), seed)
+
+    def predict_encoded(self, enc: encode.EncodedDataset, seed: int) -> np.ndarray:
+        preds = self.model.predict(enc.matrix)
+        if self.rates is not None:
+            preds = classify.apply_postprocess(self.rates, preds, enc.sensitive, seed)
+        return preds
+
+
+@dataclass(frozen=True)
+class ConstantPredictor:
+    """Predicts one label everywhere: the model of a label-pure cluster."""
+
+    label: int
+
+    def predict(self, ds: data.Dataset, seed: int) -> np.ndarray:
+        return np.full(ds.n_samples, self.label, dtype=np.int64)
+
+
+@dataclass(frozen=True)
+class ClusterRouter:
+    """Routes each row to its cluster's leaf predictor; leaf q draws with
+    seed + q."""
+
+    partition: encode.ClusterPartition
+    leaves: tuple
+
+    def predict(self, ds: data.Dataset, seed: int) -> np.ndarray:
+        assignments = self.partition.assign_dataset(ds)
+        preds = np.empty(ds.n_samples, dtype=np.int64)
+        for q, leaf in enumerate(self.leaves):
+            rows = np.flatnonzero(assignments == q)
+            if rows.size:
+                preds[rows] = leaf.predict(ds.subset(rows), seed + q)
+        return preds
+
+
+def _fit_leaf(leaf: data.Dataset, interv: classify.Intervention):
+    labels = np.unique(leaf.labels)
+    if labels.size == 1:
+        return ConstantPredictor(int(labels[0]))
+    encoder = lambda ds: encode.encode_plain(ds, ZeroImputer())
+    return LinearPredictor(encoder, *classify.train_intervention(encoder(leaf), interv))
+
+
 @dataclass
 class FittedPipeline:
     """Everything learned from the training split (never sees test rows)."""
 
-    method: str
     scaler: data.FeatureScaler
-    state: dict
+    predictor: object  # predict(ds, seed) -> labels
     train_accuracy: float
 
 
@@ -292,22 +361,20 @@ def fit_pipeline(train: data.Dataset, cfg: ExperimentConfig, gp: GridPoint,
     train = scaler.transform(train)
     interv = _intervention_for(cfg, gp)
     name = cfg.method.name
-    state = {}
 
     if name in ("impute-then-classify", "indicators", "affine"):
         if name == "impute-then-classify":
             imputer = make_imputer(cfg.method.imputer).fit(train)
-            enc = encode.encode_plain(train, imputer)
-            state["imputer"] = imputer
+            encoder = lambda ds: encode.encode_plain(ds, imputer)
         elif name == "indicators":
-            enc = encode.encode_indicators(train)
+            encoder = lambda ds: encode.encode_indicators(ds)
         else:
-            encoder = encode.AffineEncoder().fit(train)
-            enc = encoder.transform(train)
-            state["encoder"] = encoder
-        model, rates = classify.train_intervention(enc, interv)
-        state.update(model=model, rates=rates)
-        preds = _predict_encoded(state, enc, seed)
+            affine = encode.AffineEncoder().fit(train)
+            encoder = lambda ds: affine.transform(ds)
+        enc = encoder(train)
+        predictor = LinearPredictor(encoder, *classify.train_intervention(enc, interv))
+        # reuse the encoded training rows rather than impute them again
+        preds = predictor.predict_encoded(enc, seed)
     elif name == "clustering":
         part = encode.cluster_missing_patterns(
             train,
@@ -318,16 +385,14 @@ def fit_pipeline(train: data.Dataset, cfg: ExperimentConfig, gp: GridPoint,
             seed=seed,
         )
         assignments = part.assign_dataset(train)
-        cluster_states = {}
-        for q in range(part.n_clusters):
-            rows = np.flatnonzero(assignments == q)
-            enc = encode.encode_plain(train.subset(rows), ZeroImputer())
-            model, rates = classify.train_intervention(enc, interv)
-            cluster_states[q] = {"model": model, "rates": rates}
-        state.update(partition=part, clusters=cluster_states)
-        preds = _predict_clustered(state, train, seed)
+        leaves = tuple(
+            _fit_leaf(train.subset(np.flatnonzero(assignments == q)), interv)
+            for q in range(part.n_clusters)
+        )
+        predictor = ClusterRouter(part, leaves)
+        preds = predictor.predict(train, seed)
     elif name == "fairmissbag":
-        ens = classify.train_fair_bagging(
+        predictor = classify.train_fair_bagging(
             train,
             cfg.method.bags,
             interv,
@@ -335,51 +400,16 @@ def fit_pipeline(train: data.Dataset, cfg: ExperimentConfig, gp: GridPoint,
             mode=cfg.method.mode,
             seed=seed,
         )
-        state["ensemble"] = ens
-        preds = classify.predict_dataset(ens, train, seed)
+        preds = predictor.predict(train, seed)
     else:
         raise ConfigError(f"unknown method {name!r}")
 
-    return FittedPipeline(name, scaler, state, metrics.accuracy(preds, train))
-
-
-def _predict_encoded(state: dict, enc: encode.EncodedDataset, seed: int) -> np.ndarray:
-    model = state["model"]
-    preds = model.predict(enc.matrix)
-    if state.get("rates") is not None:
-        preds = classify.apply_postprocess(state["rates"], preds, enc.sensitive, seed)
-    return preds
-
-
-def _predict_clustered(state: dict, ds: data.Dataset, seed: int) -> np.ndarray:
-    part = state["partition"]
-    assignments = part.assign_dataset(ds)
-    preds = np.empty(ds.n_samples, dtype=np.int64)
-    for q in sorted(state["clusters"].keys()):
-        rows = np.flatnonzero(assignments == q)
-        if rows.size == 0:
-            continue
-        sub = ds.subset(rows)
-        enc = encode.encode_plain(sub, ZeroImputer())
-        preds[rows] = _predict_encoded(state["clusters"][q], enc, seed + q)
-    return preds
+    return FittedPipeline(scaler, predictor, metrics.accuracy(preds, train))
 
 
 def evaluate_pipeline(fp: FittedPipeline, test: data.Dataset, seed: int) -> dict:
     test = fp.scaler.transform(test)
-    if fp.method in ("impute-then-classify", "indicators", "affine"):
-        if fp.method == "impute-then-classify":
-            enc = encode.encode_plain(test, fp.state["imputer"])
-        elif fp.method == "indicators":
-            enc = encode.encode_indicators(test)
-        else:
-            enc = fp.state["encoder"].transform(test)
-        preds = _predict_encoded(fp.state, enc, seed)
-    elif fp.method == "clustering":
-        preds = _predict_clustered(fp.state, test, seed)
-    else:
-        ens = fp.state["ensemble"]
-        preds = classify.predict_dataset(ens, test, seed)
+    preds = fp.predictor.predict(test, seed)
     rates = metrics.group_rates(preds, test)
     return {
         "train_accuracy": fp.train_accuracy,

@@ -14,7 +14,7 @@ import numpy as np
 from scipy.optimize import linprog
 
 from .data import Dataset
-from .errors import ValidationError
+from .errors import SolverError, ValidationError
 
 DISPARITY_KINDS = ("fnr-diff", "fpr-diff", "meo", "eqodds-max")
 
@@ -38,22 +38,30 @@ def accuracy(predictions, ds: Dataset) -> float:
     return float(np.mean(pred == ds.labels))
 
 
-def group_rates(predictions, ds: Dataset) -> GroupRates:
+def rate_table(predictions, ds: Dataset) -> dict:
+    """(s, y) -> empirical Pr(prediction = 1 | s, y), in ``ds.cells()``
+    order; errors on empty cells."""
     pred = np.asarray(predictions).astype(np.int64)
     if pred.shape != ds.labels.shape:
         raise ValidationError("prediction length must equal dataset size")
-    fpr, fnr, tpr, tnr, support = {}, {}, {}, {}, {}
+    table = {}
     for (s, y), idx in ds.cells():
         if len(idx) == 0:
             raise ValidationError(f"empty cell (s={s}, y={y}): rates undefined")
-        support[(s, y)] = len(idx)
-        rate1 = float(np.mean(pred[idx] == 1))
+        table[(s, y)] = float(np.mean(pred[idx] == 1))
+    return table
+
+
+def group_rates(predictions, ds: Dataset) -> GroupRates:
+    fpr, fnr, tpr, tnr = {}, {}, {}, {}
+    for (s, y), rate1 in rate_table(predictions, ds).items():
         if y == 1:
             tpr[s] = rate1
             fnr[s] = 1.0 - rate1
         else:
             fpr[s] = rate1
             tnr[s] = 1.0 - rate1
+    support = {cell: len(idx) for cell, idx in ds.cells()}
     return GroupRates(ds.group_set, fpr, fnr, tpr, tnr, support)
 
 
@@ -289,7 +297,8 @@ def best_fair_accuracy(table: JointTable, epsilon: float):
     a_ub = np.array(rows) if rows else None
     b_ub = np.array(rhs) if rows else None
     res = linprog(-c, A_ub=a_ub, b_ub=b_ub, bounds=[(0.0, 1.0)] * n, method="highs")
-    assert res.success, f"constrained-accuracy LP unexpectedly failed: {res.message}"
+    if not res.success:
+        raise SolverError(f"constrained-accuracy LP failed: {res.message}")
     h = np.clip(res.x, 0.0, 1.0)
     value = base + float(c @ h)
     return value, h

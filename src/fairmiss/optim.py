@@ -1,14 +1,26 @@
-"""Full-batch gradient descent for L2-regularized logistic loss.
+"""The logistic training objective and the full-batch gradient descent that
+minimizes it.
 
-One optimizer serves the plain trainer, the penalty trainer, and the
-cluster-split loss. Descent is deterministic: zero initialization and
+One objective and one optimizer serve the plain trainer, the penalty trainer,
+and the cluster-split loss. Descent is deterministic: zero initialization and
 backtracking (Armijo) line search, stopping at gradient norm <= tol or the
 iteration cap.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 import numpy as np
+
+from .errors import ValidationError
+
+
+@dataclass(frozen=True)
+class OptimizerSettings:
+    lam: float = 1e-4
+    tol: float = 1e-6
+    max_iters: int = 5000
 
 
 def sigmoid(z: np.ndarray) -> np.ndarray:
@@ -25,17 +37,70 @@ def log1p_exp(z: np.ndarray) -> np.ndarray:
     return np.where(z > 0, z, 0.0) + np.log1p(np.exp(-np.abs(z)))
 
 
+def make_objective(x, y, lam: float, tau: float = 0.0, cells=(), labels=(0, 1)):
+    """Closure computing (value, gradient) of the penalized training loss in
+    the augmented weight vector (bias appended).
+
+    The loss is the mean logistic loss plus (lam/2)||w||^2 with the bias
+    unpenalized. With tau > 0 it adds tau / len(labels) times the squared gap
+    of per-group mean sigmoid scores, summed over group pairs and over the
+    conditioning labels in ``labels``. ``cells`` lists ((s, y), row indices)
+    as ``Dataset.cells`` orders them; every cell must be non-empty.
+    """
+    x_aug = np.hstack([x, np.ones((x.shape[0], 1))])
+    n = x_aug.shape[0]
+    y = np.asarray(y).astype(np.float64)
+    if tau > 0:
+        for (s, yy), idx in cells:
+            if idx.size == 0:
+                raise ValidationError(
+                    f"empty cell (s={s}, y={yy}): disparity penalty undefined"
+                )
+        groups = sorted({s for (s, _), _ in cells})
+        scale = 1.0 / len(labels)
+
+    def value_and_grad(w_aug):
+        z = x_aug @ w_aug
+        p = sigmoid(z)
+        loss = float(np.mean(log1p_exp(z) - y * z))
+        reg = w_aug.copy()
+        reg[-1] = 0.0
+        loss += 0.5 * lam * float(reg @ reg)
+        grad = x_aug.T @ (p - y) / n + lam * reg
+        if tau > 0:
+            sp = p * (1.0 - p)
+            mu, dmu = {}, {}
+            for (s, yy), idx in cells:
+                mu[(s, yy)] = float(np.mean(p[idx]))
+                dmu[(s, yy)] = x_aug[idx].T @ sp[idx] / idx.size
+            pen = 0.0
+            pen_grad = np.zeros_like(w_aug)
+            for yy in labels:
+                for i in range(len(groups)):
+                    for j in range(i + 1, len(groups)):
+                        gap = mu[(groups[i], yy)] - mu[(groups[j], yy)]
+                        pen += gap * gap
+                        pen_grad += 2.0 * gap * (
+                            dmu[(groups[i], yy)] - dmu[(groups[j], yy)]
+                        )
+            loss += tau * scale * pen
+            grad = grad + tau * scale * pen_grad
+        return loss, grad
+
+    return value_and_grad
+
+
 def descend(value_and_grad, w0: np.ndarray, tol: float, max_iters: int,
-            step0: float = 1.0, armijo: float = 1e-4):
+            armijo: float = 1e-4):
     """Minimize a smooth convex function by gradient descent with backtracking.
 
-    ``value_and_grad(w) -> (f, g)``. Returns (w, f, iterations). The accepted
-    step size carries over between iterations (doubled once per iteration) so
-    well-scaled problems rarely backtrack.
+    ``value_and_grad(w) -> (f, g)``. Returns (w, f, iterations). The first
+    step tries size 2; the accepted step size carries over between iterations
+    (doubled once per iteration) so well-scaled problems rarely backtrack.
     """
     w = w0.astype(np.float64).copy()
     f, g = value_and_grad(w)
-    step = step0
+    step = 1.0
     it = 0
     while it < max_iters:
         gnorm2 = float(g @ g)
@@ -56,47 +121,3 @@ def descend(value_and_grad, w0: np.ndarray, tol: float, max_iters: int,
         w, f, g = w_new, f_new, g_new
         it += 1
     return w, f, it
-
-
-def logistic_value_and_grad(w_aug, X_aug, y, lam):
-    """Mean cross-entropy + (lam/2)||w||^2; the bias (last column) unpenalized."""
-    n = X_aug.shape[0]
-    z = X_aug @ w_aug
-    p = sigmoid(z)
-    loss = float(np.mean(log1p_exp(z) - y * z))
-    reg = w_aug.copy()
-    reg[-1] = 0.0
-    loss += 0.5 * lam * float(reg @ reg)
-    grad = X_aug.T @ (p - y) / n + lam * reg
-    return loss, grad
-
-
-def fit_logistic(X, y, lam=1e-4, tol=1e-6, max_iters=5000):
-    """Fit weights and bias for logistic regression on (X, y).
-
-    Minimizes mean loss; returns (weights, bias, mean_objective, iterations).
-    """
-    X = np.asarray(X, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
-    X_aug = np.hstack([X, np.ones((X.shape[0], 1))])
-    w0 = np.zeros(X_aug.shape[1])
-    f = lambda w: logistic_value_and_grad(w, X_aug, y, lam)
-    w, val, it = descend(f, w0, tol, max_iters)
-    return w[:-1], float(w[-1]), val, it
-
-
-def fit_logistic_sum(X, y, lam=1e-4, tol=1e-6, max_iters=5000):
-    """Minimize sum cross-entropy + (lam/2)||w||^2 (the cluster-split loss).
-
-    Internally optimizes the equivalent mean objective with lam/n; returns
-    (weights, bias, sum_objective).
-    """
-    n = max(len(y), 1)
-    w, b, val, _ = fit_logistic(X, y, lam=lam / n, tol=tol, max_iters=max_iters)
-    return w, b, val * n
-
-
-def logistic_sum_loss(w, b, X, y):
-    """Plain (unregularized) sum cross-entropy of a fixed model on (X, y)."""
-    z = np.asarray(X, dtype=np.float64) @ w + b
-    return float(np.sum(log1p_exp(z) - np.asarray(y, dtype=np.float64) * z))

@@ -11,8 +11,8 @@ import pytest
 
 from fairmiss import classify, data, harness, metrics, simulate
 from fairmiss.classify import (
+    PENALTY_LABELS,
     Intervention,
-    loss_and_grad,
     train_fair_penalty,
     train_logreg,
     uniform_mixture_rates,
@@ -20,6 +20,7 @@ from fairmiss.classify import (
 from fairmiss.classify import PenaltyConfig
 from fairmiss.encode import EncodedDataset, cluster_missing_patterns, encode_indicators, encode_plain
 from fairmiss.impute import ZeroImputer
+from fairmiss.optim import make_objective
 from fairmiss.metrics import (
     TradeoffPoint,
     best_fair_accuracy,
@@ -276,7 +277,8 @@ def test_criterion_7_mechanical_invariants():
             ("orig:a", "orig:b", "orig:c"),
         )
         for tau, constraint in ((0.0, "mean-equalized-odds"), (3.0, "mean-equalized-odds")):
-            f = lambda w: loss_and_grad(w, enc, tau, constraint, 1e-4)
+            f = make_objective(enc.matrix, enc.labels, 1e-4, tau, enc.cells(),
+                               PENALTY_LABELS[constraint])
             for _ in range(20):
                 w = rng.normal(scale=0.7, size=4)
                 _, grad = f(w)

@@ -6,14 +6,12 @@ from fairmiss.classify import (
     LinearModel,
     OptimizerSettings,
     PenaltyConfig,
+    PENALTY_LABELS,
     apply_postprocess,
-    ensemble_predict,
     ensemble_scores,
-    loss_and_grad,
     mixed_rate_table,
     postprocess_eqodds,
     predict_dataset,
-    prediction_rate_table,
     train_fair_bagging,
     train_fair_penalty,
     train_logreg,
@@ -23,7 +21,8 @@ from fairmiss.data import Dataset, fair_resample
 from fairmiss.encode import EncodedDataset, encode_indicators
 from fairmiss.errors import ValidationError
 from fairmiss.impute import make_imputer
-from fairmiss.metrics import accuracy
+from fairmiss.metrics import accuracy, rate_table
+from fairmiss.optim import make_objective
 
 from conftest import random_dataset
 
@@ -85,7 +84,8 @@ class TestGradients:
     ])
     def test_analytic_matches_central_differences(self, rng, tau, constraint):
         enc = random_encoded(rng, n=50, d=3)
-        f = lambda w: loss_and_grad(w, enc, tau, constraint, 1e-4)
+        f = make_objective(enc.matrix, enc.labels, 1e-4, tau, enc.cells(),
+                           PENALTY_LABELS[constraint])
         for _ in range(20):
             w = rng.normal(scale=0.8, size=4)
             _, grad = f(w)
@@ -137,10 +137,8 @@ class TestPenalty:
         plain = train_logreg(enc)
         pen = train_fair_penalty(enc, PenaltyConfig(tau=5.0))
         assert np.linalg.norm(pen.weights - plain.weights) <= 1e-3
-        _, grad = loss_and_grad(
-            np.concatenate([pen.weights, [pen.bias]]), enc, 5.0,
-            "mean-equalized-odds", 1e-4,
-        )
+        f = make_objective(enc.matrix, enc.labels, 1e-4, 5.0, enc.cells())
+        _, grad = f(np.concatenate([pen.weights, [pen.bias]]))
         assert np.linalg.norm(grad) <= 1e-5
 
     def test_missing_group_errors(self, rng):
@@ -173,6 +171,22 @@ class TestPostprocess:
         rates = postprocess_eqodds(scores, ds, epsilon=1.0)
         assert all(v == pytest.approx(0.0, abs=1e-9) for v in rates.flip.values())
 
+    def test_equally_accurate_flip_loses_to_no_flip(self):
+        # flipping group 1's negatives to 1 (rate 1.0) is exactly as accurate
+        # (7/12) as flipping nothing; the least flip mass must win
+        sens = [0, 0, 0, 1, 1, 1, 1, 1, 1, 1, 1, 1]
+        labels = [1, 0, 0, 0, 1, 0, 0, 1, 1, 1, 0, 1]
+        base = np.array([1, 1, 0, 0, 1, 1, 1, 1, 0, 1, 0, 0])
+        scores = np.where(base == 1, 0.9, 0.1)
+        ds = Dataset(np.zeros((12, 1)), sens, labels)
+        rates = postprocess_eqodds(scores, ds, epsilon=0.5)
+        assert all(v == pytest.approx(0.0, abs=1e-9) for v in rates.flip.values())
+
+    def test_score_length_mismatch_errors(self, rng):
+        ds, scores = predictor_dataset(rng, n=40)
+        with pytest.raises(ValidationError, match="length"):
+            postprocess_eqodds(scores[:-1], ds, 0.1)
+
     def test_constructed_gap_is_repaired_exactly(self, rng):
         # plant a 0.4 FPR gap, then require exact equality
         n = 2000
@@ -183,7 +197,7 @@ class TestPostprocess:
         pred[fp_flip] = 1
         scores = pred.astype(float)
         ds = Dataset(np.zeros((n, 1)), s, y)
-        base = prediction_rate_table(pred, ds)
+        base = rate_table(pred, ds)
         assert abs(base[(1, 0)] - base[(0, 0)]) > 0.3
         rates = postprocess_eqodds(scores, ds, epsilon=0.0)
         mixed = mixed_rate_table(rates, base)
@@ -197,7 +211,7 @@ class TestPostprocess:
                 continue
             eps = float(rng.choice([0.0, 0.02, 0.1, 0.3]))
             rates = postprocess_eqodds(scores, ds, eps)
-            base = prediction_rate_table((scores >= 0.5).astype(int), ds)
+            base = rate_table((scores >= 0.5).astype(int), ds)
             mixed = mixed_rate_table(rates, base)
             for yy in (0, 1):
                 assert abs(mixed[(0, yy)] - mixed[(1, yy)]) <= eps + 1e-9
@@ -206,8 +220,8 @@ class TestPostprocess:
         ds, scores = predictor_dataset(rng, n=20000, flip_group_noise=1.2)
         rates = postprocess_eqodds(scores, ds, epsilon=0.0)
         preds = apply_postprocess(rates, (scores >= 0.5).astype(int), ds.sensitive, seed=5)
-        got = prediction_rate_table(preds, ds)
-        want = mixed_rate_table(rates, prediction_rate_table((scores >= 0.5).astype(int), ds))
+        got = rate_table(preds, ds)
+        want = mixed_rate_table(rates, rate_table((scores >= 0.5).astype(int), ds))
         for k in want:
             assert got[k] == pytest.approx(want[k], abs=0.03)
 
@@ -287,7 +301,6 @@ class TestFairBagging:
         ens = FairEnsemble(tuple(BagModel(ZeroImputer(), m) for m in models))
         ds = Dataset(np.array([[1.0]]), [0], [0])
         assert ensemble_scores(ens, ds)[0] == pytest.approx(0.4)
-        assert ensemble_predict(ens, ds.sample(0), seed=0) == pytest.approx(0.4)
 
     def test_random_pick_matches_uniform_mixture(self, rng):
         train = random_dataset(rng, n=60, d=2, missing_rate=0.2)
@@ -341,6 +354,6 @@ def test_single_sample_random_pick_ignores_seed_for_one_bag(rng):
     train = random_dataset(rng, n=50, d=2, missing_rate=0.2)
     ens = train_fair_bagging(train, 1, Intervention("none"), "zero",
                              mode="random-pick", seed=2)
-    sample = train.sample(0)
-    preds = {ensemble_predict(ens, sample, seed) for seed in range(5)}
+    first = train.subset([0])
+    preds = {int(predict_dataset(ens, first, seed)[0]) for seed in range(5)}
     assert len(preds) == 1

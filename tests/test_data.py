@@ -8,7 +8,6 @@ from fairmiss.data import (
     fair_resample,
     load_csv,
     read_schema,
-    scale_features,
     split_train_test,
     write_csv,
 )
@@ -24,6 +23,10 @@ def write(tmp_path, name, text):
 
 
 SCHEMA = {"a": "feature", "b": "feature", "s": "sensitive", "y": "label"}
+
+
+def scale_features(ds):
+    return FeatureScaler().fit(ds).transform(ds)
 
 
 class TestLoadCsv:
@@ -57,6 +60,12 @@ class TestLoadCsv:
     def test_junk_feature_token_is_parse_error(self, tmp_path):
         p = write(tmp_path, "d.csv", "a,b,s,y\n1,huh,0,0\n")
         with pytest.raises(CsvParseError, match="huh"):
+            load_csv(p, SCHEMA)
+
+    @pytest.mark.parametrize("tok", ["nan", "inf", "-inf", "Infinity", "NaN"])
+    def test_non_finite_token_is_parse_error(self, tmp_path, tok):
+        p = write(tmp_path, "d.csv", f"a,b,s,y\n1,2,0,0\n3,{tok},1,1\n")
+        with pytest.raises(CsvParseError, match=r"row 3, column 'b'"):
             load_csv(p, SCHEMA)
 
     def test_unknown_sensitive_value_with_declared_groups(self, tmp_path):

@@ -5,7 +5,6 @@ from fairmiss.data import Dataset
 from fairmiss.encode import (
     AffineEncoder,
     ClusterPartition,
-    assign_cluster,
     cluster_missing_patterns,
     encode_affine,
     encode_indicators,
@@ -163,7 +162,7 @@ class TestClustering:
     def test_unseen_pattern_reaches_a_leaf(self, rng):
         ds = random_dataset(rng, n=60, d=4, missing_rate=0.25)
         part = cluster_missing_patterns(ds, k_min=1, alpha=1.0, beta=0.0)
-        q = assign_cluster(part, np.ones(4, dtype=bool))
+        q = part.assign(np.ones(4, dtype=bool))
         assert 0 <= q < part.n_clusters
 
     def test_serialization_roundtrip(self, rng):

@@ -171,6 +171,27 @@ dir = {out}
         text = (out / "summary.csv").read_text()
         assert "f_eps_original" in text and "f_eps_imputed_best" in text
 
+    def test_clustering_on_sampled_worst_case(self, tmp_path):
+        # the masked cluster holds only positives: its leaf predicts 1
+        body = """
+[data]
+source = theorem1
+samples = 2000
+
+[method]
+name = clustering
+
+[intervention]
+name = none
+
+[output]
+dir = {out}
+"""
+        cfg = load_config(write_config(tmp_path, body.format(out=tmp_path / "t1")))
+        result = run_experiment(cfg)
+        assert result.succeeded, result.failures
+        assert result.aggregated["g0"]["test_accuracy"][0] == 1.0
+
     def test_methods_cover_missingness_pipeline(self, tmp_path):
         # csv source + mnar injection + fairmissbag, small but end to end
         ds = gen_synthetic(0)
@@ -303,12 +324,12 @@ class TestLeakage:
         gp = grid_points(cfg.intervention)[0]
         f1 = fit_pipeline(train, cfg, gp, seed=3)
         f2 = fit_pipeline(train, cfg, gp, seed=3)
-        assert np.array_equal(f1.state["model"].weights, f2.state["model"].weights)
+        assert np.array_equal(f1.predictor.model.weights, f2.predictor.model.weights)
         test_a = random_dataset(rng, n=30, d=3, missing_rate=0.2)
         test_b = random_dataset(rng, n=30, d=3, missing_rate=0.6)
         evaluate_pipeline(f1, test_a, seed=0)
         m = evaluate_pipeline(f1, test_b, seed=0)
-        assert np.array_equal(f1.state["model"].weights, f2.state["model"].weights)
+        assert np.array_equal(f1.predictor.model.weights, f2.predictor.model.weights)
         assert set(m) == {"train_accuracy", "test_accuracy", "fnr_diff", "fpr_diff", "meo"}
 
 
