@@ -112,8 +112,8 @@ def _train(enc: EncodedDataset, tau: float, constraint: str,
 
 
 def train_logreg(enc: EncodedDataset, settings: OptimizerSettings = None) -> LinearModel:
-    """Fit the plain L2-regularized logistic model (deterministic full-batch
-    gradient descent from zero)."""
+    """Fit the plain L2-regularized logistic model (deterministic L-BFGS-B
+    from zero weights)."""
     return _train(enc, 0.0, "mean-equalized-odds", settings or OptimizerSettings())
 
 

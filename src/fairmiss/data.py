@@ -8,6 +8,7 @@ after construction (arrays are marked read-only) so they can be shared freely.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -177,21 +178,22 @@ def load_csv(path, schema: dict, sensitive_values=None) -> Dataset:
                 raise CsvParseError(
                     f"row {line_no}: expected {len(header)} columns, got {len(row)}"
                 )
-            vals = np.empty(len(feat_cols))
-            for k, i in enumerate(feat_cols):
+            vals = []
+            for i in feat_cols:
                 tok = row[i].strip()
                 if tok in ("NA", ""):
-                    vals[k] = np.nan
-                else:
-                    try:
-                        vals[k] = float(tok)
-                    except ValueError:
-                        vals[k] = np.nan  # reported below, as are nan and inf
-                    if not np.isfinite(vals[k]):
-                        raise CsvParseError(
-                            f"row {line_no}, column {header[i]!r}: "
-                            f"cannot parse {tok!r} as a finite number"
-                        )
+                    vals.append(math.nan)
+                    continue
+                try:
+                    v = float(tok)
+                except ValueError:
+                    v = math.nan  # reported below, as are nan and inf
+                if not math.isfinite(v):
+                    raise CsvParseError(
+                        f"row {line_no}, column {header[i]!r}: "
+                        f"cannot parse {tok!r} as a finite number"
+                    )
+                vals.append(v)
             lab = row[label_col].strip()
             if lab not in ("0", "1"):
                 raise SchemaError(
@@ -217,7 +219,8 @@ def load_csv(path, schema: dict, sensitive_values=None) -> Dataset:
             mapping = {v: i for i, v in enumerate(sorted(set(sens_raw)))}
             sens = [mapping[v] for v in sens_raw]
 
-    return Dataset(np.array(rows).reshape(len(rows), len(feat_cols)), sens, labels, feat_names)
+    features = np.array(rows, dtype=np.float64).reshape(len(rows), len(feat_cols))
+    return Dataset(features, sens, labels, feat_names)
 
 
 def write_csv(ds: Dataset, path, sensitive_name="sensitive", label_name="label") -> None:

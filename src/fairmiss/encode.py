@@ -184,7 +184,22 @@ class ClusterPartition:
         return node.cluster
 
     def assign_dataset(self, ds: Dataset) -> np.ndarray:
-        return np.array([self.assign(row) for row in ds.mask], dtype=np.int64)
+        """Cluster of every row, routing all rows down the tree at once."""
+        mask = ds.mask
+        if mask.shape[1] != self.dimension:
+            raise ValidationError("mask length does not match the partition")
+        out = np.empty(mask.shape[0], dtype=np.int64)
+        stack = [(0, np.arange(mask.shape[0]))]
+        while stack:
+            node_id, rows = stack.pop()
+            node = self.nodes[node_id]
+            if node.cluster is not None:
+                out[rows] = node.cluster
+                continue
+            missing = mask[rows, node.feature]
+            stack.append((node.left, rows[~missing]))
+            stack.append((node.right, rows[missing]))
+        return out
 
     def to_text(self) -> str:
         lines = [f"d={self.dimension}"]

@@ -1,23 +1,36 @@
-"""The logistic training objective and the full-batch gradient descent that
-minimizes it.
+"""The logistic training objective and the L-BFGS-B solver that minimizes it.
 
-One objective and one optimizer serve the plain trainer, the penalty trainer,
-and the cluster-split loss. Descent is deterministic: zero initialization and
-backtracking (Armijo) line search, stopping at gradient norm <= tol or the
-iteration cap.
+One objective and one solver serve the plain trainer, the penalty trainer,
+and the cluster-split loss. The solver is scipy's L-BFGS-B without bounds,
+started from the caller's point (zero everywhere in this package), so a fit
+is a deterministic function of its data. It stops when the max-norm of the
+projected gradient drops to ``tol`` or at the iteration cap; stopping short
+of ``tol`` logs a WARNING on the ``fairmiss`` logger.
 """
 
 from __future__ import annotations
 
+import logging
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.optimize import minimize
 
 from .errors import ValidationError
+
+log = logging.getLogger("fairmiss")
+
+# L-BFGS-B's relative-decrease stop, set near machine precision so that the
+# gradient test (``tol``) decides convergence, and its memory of past steps
+FTOL = 1e-15
+MAXCOR = 20
 
 
 @dataclass(frozen=True)
 class OptimizerSettings:
+    """``tol`` bounds the max-norm of the projected gradient at a stop
+    (L-BFGS-B's ``gtol``); ``max_iters`` caps solver iterations."""
+
     lam: float = 1e-4
     tol: float = 1e-6
     max_iters: int = 5000
@@ -37,6 +50,24 @@ def log1p_exp(z: np.ndarray) -> np.ndarray:
     return np.where(z > 0, z, 0.0) + np.log1p(np.exp(-np.abs(z)))
 
 
+def _contrast(cells, labels, n: int) -> np.ndarray:
+    """(pairs x n) matrix whose product with the score vector gives every
+    penalized gap: one row per conditioning label and group pair (i < j),
+    holding 1/|cell| on group i's rows and -1/|cell| on group j's."""
+    index = dict(cells)
+    groups = sorted({s for (s, _), _ in cells})
+    rows = []
+    for yy in labels:
+        for i in range(len(groups)):
+            for j in range(i + 1, len(groups)):
+                row = np.zeros(n)
+                for s, sign in ((groups[i], 1.0), (groups[j], -1.0)):
+                    idx = index[(s, yy)]
+                    row[idx] = sign / idx.size
+                rows.append(row)
+    return np.array(rows).reshape(len(rows), n)
+
+
 def make_objective(x, y, lam: float, tau: float = 0.0, cells=(), labels=(0, 1)):
     """Closure computing (value, gradient) of the penalized training loss in
     the augmented weight vector (bias appended).
@@ -45,19 +76,21 @@ def make_objective(x, y, lam: float, tau: float = 0.0, cells=(), labels=(0, 1)):
     unpenalized. With tau > 0 it adds tau / len(labels) times the squared gap
     of per-group mean sigmoid scores, summed over group pairs and over the
     conditioning labels in ``labels``. ``cells`` lists ((s, y), row indices)
-    as ``Dataset.cells`` orders them; every cell must be non-empty.
+    as ``Dataset.cells`` orders them; every cell whose label is in ``labels``
+    must be non-empty. All gaps come from one contrast matrix built here, so
+    an evaluation costs two products with the data like the plain loss.
     """
     x_aug = np.hstack([x, np.ones((x.shape[0], 1))])
     n = x_aug.shape[0]
     y = np.asarray(y).astype(np.float64)
     if tau > 0:
         for (s, yy), idx in cells:
-            if idx.size == 0:
+            if yy in labels and idx.size == 0:
                 raise ValidationError(
                     f"empty cell (s={s}, y={yy}): disparity penalty undefined"
                 )
-        groups = sorted({s for (s, _), _ in cells})
-        scale = 1.0 / len(labels)
+        contrast = _contrast(cells, labels, n)
+        weight = tau / len(labels)
 
     def value_and_grad(w_aug):
         z = x_aug @ w_aug
@@ -66,58 +99,37 @@ def make_objective(x, y, lam: float, tau: float = 0.0, cells=(), labels=(0, 1)):
         reg = w_aug.copy()
         reg[-1] = 0.0
         loss += 0.5 * lam * float(reg @ reg)
-        grad = x_aug.T @ (p - y) / n + lam * reg
+        residual = (p - y) / n
         if tau > 0:
-            sp = p * (1.0 - p)
-            mu, dmu = {}, {}
-            for (s, yy), idx in cells:
-                mu[(s, yy)] = float(np.mean(p[idx]))
-                dmu[(s, yy)] = x_aug[idx].T @ sp[idx] / idx.size
-            pen = 0.0
-            pen_grad = np.zeros_like(w_aug)
-            for yy in labels:
-                for i in range(len(groups)):
-                    for j in range(i + 1, len(groups)):
-                        gap = mu[(groups[i], yy)] - mu[(groups[j], yy)]
-                        pen += gap * gap
-                        pen_grad += 2.0 * gap * (
-                            dmu[(groups[i], yy)] - dmu[(groups[j], yy)]
-                        )
-            loss += tau * scale * pen
-            grad = grad + tau * scale * pen_grad
-        return loss, grad
+            gaps = contrast @ p
+            loss += weight * float(gaps @ gaps)
+            residual += 2.0 * weight * (gaps @ contrast) * p * (1.0 - p)
+        return loss, x_aug.T @ residual + lam * reg
 
     return value_and_grad
 
 
-def descend(value_and_grad, w0: np.ndarray, tol: float, max_iters: int,
-            armijo: float = 1e-4):
-    """Minimize a smooth convex function by gradient descent with backtracking.
+def descend(value_and_grad, w0: np.ndarray, tol: float, max_iters: int):
+    """Minimize a smooth convex function with L-BFGS-B from ``w0``.
 
-    ``value_and_grad(w) -> (f, g)``. Returns (w, f, iterations). The first
-    step tries size 2; the accepted step size carries over between iterations
-    (doubled once per iteration) so well-scaled problems rarely backtrack.
+    ``value_and_grad(w) -> (f, g)``. Returns (w, f, iterations). It stops when
+    the max-norm of the projected gradient is at most ``tol`` or after
+    ``max_iters`` iterations; ``max_iters = 0`` returns ``w0`` unchanged. A
+    stop without convergence (the cap, or a failed line search) logs one
+    WARNING with the iteration count and the final gradient norm.
     """
-    w = w0.astype(np.float64).copy()
-    f, g = value_and_grad(w)
-    step = 1.0
-    it = 0
-    while it < max_iters:
-        gnorm2 = float(g @ g)
-        if np.sqrt(gnorm2) <= tol:
-            break
-        step = min(step * 2.0, 1e8)
-        while True:
-            w_new = w - step * g
-            f_new, g_new = value_and_grad(w_new)
-            if f_new <= f - armijo * step * gnorm2:
-                break
-            step *= 0.5
-            if step < 1e-16:
-                w_new, f_new, g_new = w, f, g
-                break
-        if step < 1e-16:
-            break
-        w, f, g = w_new, f_new, g_new
-        it += 1
-    return w, f, it
+    w = w0.astype(np.float64)
+    if max_iters <= 0:
+        f, _ = value_and_grad(w)
+        return w, f, 0
+    res = minimize(
+        value_and_grad, w, jac=True, method="L-BFGS-B",
+        options={"maxiter": max_iters, "gtol": tol, "ftol": FTOL, "maxcor": MAXCOR},
+    )
+    if not res.success:
+        log.warning(
+            "L-BFGS-B stopped without converging after %d iterations "
+            "(gradient max-norm %.3g, tol %g): %s",
+            res.nit, float(np.max(np.abs(res.jac))), tol, res.message,
+        )
+    return res.x, float(res.fun), int(res.nit)

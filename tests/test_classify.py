@@ -1,3 +1,5 @@
+import logging
+
 import numpy as np
 import pytest
 
@@ -22,7 +24,7 @@ from fairmiss.encode import EncodedDataset, encode_indicators
 from fairmiss.errors import ValidationError
 from fairmiss.impute import make_imputer
 from fairmiss.metrics import accuracy, rate_table
-from fairmiss.optim import make_objective
+from fairmiss.optim import descend, log1p_exp, make_objective, sigmoid
 
 from conftest import random_dataset
 
@@ -67,6 +69,30 @@ class TestTrainLogreg:
         b = train_logreg(enc)
         assert np.array_equal(a.weights, b.weights) and a.bias == b.bias
 
+    def test_iteration_cap_logs_one_warning(self, rng, caplog):
+        enc = random_encoded(rng)
+        with caplog.at_level(logging.WARNING, logger="fairmiss"):
+            train_logreg(enc, OptimizerSettings(max_iters=1))
+        assert len(caplog.records) == 1
+        rec = caplog.records[0]
+        assert rec.levelno == logging.WARNING and rec.name == "fairmiss"
+        assert "after 1 iterations" in rec.getMessage()
+        assert "gradient max-norm" in rec.getMessage()
+
+    def test_converged_fit_logs_nothing(self, rng, caplog):
+        enc = random_encoded(rng)
+        with caplog.at_level(logging.WARNING, logger="fairmiss"):
+            train_logreg(enc)
+        assert caplog.records == []
+
+    def test_stop_meets_the_gradient_tolerance(self, rng):
+        enc = random_encoded(rng)
+        f = make_objective(enc.matrix, enc.labels, 1e-4)
+        w, value, iters = descend(f, np.zeros(4), 1e-8, 500)
+        assert 0 < iters < 500
+        assert value == f(w)[0]
+        assert np.max(np.abs(f(w)[1])) <= 1e-8
+
 
 class TestGradients:
     def finite_difference(self, f, w, h=1e-6):
@@ -91,6 +117,43 @@ class TestGradients:
             _, grad = f(w)
             fd = self.finite_difference(f, w)
             assert np.linalg.norm(grad - fd) <= 1e-5 * max(np.linalg.norm(fd), 1.0)
+
+    @staticmethod
+    def per_cell_objective(x, y, lam, tau, cells, labels, w):
+        """The penalized loss written cell by cell: per-group mean scores and
+        their gradients, then every group pair within each label."""
+        x_aug = np.hstack([x, np.ones((x.shape[0], 1))])
+        z = x_aug @ w
+        p = sigmoid(z)
+        reg = w.copy()
+        reg[-1] = 0.0
+        value = np.mean(log1p_exp(z) - y * z) + 0.5 * lam * reg @ reg
+        grad = x_aug.T @ (p - y) / len(y) + lam * reg
+        mu = {cell: np.mean(p[idx]) for cell, idx in cells}
+        dmu = {cell: x_aug[idx].T @ (p * (1 - p))[idx] / idx.size for cell, idx in cells}
+        groups = sorted({s for (s, _), _ in cells})
+        for yy in labels:
+            for i, gi in enumerate(groups):
+                for gj in groups[i + 1:]:
+                    gap = mu[(gi, yy)] - mu[(gj, yy)]
+                    value += tau / len(labels) * gap ** 2
+                    grad = grad + tau / len(labels) * 2 * gap * (dmu[(gi, yy)] - dmu[(gj, yy)])
+        return value, grad
+
+    @pytest.mark.parametrize("constraint", sorted(PENALTY_LABELS))
+    def test_fused_penalty_matches_per_cell_reference(self, rng, constraint):
+        n, d = 90, 3
+        enc = encoded(rng.normal(size=(n, d)), rng.integers(0, 3, n), rng.integers(0, 2, n))
+        assert len(enc.group_set) == 3
+        labels = PENALTY_LABELS[constraint]
+        f = make_objective(enc.matrix, enc.labels, 1e-3, 4.0, enc.cells(), labels)
+        for _ in range(20):
+            w = rng.normal(scale=0.8, size=d + 1)
+            value, grad = f(w)
+            ref_value, ref_grad = self.per_cell_objective(
+                enc.matrix, enc.labels.astype(float), 1e-3, 4.0, enc.cells(), labels, w)
+            assert abs(value - ref_value) <= 1e-10 * abs(ref_value)
+            assert np.linalg.norm(grad - ref_grad) <= 1e-10 * np.linalg.norm(ref_grad)
 
 
 class TestPenalty:
@@ -140,6 +203,18 @@ class TestPenalty:
         f = make_objective(enc.matrix, enc.labels, 1e-4, 5.0, enc.cells())
         _, grad = f(np.concatenate([pen.weights, [pen.bias]]))
         assert np.linalg.norm(grad) <= 1e-5
+
+    def test_fnr_ignores_an_empty_negative_cell(self, rng):
+        # no (s = 1, y = 0) rows: fnr-difference never penalizes that cell,
+        # mean-equalized-odds needs it
+        n = 60
+        s = np.repeat([0, 1], n // 2)
+        y = np.where(s == 1, 1, np.arange(n) % 2)
+        enc = encoded(rng.normal(size=(n, 2)), s, y)
+        model = train_fair_penalty(enc, PenaltyConfig(1.0, "fnr-difference"))
+        assert np.isfinite(model.weights).all()
+        with pytest.raises(ValidationError, match=r"empty cell \(s=1, y=0\)"):
+            train_fair_penalty(enc, PenaltyConfig(1.0, "mean-equalized-odds"))
 
     def test_missing_group_errors(self, rng):
         enc = encoded(rng.normal(size=(10, 2)), np.zeros(10, int), [0, 1] * 5)

@@ -173,3 +173,31 @@ class TestClustering:
         for _ in range(30):
             mask = rng.random(3) < 0.5
             assert back.assign(mask) == part.assign(mask)
+
+    @staticmethod
+    def random_mask_dataset(rng, n, d):
+        x = rng.normal(size=(n, d))
+        x[rng.random((n, d)) < 0.4] = np.nan
+        return Dataset(x, rng.integers(0, 2, n), rng.integers(0, 2, n))
+
+    def test_assign_dataset_matches_per_row_assign(self, rng):
+        ds = random_dataset(rng, n=120, d=4, missing_rate=0.35)
+        searched = cluster_missing_patterns(ds, k_min=1, alpha=1.0, beta=0.0)
+        assert searched.n_clusters > 1
+        read = ClusterPartition.from_text(
+            "d=4\n0 split 2 2 1\n1 leaf 0\n2 split 0 3 4\n3 leaf 2\n"
+            "4 split 3 5 6\n5 leaf 1\n6 leaf 3\n"
+        )
+        for part in (searched, read):
+            for n in (0, 1, 200):
+                other = self.random_mask_dataset(rng, n, 4)
+                expected = [part.assign(row) for row in other.mask]
+                got = part.assign_dataset(other)
+                assert got.dtype == np.int64
+                assert got.tolist() == expected
+
+    def test_assign_dataset_rejects_wrong_width(self, rng):
+        ds = random_dataset(rng, n=60, d=3, missing_rate=0.3)
+        part = cluster_missing_patterns(ds, k_min=1, alpha=1.0, beta=0.0)
+        with pytest.raises(ValidationError):
+            part.assign_dataset(self.random_mask_dataset(rng, 10, 4))
