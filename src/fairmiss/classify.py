@@ -138,9 +138,19 @@ class PostprocessRates:
     groups: tuple
     flip: dict
 
-    def output_one_prob(self, s: int, base_pred: int) -> float:
-        f = self.flip[(s, int(base_pred))]
-        return 1.0 - f if base_pred == 1 else f
+    def flip_probs(self, sensitive, base_predictions) -> np.ndarray:
+        """Flip probability of each row, looked up by (group, base prediction)."""
+        sens = np.asarray(sensitive)
+        pred = np.asarray(base_predictions)
+        groups = np.array(sorted(self.groups))
+        at = np.minimum(np.searchsorted(groups, sens), groups.size - 1)
+        unknown = groups[at] != sens
+        if unknown.any():
+            raise ValidationError(f"group {sens[unknown][0]} has no flip rates")
+        if not np.isin(pred, (0, 1)).all():
+            raise ValidationError("base predictions must be 0 or 1")
+        table = np.array([[self.flip[(int(g), 0)], self.flip[(int(g), 1)]] for g in groups])
+        return table[at, pred.astype(np.intp)]
 
 
 def mixed_rate_table(rates: PostprocessRates, base_table: dict) -> dict:
@@ -223,11 +233,9 @@ def apply_postprocess(rates: PostprocessRates, base_predictions, sensitive,
                       seed: int) -> np.ndarray:
     """Randomize base predictions according to the fitted flip rates."""
     pred = np.asarray(base_predictions).astype(np.int64).copy()
-    sens = np.asarray(sensitive)
     rng = np.random.default_rng(seed)
     u = rng.random(pred.shape[0])
-    probs = np.array([rates.flip[(int(s), int(p))] for s, p in zip(sens, pred)])
-    return np.where(u < probs, 1 - pred, pred)
+    return np.where(u < rates.flip_probs(sensitive, pred), 1 - pred, pred)
 
 
 def uniform_mixture_rates(rate_tables) -> dict:
@@ -280,12 +288,8 @@ class BagModel:
         if self.rates is None:
             return s
         base = (s >= self.model.threshold).astype(np.int64)
-        return np.array(
-            [
-                self.rates.output_one_prob(int(g), int(p))
-                for g, p in zip(ds.sensitive, base)
-            ]
-        )
+        flip = self.rates.flip_probs(ds.sensitive, base)
+        return np.where(base == 1, 1.0 - flip, flip)
 
 
 @dataclass(frozen=True)

@@ -22,15 +22,22 @@ class Imputer:
 
     def __init__(self):
         self._fitted = False
+        self._width = None  # feature count of the fitted data; None before fit
 
     def fit(self, train: Dataset) -> "Imputer":
         self._fit(train)
+        self._width = train.dimension
         self._fitted = True
         return self
 
     def transform(self, ds: Dataset) -> Dataset:
         if not self._fitted:
             raise NotFittedError(f"{self.name} imputer used before fit")
+        if self._width is not None and ds.dimension != self._width:
+            raise ValidationError(
+                f"{self.name} imputer was fitted on {self._width} features, "
+                f"got {ds.dimension}"
+            )
         mask = ds.mask
         if not mask.any():
             return ds
@@ -79,6 +86,11 @@ class MeanImputer(Imputer):
         return np.broadcast_to(self.means_, ds.features.shape)
 
 
+# Entries in each (block of missing cells x training rows) temporary of
+# KNNImputer._fill; the block length is this over the number of training rows.
+_KNN_BLOCK_ENTRIES = 1 << 14
+
+
 class KNNImputer(Imputer):
     """Fill each missing cell with the mean of its k nearest donors.
 
@@ -87,6 +99,16 @@ class KNNImputer(Imputer):
     observed coordinate are infinitely far apart. Donors for feature j are
     training rows with j observed; ties break on training-row index, and a
     cell with no reachable donor falls back to the training mean.
+
+    The search runs over blocks of missing cells, sized so that each
+    (block x training rows) temporary holds at most ``_KNN_BLOCK_ENTRIES``
+    entries (one cell per block past that many training rows). One matrix product gives every masked squared distance of a
+    block, and an explicit floating-point rounding bound widens each into an
+    interval that holds the exact distance. A cell's shortlist keeps the
+    donors whose lower end does not exceed the k-th smallest upper end, so it
+    holds all k nearest donors, ties included. Only shortlisted distances are
+    then computed exactly, with the arithmetic of a row-by-row search, which
+    makes every fill equal to that search's bit for bit.
     """
 
     name = "knn"
@@ -106,30 +128,90 @@ class KNNImputer(Imputer):
         self.train_ = train.features.copy()
         self.means_ = np.nanmean(train.features, axis=0)
 
-    def _distances(self, row: np.ndarray) -> np.ndarray:
-        d = self.train_.shape[1]
-        both = ~np.isnan(row) & ~np.isnan(self.train_)
-        used = both.sum(axis=1)
-        diff = np.where(both, self.train_ - row, 0.0)
-        sq = (diff * diff).sum(axis=1)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            dist = np.sqrt(sq * d / used)
-        dist[used == 0] = np.inf
-        return dist
-
     def _fill(self, ds: Dataset) -> np.ndarray:
         out = np.tile(self.means_, (ds.n_samples, 1))
-        mask = ds.mask
-        for i in np.flatnonzero(mask.any(axis=1)):
-            dist = self._distances(ds.features[i])
-            for j in np.flatnonzero(mask[i]):
-                donors = np.flatnonzero(~np.isnan(self.train_[:, j]) & np.isfinite(dist))
-                if donors.size == 0:
-                    continue  # keep the mean fallback
-                order = np.lexsort((donors, dist[donors]))
-                chosen = donors[order[: self.k]]
-                out[i, j] = float(np.mean(self.train_[chosen, j]))
+        train, k = self.train_, self.k
+        n, d = train.shape
+        t_obs = ~np.isnan(train)
+        t_zero = np.where(t_obs, train, 0.0)
+        # [q^2, q_obs, -2q] @ right sums q^2 + t^2 - 2qt over shared coordinates
+        right = np.vstack([t_obs.T, (t_zero * t_zero).T, t_zero.T])
+        # NaN where the training row lacks the feature: never a donor for it
+        t_lacks = np.where(t_obs.T, 0.0, np.nan)
+        # With u = eps / 2 and P the sum of q^2 + t^2 over the shared
+        # coordinates, the product form lies within (6d + 2) u P of the exact
+        # squared distance and the row-by-row sum within (2d + 4) u P. The
+        # slack is twice that, on |q|^2 + |t|^2 >= P, which also covers
+        # rounding s +- slack; tiny covers underflow. Rounding is monotone,
+        # so scaling s +- slack as the exact search does bounds its distance.
+        rel = 8.0 * (d + 1) * np.finfo(np.float64).eps
+        # The product form's partial sums stay below 4 d max|value|^2; where
+        # that could overflow, an infinite slack shortlists every donor.
+        big = max(np.abs(t_zero).max(initial=0.0),
+                  np.abs(np.nan_to_num(ds.features)).max(initial=0.0))
+        if big < np.sqrt(np.finfo(np.float64).max / (4 * d)):
+            t_slack = rel * right[d:2 * d].sum(axis=0) + np.finfo(np.float64).tiny
+        else:
+            t_slack = np.full(n, np.inf)
+
+        rows, cols = np.nonzero(ds.mask)
+        step = max(1, _KNN_BLOCK_ENTRIES // n)
+        for start in range(0, rows.size, step):
+            row, col = rows[start:start + step], cols[start:start + step]
+            x = ds.features[row]
+            # shortlist: donors whose lower end lo does not exceed the k-th
+            # smallest upper end hi. lo is NaN exactly where used is 0 (0 / 0)
+            # or NaN, so those never pass; hi is +inf there (fmin turns NaN
+            # into +inf), so a cell with fewer than k finite upper ends keeps
+            # all its donors.
+            with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+                q_obs = ~np.isnan(x)
+                q_zero = np.where(q_obs, x, 0.0)
+                q_sq = q_zero * q_zero
+                s = np.hstack([q_sq, q_obs, -2.0 * q_zero]) @ right
+                used = q_obs @ right[:d]
+                used += t_lacks[col]
+                slack = (rel * q_sq.sum(axis=1))[:, None] + t_slack
+                lo = s - slack
+                lo = _scale(np.fmax(lo, 0.0, out=lo), d, used)
+                s += slack
+                hi = np.fmin(_scale(s, d, used), np.inf, out=s)
+            hi.partition(k - 1, axis=1)
+            cell, donor = np.divmod(np.flatnonzero(lo <= hi[:, k - 1, None]), n)
+
+            # exact distances, ordered by (cell, distance, donor index); each
+            # cell averages its first k donors, grouped by how many it has
+            dist = _masked_distance(x[cell], train[donor])
+            keep = np.isfinite(dist)
+            cell, donor, dist = cell[keep], donor[keep], dist[keep]
+            order = np.lexsort((donor, dist, cell))
+            cell, donor = cell[order], donor[order]
+            take = np.arange(cell.size) - np.searchsorted(cell, cell) < k
+            cell, donor = cell[take], donor[take]
+            count = np.bincount(cell, minlength=row.size)
+            values = train[donor, col[cell]]
+            for c in np.unique(count[count > 0]):
+                filled = count == c
+                means = np.mean(values[filled[cell]].reshape(-1, c), axis=1)
+                out[row[filled], col[filled]] = means
         return out
+
+
+def _scale(sq: np.ndarray, d: int, used: np.ndarray) -> np.ndarray:
+    """sqrt(sq * d / used) in place, rounded step by step as in
+    ``_masked_distance``."""
+    sq *= d
+    sq /= used
+    return np.sqrt(sq, out=sq)
+
+
+def _masked_distance(q: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """Row-wise distance between paired rows that share an observed
+    coordinate: Euclidean over the shared coordinates, times d / (their count)."""
+    d = q.shape[1]
+    both = ~np.isnan(q) & ~np.isnan(t)
+    diff = np.where(both, t - q, 0.0)
+    return np.sqrt((diff * diff).sum(axis=1) * d / both.sum(axis=1))
 
 
 class IterativeImputer(Imputer):

@@ -8,6 +8,7 @@ from fairmiss.classify import (
     LinearModel,
     OptimizerSettings,
     PenaltyConfig,
+    PostprocessRates,
     PENALTY_LABELS,
     apply_postprocess,
     ensemble_scores,
@@ -304,6 +305,19 @@ class TestPostprocess:
         ds = Dataset(np.zeros((6, 1)), [0, 1, 2, 0, 1, 2], [0, 0, 0, 1, 1, 1])
         with pytest.raises(ValidationError):
             postprocess_eqodds(np.full(6, 0.5), ds, 0.1)
+
+    def test_flip_probs_match_per_row_lookup(self, rng):
+        rates = PostprocessRates((3, 7), {(3, 0): 0.125, (3, 1): 0.25,
+                                          (7, 0): 0.5, (7, 1): 0.0625})
+        sens = rng.choice([3, 7], size=50)
+        base = rng.integers(0, 2, size=50)
+        want = [rates.flip[(int(g), int(p))] for g, p in zip(sens, base)]
+        assert rates.flip_probs(sens, base).tolist() == want
+        assert rates.flip_probs([], []).shape == (0,)
+        with pytest.raises(ValidationError, match="group 5"):
+            rates.flip_probs([3, 5], [0, 1])
+        with pytest.raises(ValidationError, match="0 or 1"):
+            rates.flip_probs([3, 7], [0, 2])
 
 
 class TestUniformMixture:

@@ -1,6 +1,10 @@
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from fairmiss import impute
 from fairmiss.data import Dataset
 from fairmiss.errors import NotFittedError, ValidationError
 from fairmiss.impute import (
@@ -8,6 +12,7 @@ from fairmiss.impute import (
     KNNImputer,
     MeanImputer,
     ZeroImputer,
+    _masked_distance,
     make_imputer,
 )
 
@@ -90,11 +95,146 @@ class TestKnn:
     def test_distance_to_self_zero_and_k_bounds(self, rng):
         train = random_dataset(rng, n=5, d=3, missing_rate=0.1)
         imp = KNNImputer(k=5).fit(train)
-        assert imp._distances(train.features[2])[2] == 0.0
+        assert _masked_distance(train.features[[2]], imp.train_[[2]])[0] == 0.0
         with pytest.raises(ValidationError):
             KNNImputer(k=6).fit(train)
         with pytest.raises(ValidationError):
             KNNImputer(k=0)
+
+
+def reference_fill(imp: KNNImputer, ds: Dataset) -> np.ndarray:
+    """Row-by-row KNN search: for each query row, one distance pass over the
+    training rows, then one (distance, index) sort per missing cell."""
+    train, k = imp.train_, imp.k
+    d = train.shape[1]
+    out = np.tile(imp.means_, (ds.n_samples, 1))
+    mask = ds.mask
+    for i in np.flatnonzero(mask.any(axis=1)):
+        row = ds.features[i]
+        both = ~np.isnan(row) & ~np.isnan(train)
+        used = both.sum(axis=1)
+        diff = np.where(both, train - row, 0.0)
+        sq = (diff * diff).sum(axis=1)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            dist = np.sqrt(sq * d / used)
+        dist[used == 0] = np.inf
+        for j in np.flatnonzero(mask[i]):
+            donors = np.flatnonzero(~np.isnan(train[:, j]) & np.isfinite(dist))
+            if donors.size == 0:
+                continue  # keep the mean fallback
+            order = np.lexsort((donors, dist[donors]))
+            chosen = donors[order[:k]]
+            out[i, j] = float(np.mean(train[chosen, j]))
+    return out
+
+
+def assert_fill_matches_reference(imp: KNNImputer, ds: Dataset) -> None:
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = imp._fill(ds)
+    want = reference_fill(imp, ds)
+    assert np.array_equal(got, want)
+    assert got.tobytes() == want.tobytes()  # bit for bit, signed zeros too
+
+
+def one_hole_per_row(rng, m, d):
+    x = rng.normal(size=(m, d))
+    x[np.arange(m), rng.integers(0, d, size=m)] = np.nan
+    return Dataset(x, np.zeros(m, int), np.zeros(m, int))
+
+
+class TestKnnMatchesRowByRowSearch:
+    N_TRAIN, D = 40, 4
+
+    @pytest.mark.parametrize("k", [1, 5, N_TRAIN])
+    @pytest.mark.parametrize("rows", ["0", "1", "block", "block+1"])
+    def test_block_edges(self, rng, rows, k):
+        # one missing cell per query row, so a block of cells is a block of rows
+        train = random_dataset(rng, n=self.N_TRAIN, d=self.D, missing_rate=0.3)
+        imp = KNNImputer(k=k).fit(train)
+        block = impute._KNN_BLOCK_ENTRIES // self.N_TRAIN
+        m = {"0": 0, "1": 1, "block": block, "block+1": block + 1}[rows]
+        assert_fill_matches_reference(imp, one_hole_per_row(rng, m, self.D))
+
+    @pytest.mark.parametrize("k", [1, 5, N_TRAIN])
+    def test_blocks_split_inside_a_row(self, rng, monkeypatch, k):
+        monkeypatch.setattr(impute, "_KNN_BLOCK_ENTRIES", 3 * self.N_TRAIN)
+        train = random_dataset(rng, n=self.N_TRAIN, d=self.D, missing_rate=0.3)
+        queries = random_dataset(rng, n=50, d=self.D, missing_rate=0.6, ensure_cells=False)
+        assert_fill_matches_reference(KNNImputer(k=k).fit(train), queries)
+
+    @pytest.mark.parametrize("k", [1, 5, 60])
+    def test_bootstrap_bag_on_a_coarse_grid_breaks_ties_by_index(self, rng, k):
+        # duplicated rows and values in {-1, 0, 1} make many exactly equal
+        # distances; both searches must pick the lowest training-row indices
+        x = rng.integers(-1, 2, size=(30, 5)).astype(float)
+        x[rng.random(x.shape) < 0.3] = np.nan
+        x[0] = 0.0
+        bag = Dataset(x, np.zeros(30, int), np.zeros(30, int)).subset(
+            rng.integers(0, 30, size=60))
+        imp = KNNImputer(k=k).fit(bag)
+        queries = rng.integers(-1, 2, size=(80, 5)).astype(float)
+        queries[rng.random(queries.shape) < 0.4] = np.nan
+        queries[:5] = np.where(np.isnan(queries[:5]), np.nan, 0.0)
+        assert_fill_matches_reference(
+            imp, Dataset(queries, np.zeros(80, int), np.zeros(80, int)))
+        assert_fill_matches_reference(imp, bag)
+
+    @pytest.mark.parametrize("offset, scale", [(1e8, 1.0), (0.0, 1e-162), (1.2e154, 1e145)])
+    def test_cancellation_underflow_and_overflow_in_the_product_form(
+            self, rng, offset, scale):
+        # a large common offset makes q^2 + t^2 - 2qt lose every digit of the
+        # distance; tiny values make it underflow, huge ones overflow; the
+        # shortlist must still keep every nearest donor
+        def grid(m):
+            x = offset + scale * rng.integers(-3, 4, size=(m, 4)).astype(float)
+            x[rng.random(x.shape) < 0.3] = np.nan
+            return Dataset(x, np.zeros(m, int), np.zeros(m, int))
+        for k in (1, 4):
+            train = grid(60)
+            assert_fill_matches_reference(KNNImputer(k=k).fit(train), grid(60))
+
+    def test_wide_value_range(self, rng):
+        train = random_dataset(rng, n=50, d=6, missing_rate=0.3)
+        scale = 10.0 ** rng.integers(-150, 150, size=6)
+        train = train.with_features(train.features * scale)
+        queries = random_dataset(rng, n=40, d=6, missing_rate=0.4, ensure_cells=False)
+        queries = queries.with_features(queries.features * scale)
+        assert_fill_matches_reference(KNNImputer(k=3).fit(train), queries)
+
+    def test_donor_at_infinite_distance_is_no_donor(self):
+        # both squared distances overflow to inf, as in the row-by-row search,
+        # so the cell keeps the training mean
+        imp = KNNImputer(k=1).fit(ds_from([[-1e200, 5.0], [1.0, 7.0]]))
+        query = ds_from([[1e200, np.nan]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # both searches overflow
+            got = imp._fill(query)
+            want = reference_fill(imp, query)
+        assert got[0, 1] == 6.0
+        assert np.array_equal(got, want)
+
+    def test_degenerate_queries(self):
+        nan = np.nan
+        train = ds_from([
+            [1.0, 2.0, nan],
+            [1.0, nan, 5.0],
+            [nan, 2.5, 6.0],
+            [4.0, nan, nan],
+            [1.0, 2.0, 7.0],
+        ])
+        imp = KNNImputer(k=3).fit(train)
+        queries = ds_from([
+            [nan, nan, nan],  # no reachable donor: every cell keeps the mean
+            [nan, nan, 1.0],  # two rows observe x3, one of them has x1
+            [1.0, 2.0, nan],  # equals training row 0 where observed
+            [4.0, nan, 7.0],  # x2 donors reachable only through x1 or x3
+        ])
+        got = imp.transform(queries).features
+        assert got[0].tolist() == pytest.approx(imp.means_.tolist())
+        assert got[1, 0] == 1.0  # rows 1 and 4 only, both 1.0
+        assert got[2, 2] == pytest.approx(np.mean([7.0, 5.0, 6.0]))
+        assert_fill_matches_reference(imp, queries)
 
 
 class TestIterative:
@@ -143,6 +283,48 @@ class TestSharedContracts:
         a = make_imputer(spec).fit(train).transform(target)
         b = make_imputer(spec).fit(train).transform(target)
         assert np.array_equal(a.features, b.features)
+
+
+@pytest.mark.parametrize("spec", ["mean", "knn:2", "iterative:4:0.01"])
+def test_width_mismatch_is_a_validation_error(spec, rng):
+    imp = make_imputer(spec).fit(random_dataset(rng, n=20, d=3, missing_rate=0.2))
+    wider = random_dataset(rng, n=10, d=4, missing_rate=0.3, ensure_cells=False)
+    with pytest.raises(ValidationError, match="fitted on 3 features, got 4"):
+        imp.transform(wider)
+
+
+@st.composite
+def fit_and_target(draw):
+    d = draw(st.integers(1, 4))
+    n = draw(st.integers(1, 25))
+    m = draw(st.integers(0, 25))
+    grid = st.sampled_from([-1.0, 0.0, 0.5, 1.0, 2.5])
+    coarse = draw(st.booleans())
+    values = grid if coarse else st.floats(-1e3, 1e3, allow_nan=False)
+    train = np.array(draw(st.lists(values, min_size=n * d, max_size=n * d))).reshape(n, d)
+    target = np.array(draw(st.lists(values, min_size=m * d, max_size=m * d))).reshape(m, d)
+    holes = np.array(draw(st.lists(st.booleans(), min_size=n * d, max_size=n * d))).reshape(n, d)
+    holes[draw(st.integers(0, n - 1))] = False  # every feature observed somewhere
+    train[holes] = np.nan
+    target_holes = draw(st.lists(st.booleans(), min_size=m * d, max_size=m * d))
+    target[np.array(target_holes, dtype=bool).reshape(m, d)] = np.nan
+    k = draw(st.integers(1, n))
+    as_ds = lambda x: Dataset(x, np.zeros(len(x), int), np.zeros(len(x), int))
+    return as_ds(train), as_ds(target), k
+
+
+@settings(max_examples=60, deadline=None)
+@given(fit_and_target())
+def test_every_imputer_completes_and_knn_matches_row_by_row(case):
+    train, target, k = case
+    for spec in ("zero", "mean", f"knn:{k}", "iterative:3:0.01"):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # iterative may report a growing update
+            out = make_imputer(spec).fit(train).transform(target)
+        assert not out.mask.any()
+        kept = ~target.mask
+        assert np.array_equal(out.features[kept], target.features[kept])
+    assert_fill_matches_reference(KNNImputer(k).fit(train), target)
 
 
 def test_make_imputer_rejects_junk():
