@@ -11,21 +11,18 @@ from .classify import (
     Intervention,
     LinearModel,
     OptimizerSettings,
-    PenaltyConfig,
     PostprocessRates,
     apply_postprocess,
     ensemble_scores,
     postprocess_eqodds,
     predict_dataset,
     train_fair_bagging,
-    train_fair_penalty,
     train_intervention,
     train_logreg,
 )
 from .data import (
     Dataset,
     FeatureScaler,
-    Sample,
     balance_cells,
     fair_resample,
     load_csv,

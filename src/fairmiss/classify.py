@@ -77,21 +77,6 @@ class LinearModel:
         return cls(np.array(weights), bias, tuple(tags), threshold)
 
 
-@dataclass(frozen=True)
-class PenaltyConfig:
-    """Weight and shape of the smooth disparity penalty."""
-
-    tau: float
-    constraint: str = "mean-equalized-odds"
-    settings: OptimizerSettings = field(default_factory=OptimizerSettings)
-
-    def __post_init__(self):
-        if self.tau < 0:
-            raise ValidationError("penalty weight must be non-negative")
-        if self.constraint not in PENALTY_LABELS:
-            raise ValidationError(f"unknown penalty constraint {self.constraint!r}")
-
-
 def _check_training_data(enc: EncodedDataset) -> None:
     if not np.isfinite(enc.matrix).all():
         raise ValidationError("training matrix contains non-finite values")
@@ -115,16 +100,6 @@ def train_logreg(enc: EncodedDataset, settings: OptimizerSettings = None) -> Lin
     """Fit the plain L2-regularized logistic model (deterministic L-BFGS-B
     from zero weights)."""
     return _train(enc, 0.0, "mean-equalized-odds", settings or OptimizerSettings())
-
-
-def train_fair_penalty(enc: EncodedDataset, cfg: PenaltyConfig) -> LinearModel:
-    """Fit the logistic model with a smooth score-disparity penalty.
-
-    The penalty is the squared gap of per-group mean sigmoid scores within each
-    conditioning label (both labels for mean-equalized-odds, the positive label
-    for fnr-difference). tau = 0 reduces exactly to train_logreg.
-    """
-    return _train(enc, cfg.tau, cfg.constraint, cfg.settings)
 
 
 # ---------------------------------------------------------------------------
@@ -251,9 +226,11 @@ def uniform_mixture_rates(rate_tables) -> dict:
 
 @dataclass(frozen=True)
 class Intervention:
-    """Which fairness intervention to train on an encoded dataset."""
+    """One validated fairness intervention: ``none``, ``penalty`` (weight
+    ``tau`` on the ``constraint`` penalty) or ``eqodds`` (post-processing to
+    tolerance ``epsilon``). Each kind ignores the other kinds' parameters."""
 
-    kind: str = "none"  # none | penalty | eqodds
+    kind: str = "none"
     tau: float = 0.0
     constraint: str = "mean-equalized-odds"
     epsilon: float = 0.1
@@ -262,18 +239,28 @@ class Intervention:
     def __post_init__(self):
         if self.kind not in ("none", "penalty", "eqodds"):
             raise ValidationError(f"unknown intervention {self.kind!r}")
+        if self.constraint not in PENALTY_LABELS:
+            raise ValidationError(f"unknown penalty constraint {self.constraint!r}")
+        if not (np.isfinite(self.tau) and self.tau >= 0):
+            raise ValidationError(f"penalty weight tau must be finite and >= 0, got {self.tau}")
+        if not (np.isfinite(self.epsilon) and self.epsilon >= 0):
+            raise ValidationError(f"epsilon must be finite and >= 0, got {self.epsilon}")
 
 
 def train_intervention(enc: EncodedDataset, interv: Intervention):
-    """Returns (LinearModel, PostprocessRates or None)."""
-    if interv.kind == "none":
-        return train_logreg(enc, interv.settings), None
-    if interv.kind == "penalty":
-        cfg = PenaltyConfig(interv.tau, interv.constraint, interv.settings)
-        return train_fair_penalty(enc, cfg), None
-    model = train_logreg(enc, interv.settings)
-    rates = postprocess_eqodds(model.scores(enc.matrix), enc, interv.epsilon)
-    return model, rates
+    """Fit the intervention's logistic model; returns (LinearModel,
+    PostprocessRates or None).
+
+    The penalty is tau times the squared gap of per-group mean sigmoid scores
+    within each conditioning label (both labels for mean-equalized-odds, the
+    positive label for fnr-difference), so tau = 0 reduces exactly to
+    train_logreg. eqodds fits the plain model and then its flip rates.
+    """
+    tau = interv.tau if interv.kind == "penalty" else 0.0
+    model = _train(enc, tau, interv.constraint, interv.settings)
+    if interv.kind != "eqodds":
+        return model, None
+    return model, postprocess_eqodds(model.scores(enc.matrix), enc, interv.epsilon)
 
 
 @dataclass(frozen=True)

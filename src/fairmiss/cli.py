@@ -47,7 +47,7 @@ def _cmd_run(args) -> int:
                 f"meo={agg['meo'][0]:.4f}"
             )
         print(f"pareto: {', '.join(result.pareto) if result.pareto else '(empty)'}")
-    print(f"outputs written to {cfg.output_dir}")
+    print(f"outputs written to {cfg.output.dir}")
     return 0 if result.succeeded else 1
 
 

@@ -20,19 +20,6 @@ ROLES = ("feature", "sensitive", "label", "ignore")
 
 
 @dataclass(frozen=True)
-class Sample:
-    """One row: feature vector (NaN = missing), group id, binary label."""
-
-    features: np.ndarray
-    sensitive: int
-    label: int
-
-    @property
-    def mask(self) -> np.ndarray:
-        return np.isnan(self.features)
-
-
-@dataclass(frozen=True)
 class Dataset:
     """Immutable collection of samples sharing a feature space.
 
@@ -84,9 +71,6 @@ class Dataset:
     def mask(self) -> np.ndarray:
         """(n, d) boolean matrix, True where the feature is missing."""
         return np.isnan(self.features)
-
-    def sample(self, i: int) -> Sample:
-        return Sample(self.features[i].copy(), int(self.sensitive[i]), int(self.labels[i]))
 
     def subset(self, indices) -> "Dataset":
         idx = np.asarray(indices, dtype=np.int64)

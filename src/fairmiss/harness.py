@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import configparser
 import logging
+import typing
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -38,7 +39,6 @@ from .impute import ZeroImputer, make_imputer
 log = logging.getLogger("fairmiss")
 
 METHODS = ("impute-then-classify", "indicators", "affine", "clustering", "fairmissbag")
-SECTIONS = ("data", "missingness", "method", "intervention", "sweep", "output")
 
 RAW_COLUMNS = (
     "method", "grid_id", "params", "repeat",
@@ -70,10 +70,10 @@ class DataConfig:
     source: str = "synthetic"
     path: str = ""
     schema: str = ""
-    sensitive_values: tuple = ()
+    sensitive_values: tuple[str, ...] = ()
     balance: bool = False
     alpha0: float = 0.25
-    alpha1: float = None
+    alpha1: float = None  # theorem1 source: None = alpha0
     q0: float = 0.5
     samples: int = 0  # theorem1 source: 0 = exact-table mode
 
@@ -93,9 +93,9 @@ class MethodConfig:
 @dataclass
 class InterventionConfig:
     name: str = "none"
-    constraint: str = "mean-equalized-odds"
-    taus: tuple = (0.01, 0.1, 1.0, 10.0, 100.0)
-    epsilons: tuple = (0.0, 0.01, 0.1)
+    constraint: str = "mean-equalized-odds"  # or its alias meo | fnr
+    tau: tuple[float, ...] = (0.01, 0.1, 1.0, 10.0, 100.0)
+    epsilon: tuple[float, ...] = (0.0, 0.01, 0.1)
 
 
 @dataclass
@@ -107,17 +107,57 @@ class SweepConfig:
 
 
 @dataclass
+class OutputConfig:
+    dir: str = "results"
+
+
+@dataclass
 class ExperimentConfig:
+    """One field per config section; each section's keys are the fields of
+    its dataclass, except [missingness] (``mechanism`` and ``entryN`` lines)."""
+
     data: DataConfig = field(default_factory=DataConfig)
     missingness: simulate.MissingnessSpec = None
     method: MethodConfig = field(default_factory=MethodConfig)
     intervention: InterventionConfig = field(default_factory=InterventionConfig)
     sweep: SweepConfig = field(default_factory=SweepConfig)
-    output_dir: str = "results"
+    output: OutputConfig = field(default_factory=OutputConfig)
 
 
-def _floats(text: str) -> tuple:
-    return tuple(float(t.strip()) for t in text.split(",") if t.strip())
+CONSTRAINT_ALIASES = {"meo": "mean-equalized-odds", "fnr": "fnr-difference"}
+
+
+def _list_of(item):
+    return lambda text: tuple(item(t.strip()) for t in text.split(",") if t.strip())
+
+
+# field annotation -> (what the value must be, parser); a parser raises
+# ValueError or KeyError on a malformed value
+_VALUE_PARSERS = {
+    str: ("a string", str.strip),
+    int: ("an integer", int),
+    float: ("a number", float),
+    bool: ("true or false",
+           lambda text: configparser.ConfigParser.BOOLEAN_STATES[text.lower()]),
+    tuple[str, ...]: ("a comma-separated list", _list_of(str)),
+    tuple[float, ...]: ("a comma-separated list of numbers", _list_of(float)),
+}
+
+
+def _read_section(name: str, cls, items: dict):
+    """Build the section's dataclass, reading each key by its field's type;
+    keys left out keep the field defaults."""
+    types = typing.get_type_hints(cls)
+    values = {}
+    for key, text in items.items():
+        if key not in types:
+            raise ConfigError(f"[{name}] unknown key {key!r}")
+        expected, parse = _VALUE_PARSERS[types[key]]
+        try:
+            values[key] = parse(text)
+        except (KeyError, ValueError):
+            raise ConfigError(f"[{name}] {key} = {text!r}: expected {expected}") from None
+    return cls(**values)
 
 
 def _parse_entry(value: str) -> simulate.MissingEntry:
@@ -127,13 +167,29 @@ def _parse_entry(value: str) -> simulate.MissingEntry:
             f"missingness entry needs 'target, indicator, p0, p1': {value!r}"
         )
     target, ind, p0, p1 = parts
-    threshold = None
-    if ind.lower() == "none":
-        ind = None
-    elif "<" in ind:
-        ind, tval = (t.strip() for t in ind.split("<", 1))
-        threshold = float(tval)
-    return simulate.MissingEntry(target, ind, float(p0), float(p1), threshold)
+    try:
+        threshold = None
+        if ind.lower() == "none":
+            ind = None
+        elif "<" in ind:
+            ind, tval = (t.strip() for t in ind.split("<", 1))
+            threshold = float(tval)
+        return simulate.MissingEntry(target, ind, float(p0), float(p1), threshold)
+    except ValueError:
+        raise ConfigError(f"missingness entry has a non-numeric value: {value!r}") from None
+
+
+def _read_missingness(items: dict) -> simulate.MissingnessSpec:
+    for key in items:
+        if key != "mechanism" and not key.startswith("entry"):
+            raise ConfigError(f"[missingness] unknown key {key!r}")
+    entries = [_parse_entry(items[k]) for k in sorted(items) if k.startswith("entry")]
+    try:
+        return simulate.MissingnessSpec(
+            items.get("mechanism", "").strip().lower(), tuple(entries)
+        )
+    except ValidationError as exc:
+        raise ConfigError(str(exc)) from None
 
 
 def missingness_to_config(spec: simulate.MissingnessSpec) -> str:
@@ -151,76 +207,24 @@ def missingness_to_config(spec: simulate.MissingnessSpec) -> str:
 
 
 def load_config(path) -> ExperimentConfig:
-    parser = configparser.ConfigParser()
-    read = parser.read(path)
+    """Read and validate an experiment config. A ``;`` after whitespace
+    starts a comment, also after a value."""
+    parser = configparser.ConfigParser(inline_comment_prefixes=(";",))
+    try:
+        read = parser.read(path)
+    except configparser.Error as exc:
+        raise ConfigError(f"cannot parse config file {path}: {exc}") from None
     if not read:
         raise ConfigError(f"cannot read config file {path}")
-    for section in parser.sections():
-        if section not in SECTIONS:
-            raise ConfigError(f"unknown config section [{section}]")
-    cfg = ExperimentConfig()
-
-    if parser.has_section("data"):
-        d = parser["data"]
-        cfg.data = DataConfig(
-            source=d.get("source", "synthetic").strip(),
-            path=d.get("path", "").strip(),
-            schema=d.get("schema", "").strip(),
-            sensitive_values=tuple(
-                t.strip() for t in d.get("sensitive_values", "").split(",") if t.strip()
-            ),
-            balance=d.getboolean("balance", False),
-            alpha0=d.getfloat("alpha0", 0.25),
-            alpha1=d.getfloat("alpha1", fallback=None),
-            q0=d.getfloat("q0", 0.5),
-            samples=d.getint("samples", 0),
-        )
-    if parser.has_section("missingness"):
-        m = parser["missingness"]
-        mechanism = m.get("mechanism", "").strip().lower()
-        entries = [
-            _parse_entry(m[k]) for k in sorted(m.keys()) if k.startswith("entry")
-        ]
-        try:
-            cfg.missingness = simulate.MissingnessSpec(mechanism, tuple(entries))
-        except ValidationError as exc:
-            raise ConfigError(str(exc)) from None
-    if parser.has_section("method"):
-        m = parser["method"]
-        cfg.method = MethodConfig(
-            name=m.get("name", "indicators").strip(),
-            imputer=m.get("imputer", "zero").strip(),
-            k_min=m.getint("k_min", 1),
-            alpha=m.getfloat("alpha", 1.0),
-            beta=m.getfloat("beta", 0.0),
-            val_fraction=m.getfloat("val_fraction", 0.0),
-            bags=m.getint("bags", 10),
-            mode=m.get("mode", "score-average").strip(),
-        )
-    if parser.has_section("intervention"):
-        i = parser["intervention"]
-        name = i.get("name", "none").strip()
-        constraint = i.get("constraint", "meo").strip()
-        constraint = {
-            "meo": "mean-equalized-odds",
-            "fnr": "fnr-difference",
-        }.get(constraint, constraint)
-        cfg.intervention = InterventionConfig(
-            name=name,
-            constraint=constraint,
-            taus=_floats(i.get("tau", "0.01, 0.1, 1, 10, 100")),
-            epsilons=_floats(i.get("epsilon", "0, 0.01, 0.1")),
-        )
-    if parser.has_section("sweep"):
-        s = parser["sweep"]
-        cfg.sweep = SweepConfig(
-            repeats=s.getint("repeats", 1),
-            test_fraction=s.getfloat("test_fraction", 0.3),
-            seed=s.getint("seed", 0),
-            inject_before_split=s.getboolean("inject_before_split", False),
-        )
-    if parser.has_section("output"):
-        cfg.output_dir = parser["output"].get("dir", "results").strip()
+    types = typing.get_type_hints(ExperimentConfig)
+    sections = {}
+    for name in parser.sections():
+        if name not in types:
+            raise ConfigError(f"unknown config section [{name}]")
+        items = dict(parser[name])
+        sections[name] = (_read_missingness(items) if name == "missingness"
+                          else _read_section(name, types[name], items))
+    cfg = ExperimentConfig(**sections)
     validate_config(cfg)
     return cfg
 
@@ -239,14 +243,11 @@ def validate_config(cfg: ExperimentConfig) -> None:
         raise ConfigError(f"unknown ensemble mode {cfg.method.mode!r}")
     try:
         make_imputer(cfg.method.imputer)
+        grid = grid_points(cfg.intervention)
     except ValidationError as exc:
         raise ConfigError(str(exc)) from None
-    if cfg.intervention.name not in ("none", "penalty", "eqodds"):
-        raise ConfigError(f"unknown intervention {cfg.intervention.name!r}")
-    if cfg.intervention.name == "penalty" and not cfg.intervention.taus:
-        raise ConfigError("penalty intervention needs a non-empty tau grid")
-    if cfg.intervention.name == "eqodds" and not cfg.intervention.epsilons:
-        raise ConfigError("eqodds intervention needs a non-empty epsilon grid")
+    if not grid:
+        raise ConfigError(f"{cfg.intervention.name} intervention needs a non-empty grid")
     if cfg.sweep.repeats < 1:
         raise ConfigError("repeats must be >= 1")
     if not 0.0 < cfg.sweep.test_fraction < 1.0:
@@ -262,33 +263,22 @@ def validate_config(cfg: ExperimentConfig) -> None:
 @dataclass(frozen=True)
 class GridPoint:
     gid: str
-    params: tuple  # ((name, value), ...)
-
-    @property
-    def label(self) -> str:
-        return ";".join(f"{k}={_fmt(v)}" for k, v in self.params)
+    label: str  # "tau=0.1", "epsilon=0", "" for none
+    intervention: classify.Intervention
 
 
 def grid_points(icfg: InterventionConfig) -> list:
-    if icfg.name == "none":
-        return [GridPoint("g0", ())]
-    if icfg.name == "penalty":
-        return [
-            GridPoint(f"g{i}", (("tau", t),)) for i, t in enumerate(icfg.taus)
-        ]
+    """One grid point per tau (penalty) or epsilon (eqodds), one for none.
+    Raises ValidationError for an invalid intervention."""
+    constraint = CONSTRAINT_ALIASES.get(icfg.constraint, icfg.constraint)
+    param = {"penalty": "tau", "eqodds": "epsilon"}.get(icfg.name)
+    if param is None:
+        return [GridPoint("g0", "", classify.Intervention(icfg.name, constraint=constraint))]
     return [
-        GridPoint(f"g{i}", (("epsilon", e),)) for i, e in enumerate(icfg.epsilons)
+        GridPoint(f"g{i}", f"{param}={_fmt(v)}",
+                  classify.Intervention(icfg.name, constraint=constraint, **{param: v}))
+        for i, v in enumerate(getattr(icfg, param))
     ]
-
-
-def _intervention_for(cfg: ExperimentConfig, gp: GridPoint) -> classify.Intervention:
-    params = dict(gp.params)
-    return classify.Intervention(
-        kind=cfg.intervention.name,
-        tau=params.get("tau", 0.0),
-        constraint=cfg.intervention.constraint,
-        epsilon=params.get("epsilon", 0.1),
-    )
 
 
 @dataclass(frozen=True)
@@ -323,7 +313,12 @@ class ConstantPredictor:
 @dataclass(frozen=True)
 class ClusterRouter:
     """Routes each row to its cluster's leaf predictor; leaf q draws with
-    seed + q."""
+    seed + q.
+
+    Leaf policy: a label-pure leaf is a ``ConstantPredictor``. A leaf that
+    lacks a group, or a (group, label) cell its penalty or eqodds needs,
+    cannot be fitted; the ValidationError ("empty cell ... undefined") fails
+    the whole grid point, and ``run_experiment`` records it as a failure."""
 
     partition: encode.ClusterPartition
     leaves: tuple
@@ -359,7 +354,7 @@ def fit_pipeline(train: data.Dataset, cfg: ExperimentConfig, gp: GridPoint,
                  seed: int) -> FittedPipeline:
     scaler = data.FeatureScaler().fit(train)
     train = scaler.transform(train)
-    interv = _intervention_for(cfg, gp)
+    interv = gp.intervention
     name = cfg.method.name
 
     if name in ("impute-then-classify", "indicators", "affine"):
@@ -498,19 +493,13 @@ def _mean_stderr(vals) -> tuple:
 def sweep_and_aggregate(per_repeat: list) -> dict:
     """Mean and standard error (sample stddev / sqrt(n)) per grid point.
 
-    ``per_repeat`` maps, for each repeat, grid id -> metric dict. All repeats
-    must cover the same grid ids.
+    ``per_repeat`` maps, for each repeat, grid id -> metric dict. A grid
+    point is averaged over the repeats that cover it.
     """
-    if not per_repeat:
-        return {}
-    grids = [tuple(sorted(rep.keys())) for rep in per_repeat]
-    if len(set(grids)) > 1:
-        raise ConfigError("repeats disagree on the hyperparameter grid")
     out = {}
-    for gid in grids[0]:
-        out[gid] = {}
-        for metric in per_repeat[0][gid]:
-            out[gid][metric] = _mean_stderr([rep[gid][metric] for rep in per_repeat])
+    for gid in sorted({gid for rep in per_repeat for gid in rep}):
+        vals = [rep[gid] for rep in per_repeat if gid in rep]
+        out[gid] = {m: _mean_stderr([v[m] for v in vals]) for m in vals[0]}
     return out
 
 
@@ -520,7 +509,7 @@ def run_experiment(cfg: ExperimentConfig) -> RunResult:
     grid = grid_points(cfg.intervention)
 
     if isinstance(source, simulate.MaskedPositives):
-        eps = cfg.intervention.epsilons if cfg.intervention.name == "eqodds" else (0.0,)
+        eps = cfg.intervention.epsilon if cfg.intervention.name == "eqodds" else (0.0,)
         rows = exact_table_analysis(source, eps)
         aggregated = {
             r["grid_id"]: {
@@ -538,7 +527,7 @@ def run_experiment(cfg: ExperimentConfig) -> RunResult:
         ds = data.balance_cells(ds, cfg.sweep.seed)
 
     raw, failures = [], []
-    per_repeat_ok = []
+    per_repeat = []
     for r in range(cfg.sweep.repeats):
         seed_r = cfg.sweep.seed + r
         try:
@@ -562,24 +551,12 @@ def run_experiment(cfg: ExperimentConfig) -> RunResult:
             except FairmissError as exc:
                 log.warning("repeat %d grid %s aborted: %s", r, gp.gid, exc)
                 failures.append({"repeat": r, "grid_id": gp.gid, "error": str(exc)})
-        if rep_metrics:
-            for gp in grid:
-                if gp.gid in rep_metrics:
-                    rec = {"grid_id": gp.gid, "params": gp.label, "repeat": r}
-                    rec.update(rep_metrics[gp.gid])
-                    raw.append(rec)
-            per_repeat_ok.append(rep_metrics)
+                continue
+            raw.append({"grid_id": gp.gid, "params": gp.label, "repeat": r,
+                        **rep_metrics[gp.gid]})
+        per_repeat.append(rep_metrics)
 
-    if per_repeat_ok and all(len(rep) == len(grid) for rep in per_repeat_ok):
-        aggregated = sweep_and_aggregate(per_repeat_ok)
-    else:
-        aggregated = {}
-        for gp in grid:
-            vals = [rep[gp.gid] for rep in per_repeat_ok if gp.gid in rep]
-            if vals:
-                aggregated[gp.gid] = {
-                    m: _mean_stderr([v[m] for v in vals]) for m in METRIC_NAMES
-                }
+    aggregated = sweep_and_aggregate(per_repeat)
     pareto_gids = _pareto_gids(grid, aggregated)
     result = RunResult(cfg.method.name, grid, raw, aggregated, pareto_gids, failures)
     _write_outputs(cfg, result)
@@ -605,7 +582,7 @@ def _pareto_gids(grid, aggregated) -> list:
 
 
 def _write_outputs(cfg: ExperimentConfig, result: RunResult) -> None:
-    out = Path(cfg.output_dir)
+    out = Path(cfg.output.dir)
     out.mkdir(parents=True, exist_ok=True)
     by_gid = {gp.gid: gp for gp in result.grid}
 

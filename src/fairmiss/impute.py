@@ -304,10 +304,11 @@ def make_imputer(spec: str) -> Imputer:
         return ZeroImputer()
     if name == "mean" and not args:
         return MeanImputer()
-    if name == "knn" and len(args) <= 1:
-        return KNNImputer(int(args[0])) if args else KNNImputer()
-    if name == "iterative" and len(args) <= 2:
-        rounds = int(args[0]) if args else 10
-        lam = float(args[1]) if len(args) > 1 else 1e-3
-        return IterativeImputer(rounds, lam)
+    try:
+        if name == "knn" and len(args) <= 1:
+            return KNNImputer(*map(int, args))
+        if name == "iterative" and len(args) <= 2:
+            return IterativeImputer(*(cast(a) for cast, a in zip((int, float), args)))
+    except ValueError:
+        pass
     raise ValidationError(f"cannot parse imputer spec {spec!r}")

@@ -13,11 +13,10 @@ from fairmiss import classify, data, harness, metrics, simulate
 from fairmiss.classify import (
     PENALTY_LABELS,
     Intervention,
-    train_fair_penalty,
+    train_intervention,
     train_logreg,
     uniform_mixture_rates,
 )
-from fairmiss.classify import PenaltyConfig
 from fairmiss.encode import EncodedDataset, cluster_missing_patterns, encode_indicators, encode_plain
 from fairmiss.impute import ZeroImputer
 from fairmiss.optim import make_objective
@@ -82,7 +81,7 @@ def _clustered_penalty_run(seed, tau):
     preds = np.empty(test.n_samples, dtype=np.int64)
     for q in range(part.n_clusters):
         enc_tr = encode_plain(train.subset(np.flatnonzero(assign_tr == q)), ZeroImputer())
-        model = train_fair_penalty(enc_tr, PenaltyConfig(tau=tau))
+        model = train_intervention(enc_tr, Intervention("penalty", tau=tau))[0]
         rows = np.flatnonzero(assign_te == q)
         enc_te = encode_plain(test.subset(rows), ZeroImputer())
         preds[rows] = model.predict(enc_te.matrix)
@@ -298,7 +297,7 @@ def test_criterion_7_mechanical_invariants():
                 ("orig:a", "orig:b"),
             )
             plain = train_logreg(enc)
-            pen = train_fair_penalty(enc, PenaltyConfig(tau=0.0))
+            pen = train_intervention(enc, Intervention("penalty", tau=0.0))[0]
             assert np.array_equal(plain.weights, pen.weights)
             assert plain.bias == pen.bias
 

@@ -7,7 +7,6 @@ from fairmiss.classify import (
     Intervention,
     LinearModel,
     OptimizerSettings,
-    PenaltyConfig,
     PostprocessRates,
     PENALTY_LABELS,
     apply_postprocess,
@@ -16,7 +15,7 @@ from fairmiss.classify import (
     postprocess_eqodds,
     predict_dataset,
     train_fair_bagging,
-    train_fair_penalty,
+    train_intervention,
     train_logreg,
     uniform_mixture_rates,
 )
@@ -161,7 +160,7 @@ class TestPenalty:
     def test_tau_zero_identical_to_plain(self, rng):
         enc = random_encoded(rng)
         plain = train_logreg(enc)
-        pen = train_fair_penalty(enc, PenaltyConfig(tau=0.0))
+        pen = train_intervention(enc, Intervention("penalty", tau=0.0))[0]
         assert np.array_equal(plain.weights, pen.weights)
         assert plain.bias == pen.bias
 
@@ -177,7 +176,7 @@ class TestPenalty:
         taus = [0.01, 0.1, 1.0, 10.0, 100.0]
         meos, accs = [], []
         for tau in taus:
-            model = train_fair_penalty(enc, PenaltyConfig(tau=tau))
+            model = train_intervention(enc, Intervention("penalty", tau=tau))[0]
             preds = model.predict(enc.matrix)
             meos.append(disparity(group_rates(preds, ds), "meo"))
             accs.append(accuracy(preds, ds))
@@ -199,7 +198,7 @@ class TestPenalty:
         ss = np.concatenate([np.zeros(n, int), np.ones(n, int)])
         enc = encoded(xx, ss, yy)
         plain = train_logreg(enc)
-        pen = train_fair_penalty(enc, PenaltyConfig(tau=5.0))
+        pen = train_intervention(enc, Intervention("penalty", tau=5.0))[0]
         assert np.linalg.norm(pen.weights - plain.weights) <= 1e-3
         f = make_objective(enc.matrix, enc.labels, 1e-4, 5.0, enc.cells())
         _, grad = f(np.concatenate([pen.weights, [pen.bias]]))
@@ -212,15 +211,15 @@ class TestPenalty:
         s = np.repeat([0, 1], n // 2)
         y = np.where(s == 1, 1, np.arange(n) % 2)
         enc = encoded(rng.normal(size=(n, 2)), s, y)
-        model = train_fair_penalty(enc, PenaltyConfig(1.0, "fnr-difference"))
+        model = train_intervention(enc, Intervention("penalty", 1.0, "fnr-difference"))[0]
         assert np.isfinite(model.weights).all()
         with pytest.raises(ValidationError, match=r"empty cell \(s=1, y=0\)"):
-            train_fair_penalty(enc, PenaltyConfig(1.0, "mean-equalized-odds"))
+            train_intervention(enc, Intervention("penalty", 1.0, "mean-equalized-odds"))
 
     def test_missing_group_errors(self, rng):
         enc = encoded(rng.normal(size=(10, 2)), np.zeros(10, int), [0, 1] * 5)
         with pytest.raises(ValidationError):
-            train_fair_penalty(enc, PenaltyConfig(tau=1.0))
+            train_intervention(enc, Intervention("penalty", tau=1.0))
 
 
 def predictor_dataset(rng, n=800, signal=1.6, flip_group_noise=0.0):

@@ -1,10 +1,18 @@
+import re
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from fairmiss import cli
-from fairmiss.data import load_csv, read_schema
+from fairmiss.data import load_csv, read_schema, write_csv
 from fairmiss.errors import ConfigError
 from fairmiss.harness import (
+    DataConfig,
+    ExperimentConfig,
+    InterventionConfig,
+    MethodConfig,
+    SweepConfig,
     fit_pipeline,
     evaluate_pipeline,
     exact_table_analysis,
@@ -13,7 +21,7 @@ from fairmiss.harness import (
     run_experiment,
     sweep_and_aggregate,
 )
-from fairmiss.simulate import MaskedPositives, gen_synthetic
+from fairmiss.simulate import MaskedPositives, MissingEntry, MissingnessSpec, gen_synthetic
 
 from conftest import random_dataset
 
@@ -49,8 +57,19 @@ class TestConfig:
     def test_load_and_validate(self, tmp_path):
         cfg = load_config(write_config(tmp_path, BASIC.format(out=tmp_path / "o")))
         assert cfg.method.name == "indicators"
-        assert cfg.intervention.taus == (0.1, 10.0)
+        assert cfg.intervention.tau == (0.1, 10.0)
         assert cfg.sweep.repeats == 2
+
+    def test_every_field_type_reads(self, tmp_path):
+        body = (
+            "[data]\nsource = theorem1\nsensitive_values = A, B\nbalance = yes\n"
+            "alpha1 = 0.3\nsamples = 7\n"
+        )
+        cfg = load_config(write_config(tmp_path, body))
+        assert cfg.data == DataConfig(
+            source="theorem1", sensitive_values=("A", "B"), balance=True,
+            alpha1=0.3, samples=7,
+        )
 
     def test_unknown_section_rejected(self, tmp_path):
         bad = BASIC.format(out=tmp_path) + "\n[surprise]\nkey = 1\n"
@@ -79,6 +98,42 @@ class TestConfig:
         )
         with pytest.raises(ConfigError):
             load_config(write_config(tmp_path, body))
+
+    @pytest.mark.parametrize(
+        "section, body, match",
+        [
+            ("method", "k_min = abc", r"\[method\] k_min = 'abc': expected an integer"),
+            ("sweep", "test_fraction = 0.3x", r"\[sweep\] test_fraction .* a number"),
+            ("intervention", "name = penalty\ntau = 0.1, x", r"\[intervention\] tau = '0.1, x'"),
+            ("data", "balance = maybe", r"\[data\] balance = 'maybe': expected true or false"),
+            ("missingness", "mechanism = mcar\nentry1 = x1, none, 0.1, abc", "non-numeric"),
+            ("method", "imputer = knn:abc", "cannot parse imputer spec 'knn:abc'"),
+            ("method", "nme = clustering", r"\[method\] unknown key 'nme'"),
+            ("intervention", "name = penalty\nconstraint = foo", "unknown penalty constraint"),
+            ("intervention", "name = penalty\ntau = 0.1, -1", "tau must be finite and >= 0"),
+            ("intervention", "name = eqodds\nepsilon = -0.1", "epsilon must be finite and >= 0"),
+        ],
+    )
+    def test_malformed_setting_is_a_config_error(self, tmp_path, capsys, section, body, match):
+        p = write_config(tmp_path, f"[{section}]\n{body}\n")
+        with pytest.raises(ConfigError, match=match):
+            load_config(p)
+        assert cli.main(["validate", str(p)]) == 1
+        assert capsys.readouterr().err.startswith("error: ")
+
+    def test_readme_example_loads(self, tmp_path):
+        readme = (Path(__file__).parents[1] / "README.md").read_text()
+        block = re.search(r"```ini\n(.*?)```", readme, re.S).group(1)
+        cfg = load_config(write_config(tmp_path, block))
+        assert cfg == ExperimentConfig(
+            missingness=MissingnessSpec("mnar", (
+                MissingEntry("x5", "label", 0.1, 0.4),
+                MissingEntry("x2", "x1", 0.1, 0.4, 0.2),
+            )),
+            method=MethodConfig(name="clustering"),
+            intervention=InterventionConfig(name="penalty", constraint="meo"),
+            sweep=SweepConfig(repeats=10),
+        )
 
     def test_missingness_config_roundtrip(self, tmp_path):
         from fairmiss.harness import missingness_to_config
@@ -112,9 +167,16 @@ class TestAggregate:
         out = sweep_and_aggregate([{"g0": {"m": 0.5}}] * 10)
         assert out["g0"]["m"][1] == pytest.approx(0.0)
 
-    def test_mismatched_grids_error(self):
-        with pytest.raises(ConfigError):
-            sweep_and_aggregate([{"g0": {"m": 1.0}}, {"g1": {"m": 1.0}}])
+    def test_grid_point_missing_from_a_repeat(self):
+        out = sweep_and_aggregate([
+            {"g0": {"m": 0.8}, "g1": {"m": 0.2}},
+            {"g0": {"m": 0.9}},
+            {"g0": {"m": 1.0}, "g1": {"m": 0.4}},
+        ])
+        assert out["g0"]["m"][0] == pytest.approx(0.9)
+        mean, stderr = out["g1"]["m"]
+        assert mean == pytest.approx(0.3)
+        assert stderr == pytest.approx(0.1)
 
 
 class TestRunExperiment:
@@ -315,6 +377,48 @@ dir = {tmp_path / "fail"}
         assert not result.succeeded
         assert len(result.failures) == 2
         assert cli.main(["run", str(tmp_path / "fail.cfg")]) == 1
+
+
+class TestLeafPolicy:
+    @pytest.mark.parametrize(
+        "intervention, error",
+        [
+            ("name = penalty\ntau = 0.1, 1", "disparity penalty undefined"),
+            ("name = eqodds\nepsilon = 0, 0.1", "rates undefined"),
+        ],
+    )
+    def test_leaf_without_a_needed_cell_fails_its_grid_points(
+        self, tmp_path, intervention, error
+    ):
+        # drop the masked (s = 1, y = 0) rows: the x2-missing leaf has no such
+        # cell, which mean-equalized-odds and eqodds need
+        ds = gen_synthetic(0)
+        keep = ~(ds.mask[:, 1] & (ds.sensitive == 1) & (ds.labels == 0))
+        write_csv(ds.subset(np.flatnonzero(keep)[::4]), tmp_path / "d.csv")
+        (tmp_path / "schema.txt").write_text(
+            "x1 = feature\nx2 = feature\nsensitive = sensitive\nlabel = label\n"
+        )
+        body = f"""
+[data]
+source = csv
+path = {tmp_path / "d.csv"}
+schema = {tmp_path / "schema.txt"}
+
+[method]
+name = clustering
+
+[intervention]
+{intervention}
+
+[output]
+dir = {tmp_path / "out"}
+"""
+        cfg_path = write_config(tmp_path, body)
+        result = run_experiment(load_config(cfg_path))
+        assert [(f["repeat"], f["grid_id"]) for f in result.failures] == [(0, "g0"), (0, "g1")]
+        assert all(f"empty cell (s=1, y=0): {error}" in f["error"] for f in result.failures)
+        assert not result.succeeded
+        assert cli.main(["run", str(cfg_path)]) == 1
 
 
 class TestLeakage:

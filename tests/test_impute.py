@@ -327,8 +327,9 @@ def test_every_imputer_completes_and_knn_matches_row_by_row(case):
     assert_fill_matches_reference(KNNImputer(k).fit(train), target)
 
 
-def test_make_imputer_rejects_junk():
+@pytest.mark.parametrize(
+    "spec", ["tarot-cards", "knn:1:2:3", "knn:abc", "iterative:2:x", "iterative:x"]
+)
+def test_make_imputer_rejects_junk(spec):
     with pytest.raises(ValidationError):
-        make_imputer("tarot-cards")
-    with pytest.raises(ValidationError):
-        make_imputer("knn:1:2:3")
+        make_imputer(spec)
