@@ -13,6 +13,7 @@ from .classify import (
     OptimizerSettings,
     PostprocessRates,
     apply_postprocess,
+    draw_bags,
     ensemble_scores,
     postprocess_eqodds,
     predict_dataset,

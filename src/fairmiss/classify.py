@@ -13,13 +13,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import linprog
 
 from . import metrics
 from .data import Dataset, fair_resample
 from .encode import EncodedDataset, encode_indicators
 from .errors import SolverError, ValidationError
-from .impute import make_imputer
+from .impute import Imputer, make_imputer
 from .optim import OptimizerSettings, descend, make_objective, sigmoid
 
 # conditioning labels whose group score gaps each penalty constraint penalizes
@@ -148,6 +147,8 @@ def postprocess_eqodds(scores, ds, epsilon: float) -> PostprocessRates:
     then takes, among points within 1e-12 of that accuracy, the one flipping
     the least mass, so an already fair base predictor stays untouched.
     """
+    from scipy.optimize import linprog  # scipy.optimize is slow to import
+
     scores = np.asarray(scores, dtype=np.float64)
     if scores.shape != ds.labels.shape:
         raise ValidationError("score length must equal dataset size")
@@ -256,11 +257,34 @@ def train_intervention(enc: EncodedDataset, interv: Intervention):
     positive label for fnr-difference), so tau = 0 reduces exactly to
     train_logreg. eqodds fits the plain model and then its flip rates.
     """
+    if interv.kind == "eqodds":
+        return TrainingSet(enc).train(interv)
     tau = interv.tau if interv.kind == "penalty" else 0.0
-    model = _train(enc, tau, interv.constraint, interv.settings)
-    if interv.kind != "eqodds":
-        return model, None
-    return model, postprocess_eqodds(model.scores(enc.matrix), enc, interv.epsilon)
+    return _train(enc, tau, interv.constraint, interv.settings), None
+
+
+class TrainingSet:
+    """An encoded training set that serves a whole intervention grid.
+
+    ``train`` fits none and the penalty anew at each call. eqodds
+    post-processes the plain model at every epsilon; that model is fitted at
+    the first eqodds call and kept (one per optimizer settings), so a grid of
+    epsilons trains it once.
+    """
+
+    def __init__(self, enc: EncodedDataset):
+        self.enc = enc
+        self._plain = {}  # OptimizerSettings -> plain LinearModel
+
+    def train(self, interv: Intervention):
+        """(LinearModel, PostprocessRates or None), as ``train_intervention``."""
+        if interv.kind != "eqodds":
+            return train_intervention(self.enc, interv)
+        if interv.settings not in self._plain:
+            plain = Intervention(settings=interv.settings)
+            self._plain[interv.settings] = train_intervention(self.enc, plain)[0]
+        model = self._plain[interv.settings]
+        return model, postprocess_eqodds(model.scores(self.enc.matrix), self.enc, interv.epsilon)
 
 
 @dataclass(frozen=True)
@@ -269,13 +293,16 @@ class BagModel:
     model: LinearModel
     rates: PostprocessRates = None
 
-    def scores(self, ds: Dataset) -> np.ndarray:
-        enc = encode_indicators(ds, imputer=self.imputer)
+    def encode(self, ds: Dataset) -> EncodedDataset:
+        return encode_indicators(ds, imputer=self.imputer)
+
+    def scores(self, enc: EncodedDataset) -> np.ndarray:
+        """Pr(output = 1) of each row of this bag's encoding."""
         s = self.model.scores(enc.matrix)
         if self.rates is None:
             return s
         base = (s >= self.model.threshold).astype(np.int64)
-        flip = self.rates.flip_probs(ds.sensitive, base)
+        flip = self.rates.flip_probs(enc.sensitive, base)
         return np.where(base == 1, 1.0 - flip, flip)
 
 
@@ -297,8 +324,15 @@ class FairEnsemble:
     def n_bags(self) -> int:
         return len(self.bags)
 
+    def encode(self, ds: Dataset) -> tuple:
+        """Every bag's encoding of ``ds``, the input of ``predict_encoded``."""
+        return tuple(bag.encode(ds) for bag in self.bags)
+
     def predict(self, ds: Dataset, seed: int) -> np.ndarray:
-        return predict_dataset(self, ds, seed)
+        return self.predict_encoded(self.encode(ds), seed)
+
+    def predict_encoded(self, encodings: tuple, seed: int) -> np.ndarray:
+        return predict_dataset(self, encodings, seed)
 
     def to_text(self) -> str:
         """Audit dump: mode, then each bag's imputer name, weights, and any
@@ -314,51 +348,74 @@ class FairEnsemble:
         return "\n".join(lines) + "\n"
 
 
-def train_fair_bagging(
-    train: Dataset,
-    bags: int,
-    intervention: Intervention,
-    imputer_spec: str = "mean",
-    mode: str = "score-average",
-    seed: int = 0,
-) -> FairEnsemble:
-    """Cell-preserving bootstrap ensemble with per-bag imputation.
+@dataclass(frozen=True)
+class Bag:
+    """One bag of the ensemble before any intervention is trained on it.
 
-    For each bag b = 1..bags: resample within every (s, y) cell with seed+b,
-    append missing indicators, fit the imputer on that bag alone, and train the
-    intervention model on the encoded bag.
+    ``rows`` are its rows of the training split, ``imputer`` is fitted on
+    those rows alone, and ``train_encoded`` is that imputer's indicator
+    encoding of the whole training split. The bag trains on ``training``,
+    those rows of ``train_encoded``: every imputer fills a row from that row
+    alone, so they equal the encoding of the resampled rows.
     """
+
+    rows: np.ndarray
+    imputer: Imputer
+    train_encoded: EncodedDataset
+    training: TrainingSet
+
+    def encode(self, ds: Dataset) -> EncodedDataset:
+        return encode_indicators(ds, imputer=self.imputer)
+
+
+def draw_bags(train: Dataset, bags: int, imputer_spec: str = "mean",
+              seed: int = 0) -> tuple:
+    """The intervention-free half of fair bagging: for each bag b = 1..bags,
+    resample within every (s, y) cell with seed + b, fit the imputer on that
+    bag alone and indicator-encode the training split with it."""
     if bags < 1:
         raise ValidationError("bag count must be >= 1")
-    models = []
+    out = []
     for b in range(1, bags + 1):
-        bag = fair_resample(train, seed + b)
-        imputer = make_imputer(imputer_spec).fit(bag)
-        enc = encode_indicators(bag, imputer=imputer)
-        model, rates = train_intervention(enc, intervention)
-        models.append(BagModel(imputer, model, rates))
-    return FairEnsemble(tuple(models), mode)
+        rows = fair_resample(train, seed + b)
+        imputer = make_imputer(imputer_spec).fit(train.subset(rows))
+        enc = encode_indicators(train, imputer=imputer)
+        out.append(Bag(rows, imputer, enc, TrainingSet(enc.subset(rows))))
+    return tuple(out)
 
 
-def ensemble_scores(ens: FairEnsemble, ds: Dataset) -> np.ndarray:
+def train_fair_bagging(bags: tuple, intervention: Intervention,
+                       mode: str = "score-average") -> FairEnsemble:
+    """Cell-preserving bootstrap ensemble with per-bag imputation: the
+    intervention trained on each of ``draw_bags``' bags."""
+    return FairEnsemble(
+        tuple(BagModel(bag.imputer, *bag.training.train(intervention)) for bag in bags), mode
+    )
+
+
+def ensemble_scores(ens: FairEnsemble, encodings: tuple) -> np.ndarray:
     """Mean of the per-bag scores."""
-    return np.mean([bag.scores(ds) for bag in ens.bags], axis=0)
+    return np.mean([bag.scores(enc) for bag, enc in zip(ens.bags, encodings)], axis=0)
 
 
-def predict_dataset(ens: FairEnsemble, ds: Dataset, seed: int) -> np.ndarray:
-    """Predict every row: random-pick draws one bag per row (then that bag's
-    possibly randomized label); score-average thresholds the mean score."""
+def predict_dataset(ens: FairEnsemble, encodings: tuple, seed: int) -> np.ndarray:
+    """Predict every row from its per-bag encodings (``FairEnsemble.encode``):
+    random-pick draws one bag per row (then that bag's possibly randomized
+    label); score-average thresholds the mean score."""
+    if len(encodings) != ens.n_bags:
+        raise ValidationError(f"{ens.n_bags} bags need as many encodings, got {len(encodings)}")
     if ens.mode == "score-average":
-        return (ensemble_scores(ens, ds) >= 0.5).astype(np.int64)
+        return (ensemble_scores(ens, encodings) >= 0.5).astype(np.int64)
+    n = encodings[0].n_samples
     rng = np.random.default_rng(seed)
-    picks = rng.integers(0, ens.n_bags, size=ds.n_samples)
-    out = np.empty(ds.n_samples, dtype=np.int64)
-    u = rng.random(ds.n_samples)
-    for b, bag in enumerate(ens.bags):
+    picks = rng.integers(0, ens.n_bags, size=n)
+    out = np.empty(n, dtype=np.int64)
+    u = rng.random(n)
+    for b, (bag, enc) in enumerate(zip(ens.bags, encodings)):
         sel = picks == b
         if not sel.any():
             continue
-        scores = bag.scores(ds.subset(np.flatnonzero(sel)))
+        scores = bag.scores(enc.subset(np.flatnonzero(sel)))
         if bag.rates is None:
             out[sel] = (scores >= bag.model.threshold).astype(np.int64)
         else:

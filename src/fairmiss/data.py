@@ -309,8 +309,9 @@ def split_train_test(ds: Dataset, test_fraction: float, seed: int):
     return ds.subset(train_idx), ds.subset(test_idx)
 
 
-def fair_resample(ds: Dataset, seed: int) -> Dataset:
-    """Uniform-with-replacement resample within each (s, y) cell.
+def fair_resample(ds: Dataset, seed: int) -> np.ndarray:
+    """Row indices of a uniform-with-replacement resample within each (s, y)
+    cell; ``ds.subset`` of them is the resampled dataset.
 
     Every cell contributes exactly its own size, so all cell counts are
     preserved. Each cell draws from its own RNG stream (seed + cell index),
@@ -323,7 +324,7 @@ def fair_resample(ds: Dataset, seed: int) -> Dataset:
         rng = np.random.default_rng(seed + c)
         draws = rng.integers(0, len(idx), size=len(idx))
         chosen.extend(idx[draws].tolist())
-    return ds.subset(chosen)
+    return np.array(chosen, dtype=np.int64)
 
 
 def balance_cells(ds: Dataset, seed: int) -> Dataset:

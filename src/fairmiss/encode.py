@@ -47,6 +47,11 @@ class EncodedDataset:
     def n_samples(self) -> int:
         return self.matrix.shape[0]
 
+    def subset(self, indices) -> "EncodedDataset":
+        idx = np.asarray(indices, dtype=np.int64)
+        return EncodedDataset(self.matrix[idx], self.sensitive[idx], self.labels[idx],
+                              self.columns)
+
     # the Dataset definitions, over the carried-through s and y
     group_set = Dataset.group_set
     cells = Dataset.cells

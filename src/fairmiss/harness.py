@@ -6,20 +6,30 @@ grid, repeats over stratified train/test splits, aggregates mean and standard
 error per grid point, and emits raw / summary / Pareto CSV files. Everything
 is a deterministic function of the config and its master seed.
 
-Each method fits to one predictor with ``predict(ds, seed) -> labels``, and
-``fit_pipeline`` is the only place that looks at the method name:
+Each repeat runs in two stages, and these are the only places that look at
+the method name:
 
-- impute-then-classify, indicators and affine give a ``LinearPredictor``: the
-  fitted encoding, the intervention's LinearModel and, for eqodds, its flip
-  rates, drawn with the given seed.
-- clustering gives a ``ClusterRouter``: the missing-pattern partition plus
-  one leaf predictor per cluster, leaf q drawing with seed + q. A leaf holds
-  a zero-imputed LinearPredictor, or, when its training rows carry a single
-  label, a ``ConstantPredictor`` of that label (no model can be trained there,
-  so neither the penalty nor eqodds applies to that leaf).
-- fairmissbag gives the ``classify.FairEnsemble``.
+- ``fit_repeat``, once per repeat, fits what no grid point changes on the
+  training split: the scaler, and then for impute-then-classify, indicators
+  and affine the imputer or encoder, and for fairmissbag each bag's resample
+  and imputer (``classify.draw_bags``). It encodes the training and test
+  splits once (per bag for fairmissbag), and every grid point shares them.
+- ``fit_pipeline``, once per grid point, trains the intervention into one
+  predictor with ``predict(ds, seed)`` and ``predict_encoded``:
+  - impute-then-classify, indicators and affine give a ``LinearPredictor``:
+    the encoding, the intervention's LinearModel and, for eqodds, its flip
+    rates, drawn with the given seed.
+  - fairmissbag gives the ``classify.FairEnsemble``.
+  - clustering gives a ``ClusterRouter``: the missing-pattern partition plus
+    one leaf predictor per cluster, leaf q drawing with seed + q. A leaf
+    holds a zero-imputed LinearPredictor, or, when its training rows carry a
+    single label, a ``ConstantPredictor`` of that label (no model can be
+    trained there, so neither the penalty nor eqodds applies to that leaf).
+    The partition is searched at each grid point.
+  eqodds post-processes one plain model per encoding and repeat
+  (``classify.TrainingSet``), so each epsilon costs only its linear program.
 
-``evaluate_pipeline`` scales the test split, predicts and scores.
+``evaluate_pipeline`` predicts the encoded test split and scores it.
 """
 
 from __future__ import annotations
@@ -241,6 +251,16 @@ def validate_config(cfg: ExperimentConfig) -> None:
         raise ConfigError(f"unknown method {cfg.method.name!r}")
     if cfg.method.mode not in classify.ENSEMBLE_MODES:
         raise ConfigError(f"unknown ensemble mode {cfg.method.mode!r}")
+    m = cfg.method
+    if m.k_min < 1:
+        raise ConfigError(f"k_min must be >= 1, got {m.k_min}")
+    if m.bags < 1:
+        raise ConfigError(f"bags must be >= 1, got {m.bags}")
+    if not 0.0 <= m.val_fraction < 1.0:
+        raise ConfigError(f"val_fraction must lie in [0, 1), got {m.val_fraction}")
+    # the 1/|S| bound between them needs the data: cluster_missing_patterns checks it
+    if not 0.0 <= m.beta <= m.alpha <= 1.0:
+        raise ConfigError(f"need 0 <= beta <= alpha <= 1, got alpha={m.alpha}, beta={m.beta}")
     try:
         make_imputer(cfg.method.imputer)
         grid = grid_points(cfg.intervention)
@@ -332,6 +352,9 @@ class ClusterRouter:
                 preds[rows] = leaf.predict(ds.subset(rows), seed + q)
         return preds
 
+    # a router reads the rows themselves; each leaf encodes its own
+    predict_encoded = predict
+
 
 def _fit_leaf(leaf: data.Dataset, interv: classify.Intervention):
     labels = np.unique(leaf.labels)
@@ -342,35 +365,60 @@ def _fit_leaf(leaf: data.Dataset, interv: classify.Intervention):
 
 
 @dataclass
-class FittedPipeline:
-    """Everything learned from the training split (never sees test rows)."""
+class RepeatFit:
+    """The per-repeat stage: what one training split fixes for every grid
+    point. It is fitted on the training rows alone; the test split is only
+    scaled and encoded with it."""
 
     scaler: data.FeatureScaler
-    predictor: object  # predict(ds, seed) -> labels
+    train: data.Dataset   # both splits scaled
+    test: data.Dataset
+    train_input: object   # each split as the predictors' predict_encoded reads it
+    test_input: object
+    encoder: object = None                  # impute-then-classify, indicators, affine
+    training: classify.TrainingSet = None   # ... and their encoded training split
+    bags: tuple = ()                        # fairmissbag: classify.Bag per bag
+
+
+def fit_repeat(train: data.Dataset, test: data.Dataset, cfg: ExperimentConfig,
+               seed: int) -> RepeatFit:
+    scaler = data.FeatureScaler().fit(train)
+    train, test = scaler.transform(train), scaler.transform(test)
+    name = cfg.method.name
+    if name == "clustering":
+        return RepeatFit(scaler, train, test, train, test)
+    if name == "fairmissbag":
+        bags = classify.draw_bags(train, cfg.method.bags, cfg.method.imputer, seed)
+        return RepeatFit(scaler, train, test, tuple(bag.train_encoded for bag in bags),
+                         tuple(bag.encode(test) for bag in bags), bags=bags)
+    if name == "impute-then-classify":
+        imputer = make_imputer(cfg.method.imputer).fit(train)
+        encoder = lambda ds: encode.encode_plain(ds, imputer)
+    elif name == "indicators":
+        encoder = encode.encode_indicators
+    elif name == "affine":
+        encoder = encode.AffineEncoder().fit(train).transform
+    else:
+        raise ConfigError(f"unknown method {name!r}")
+    enc = encoder(train)
+    return RepeatFit(scaler, train, test, enc, encoder(test), encoder=encoder,
+                     training=classify.TrainingSet(enc))
+
+
+@dataclass
+class FittedPipeline:
+    """One grid point's predictor, trained on the repeat's training split."""
+
+    predictor: object  # predict_encoded(input, seed) -> labels
     train_accuracy: float
 
 
-def fit_pipeline(train: data.Dataset, cfg: ExperimentConfig, gp: GridPoint,
+def fit_pipeline(rep: RepeatFit, cfg: ExperimentConfig, gp: GridPoint,
                  seed: int) -> FittedPipeline:
-    scaler = data.FeatureScaler().fit(train)
-    train = scaler.transform(train)
     interv = gp.intervention
     name = cfg.method.name
-
-    if name in ("impute-then-classify", "indicators", "affine"):
-        if name == "impute-then-classify":
-            imputer = make_imputer(cfg.method.imputer).fit(train)
-            encoder = lambda ds: encode.encode_plain(ds, imputer)
-        elif name == "indicators":
-            encoder = lambda ds: encode.encode_indicators(ds)
-        else:
-            affine = encode.AffineEncoder().fit(train)
-            encoder = lambda ds: affine.transform(ds)
-        enc = encoder(train)
-        predictor = LinearPredictor(encoder, *classify.train_intervention(enc, interv))
-        # reuse the encoded training rows rather than impute them again
-        preds = predictor.predict_encoded(enc, seed)
-    elif name == "clustering":
+    if name == "clustering":
+        train = rep.train
         part = encode.cluster_missing_patterns(
             train,
             cfg.method.k_min,
@@ -385,30 +433,20 @@ def fit_pipeline(train: data.Dataset, cfg: ExperimentConfig, gp: GridPoint,
             for q in range(part.n_clusters)
         )
         predictor = ClusterRouter(part, leaves)
-        preds = predictor.predict(train, seed)
     elif name == "fairmissbag":
-        predictor = classify.train_fair_bagging(
-            train,
-            cfg.method.bags,
-            interv,
-            imputer_spec=cfg.method.imputer,
-            mode=cfg.method.mode,
-            seed=seed,
-        )
-        preds = predictor.predict(train, seed)
+        predictor = classify.train_fair_bagging(rep.bags, interv, cfg.method.mode)
     else:
-        raise ConfigError(f"unknown method {name!r}")
+        predictor = LinearPredictor(rep.encoder, *rep.training.train(interv))
+    preds = predictor.predict_encoded(rep.train_input, seed)
+    return FittedPipeline(predictor, metrics.accuracy(preds, rep.train))
 
-    return FittedPipeline(scaler, predictor, metrics.accuracy(preds, train))
 
-
-def evaluate_pipeline(fp: FittedPipeline, test: data.Dataset, seed: int) -> dict:
-    test = fp.scaler.transform(test)
-    preds = fp.predictor.predict(test, seed)
-    rates = metrics.group_rates(preds, test)
+def evaluate_pipeline(fp: FittedPipeline, rep: RepeatFit, seed: int) -> dict:
+    preds = fp.predictor.predict_encoded(rep.test_input, seed)
+    rates = metrics.group_rates(preds, rep.test)
     return {
         "train_accuracy": fp.train_accuracy,
-        "test_accuracy": metrics.accuracy(preds, test),
+        "test_accuracy": metrics.accuracy(preds, rep.test),
         "fnr_diff": metrics.disparity(rates, "fnr-diff"),
         "fpr_diff": metrics.disparity(rates, "fpr-diff"),
         "meo": metrics.disparity(rates, "meo"),
@@ -528,6 +566,11 @@ def run_experiment(cfg: ExperimentConfig) -> RunResult:
 
     raw, failures = [], []
     per_repeat = []
+
+    def fail(r, gid, exc):
+        log.warning("repeat %d grid %s aborted: %s", r, gid, exc)
+        failures.append({"repeat": r, "grid_id": gid, "error": str(exc)})
+
     for r in range(cfg.sweep.repeats):
         seed_r = cfg.sweep.seed + r
         try:
@@ -542,15 +585,21 @@ def run_experiment(cfg: ExperimentConfig) -> RunResult:
             log.warning("repeat %d aborted: %s", r, exc)
             failures.append({"repeat": r, "grid_id": "", "error": str(exc)})
             continue
+        try:
+            rep = fit_repeat(train, test, cfg, seed_r)
+        except FairmissError as exc:
+            # every grid point would fit this stage and fail the same way
+            for gp in grid:
+                fail(r, gp.gid, exc)
+            continue
         rep_metrics = {}
         for g_idx, gp in enumerate(grid):
             try:
-                fitted = fit_pipeline(train, cfg, gp, seed_r)
+                fitted = fit_pipeline(rep, cfg, gp, seed_r)
                 eval_seed = seed_r * 1000 + 700 + g_idx
-                rep_metrics[gp.gid] = evaluate_pipeline(fitted, test, eval_seed)
+                rep_metrics[gp.gid] = evaluate_pipeline(fitted, rep, eval_seed)
             except FairmissError as exc:
-                log.warning("repeat %d grid %s aborted: %s", r, gp.gid, exc)
-                failures.append({"repeat": r, "grid_id": gp.gid, "error": str(exc)})
+                fail(r, gp.gid, exc)
                 continue
             raw.append({"grid_id": gp.gid, "params": gp.label, "repeat": r,
                         **rep_metrics[gp.gid]})

@@ -2,7 +2,10 @@
 
 All imputers share the same contract: fit on a training dataset, then
 transform any dataset of the same dimension into one with no missing cells.
-Observed cells pass through untouched; transforms are deterministic.
+Observed cells pass through untouched; transforms are deterministic. A row
+is filled from that row and the fitted state alone, so the transform of a
+subset of rows equals those rows of the whole transform, bit for bit (fair
+bagging relies on this to encode a training split once per bag).
 """
 
 from __future__ import annotations
@@ -230,8 +233,8 @@ class IterativeImputer(Imputer):
         super().__init__()
         if rounds < 1:
             raise ValidationError("iterative imputation requires rounds >= 1")
-        if lam < 0:
-            raise ValidationError("ridge penalty must be non-negative")
+        if not (np.isfinite(lam) and lam >= 0):
+            raise ValidationError(f"ridge penalty must be finite and >= 0, got {lam}")
         self.rounds = int(rounds)
         self.lam = float(lam)
 
@@ -289,7 +292,10 @@ class IterativeImputer(Imputer):
                 miss = mask[:, j]
                 if miss.any():
                     w, b = self.coefs_[j]
-                    x[miss, j] = x[np.ix_(miss, others[j])] @ w + b
+                    # summed row by row, so a fill does not depend on the
+                    # other rows transformed with it; a BLAS matrix-vector
+                    # product rounds each row by the batch's shape
+                    x[miss, j] = (x[np.ix_(miss, others[j])] * w).sum(axis=1) + b
         return x
 
 

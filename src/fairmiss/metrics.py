@@ -11,7 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linprog
 
 from .data import Dataset
 from .errors import SolverError, ValidationError
@@ -272,6 +271,8 @@ def best_fair_accuracy(table: JointTable, epsilon: float):
     cell has zero probability are skipped. Returns (value, h) with h the
     optimal per-value acceptance probabilities.
     """
+    from scipy.optimize import linprog  # scipy.optimize is slow to import
+
     if len(table.x_values) > 16:
         raise ValidationError("feature domain too large for the exact oracle")
     if epsilon < 0:

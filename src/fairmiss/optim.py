@@ -14,7 +14,6 @@ import logging
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .errors import ValidationError
 
@@ -118,6 +117,8 @@ def descend(value_and_grad, w0: np.ndarray, tol: float, max_iters: int):
     stop without convergence (the cap, or a failed line search) logs one
     WARNING with the iteration count and the final gradient norm.
     """
+    from scipy.optimize import minimize  # scipy.optimize is slow to import
+
     w = w0.astype(np.float64)
     if max_iters <= 0:
         f, _ = value_and_grad(w)

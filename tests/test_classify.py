@@ -10,6 +10,7 @@ from fairmiss.classify import (
     PostprocessRates,
     PENALTY_LABELS,
     apply_postprocess,
+    draw_bags,
     ensemble_scores,
     mixed_rate_table,
     postprocess_eqodds,
@@ -357,23 +358,23 @@ class TestFairBagging:
     def test_single_bag_matches_manual_pipeline(self, rng):
         train = random_dataset(rng, n=60, d=3, missing_rate=0.2)
         test = random_dataset(rng, n=20, d=3, missing_rate=0.2, ensure_cells=False)
-        ens = train_fair_bagging(train, 1, Intervention("none"), "mean", seed=7)
-        bag = fair_resample(train, 7 + 1)
+        ens = train_fair_bagging(draw_bags(train, 1, "mean", seed=7), Intervention("none"))
+        bag = train.subset(fair_resample(train, 7 + 1))
         imputer = make_imputer("mean").fit(bag)
         model = train_logreg(encode_indicators(bag, imputer=imputer))
         manual = model.predict(encode_indicators(test, imputer=imputer).matrix)
-        got = predict_dataset(ens, test, seed=0)
+        got = predict_dataset(ens, ens.encode(test), seed=0)
         assert np.array_equal(got, manual)
 
     def test_bags_differ(self, rng):
         train = random_dataset(rng, n=80, d=3, missing_rate=0.2)
-        ens = train_fair_bagging(train, 10, Intervention("none"), "mean", seed=3)
+        ens = train_fair_bagging(draw_bags(train, 10, "mean", seed=3), Intervention("none"))
         weight_sets = {tuple(np.round(b.model.weights, 10)) for b in ens.bags}
         assert len(weight_sets) > 1
 
     def test_complete_data_keeps_zero_indicator_columns(self, rng):
         train = random_dataset(rng, n=50, d=2, missing_rate=0.0)
-        ens = train_fair_bagging(train, 3, Intervention("none"), "mean", seed=1)
+        ens = train_fair_bagging(draw_bags(train, 3, "mean", seed=1), Intervention("none"))
         for bag in ens.bags:
             enc = encode_indicators(train, imputer=bag.imputer)
             assert (enc.matrix[:, 2:] == 0).all()
@@ -388,15 +389,15 @@ class TestFairBagging:
 
         ens = FairEnsemble(tuple(BagModel(ZeroImputer(), m) for m in models))
         ds = Dataset(np.array([[1.0]]), [0], [0])
-        assert ensemble_scores(ens, ds)[0] == pytest.approx(0.4)
+        assert ensemble_scores(ens, ens.encode(ds))[0] == pytest.approx(0.4)
 
     def test_random_pick_matches_uniform_mixture(self, rng):
         train = random_dataset(rng, n=60, d=2, missing_rate=0.2)
         ens = train_fair_bagging(
-            train, 3, Intervention("none"), "zero", mode="random-pick", seed=2
+            draw_bags(train, 3, "zero", seed=2), Intervention("none"), mode="random-pick"
         )
         test = random_dataset(rng, n=2000, d=2, missing_rate=0.2, ensure_cells=False)
-        picks = predict_dataset(ens, test, seed=9)
+        picks = predict_dataset(ens, ens.encode(test), seed=9)
         per_model = np.array([
             bag.model.predict(encode_indicators(test, imputer=bag.imputer).matrix)
             for bag in ens.bags
@@ -407,18 +408,18 @@ class TestFairBagging:
     def test_prediction_determinism(self, rng):
         train = random_dataset(rng, n=60, d=2, missing_rate=0.2)
         test = random_dataset(rng, n=30, d=2, missing_rate=0.2, ensure_cells=False)
-        a = train_fair_bagging(train, 4, Intervention("none"), "mean",
-                               mode="random-pick", seed=5)
-        b = train_fair_bagging(train, 4, Intervention("none"), "mean",
-                               mode="random-pick", seed=5)
-        assert np.array_equal(predict_dataset(a, test, 11), predict_dataset(b, test, 11))
+        a = train_fair_bagging(draw_bags(train, 4, "mean", seed=5), Intervention("none"),
+                               mode="random-pick")
+        b = train_fair_bagging(draw_bags(train, 4, "mean", seed=5), Intervention("none"),
+                               mode="random-pick")
+        assert np.array_equal(a.predict(test, 11), b.predict(test, 11))
 
     def test_bagging_with_postprocess_intervention(self, rng):
         train = random_dataset(rng, n=120, d=2, missing_rate=0.2)
-        ens = train_fair_bagging(train, 2, Intervention("eqodds", epsilon=0.1),
-                                 "mean", seed=4)
+        ens = train_fair_bagging(draw_bags(train, 2, "mean", seed=4),
+                                 Intervention("eqodds", epsilon=0.1))
         assert all(bag.rates is not None for bag in ens.bags)
-        scores = ensemble_scores(ens, train)
+        scores = ensemble_scores(ens, ens.encode(train))
         assert scores.shape == (120,) and (0 <= scores).all() and (scores <= 1).all()
 
 
@@ -431,8 +432,8 @@ class TestModelSerialization:
 
     def test_ensemble_audit_dump(self, rng):
         train = random_dataset(rng, n=60, d=2, missing_rate=0.2)
-        ens = train_fair_bagging(train, 2, Intervention("eqodds", epsilon=0.2),
-                                 "mean", seed=1)
+        ens = train_fair_bagging(draw_bags(train, 2, "mean", seed=1),
+                                 Intervention("eqodds", epsilon=0.2))
         text = ens.to_text()
         assert text.startswith("mode score-average\nbags 2\n")
         assert text.count("bag ") == 2 and "flip s=" in text
@@ -440,8 +441,8 @@ class TestModelSerialization:
 
 def test_single_sample_random_pick_ignores_seed_for_one_bag(rng):
     train = random_dataset(rng, n=50, d=2, missing_rate=0.2)
-    ens = train_fair_bagging(train, 1, Intervention("none"), "zero",
-                             mode="random-pick", seed=2)
+    ens = train_fair_bagging(draw_bags(train, 1, "zero", seed=2), Intervention("none"),
+                             mode="random-pick")
     first = train.subset([0])
-    preds = {int(predict_dataset(ens, first, seed)[0]) for seed in range(5)}
+    preds = {int(predict_dataset(ens, ens.encode(first), seed)[0]) for seed in range(5)}
     assert len(preds) == 1

@@ -1,9 +1,12 @@
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import fairmiss
 from fairmiss import cli
 from fairmiss.data import load_csv, read_schema, write_csv
 from fairmiss.errors import ConfigError
@@ -14,6 +17,7 @@ from fairmiss.harness import (
     MethodConfig,
     SweepConfig,
     fit_pipeline,
+    fit_repeat,
     evaluate_pipeline,
     exact_table_analysis,
     grid_points,
@@ -112,6 +116,15 @@ class TestConfig:
             ("intervention", "name = penalty\nconstraint = foo", "unknown penalty constraint"),
             ("intervention", "name = penalty\ntau = 0.1, -1", "tau must be finite and >= 0"),
             ("intervention", "name = eqodds\nepsilon = -0.1", "epsilon must be finite and >= 0"),
+            ("method", "imputer = iterative:3:nan", "ridge penalty must be finite and >= 0"),
+            ("method", "imputer = iterative:3:inf", "ridge penalty must be finite and >= 0"),
+            ("method", "name = clustering\nk_min = 0", "k_min must be >= 1, got 0"),
+            ("method", "name = fairmissbag\nbags = 0", "bags must be >= 1, got 0"),
+            ("method", "val_fraction = 1", r"val_fraction must lie in \[0, 1\)"),
+            ("method", "val_fraction = -0.1", r"val_fraction must lie in \[0, 1\)"),
+            ("method", "alpha = 0.4\nbeta = 0.5", "need 0 <= beta <= alpha <= 1"),
+            ("method", "alpha = 1.5", "need 0 <= beta <= alpha <= 1"),
+            ("method", "beta = -0.1", "need 0 <= beta <= alpha <= 1"),
         ],
     )
     def test_malformed_setting_is_a_config_error(self, tmp_path, capsys, section, body, match):
@@ -425,16 +438,50 @@ class TestLeakage:
     def test_fitted_state_ignores_test_rows(self, rng, tmp_path):
         cfg = load_config(write_config(tmp_path, BASIC.format(out=tmp_path / "x")))
         train = random_dataset(rng, n=80, d=3, missing_rate=0.2)
-        gp = grid_points(cfg.intervention)[0]
-        f1 = fit_pipeline(train, cfg, gp, seed=3)
-        f2 = fit_pipeline(train, cfg, gp, seed=3)
-        assert np.array_equal(f1.predictor.model.weights, f2.predictor.model.weights)
         test_a = random_dataset(rng, n=30, d=3, missing_rate=0.2)
         test_b = random_dataset(rng, n=30, d=3, missing_rate=0.6)
-        evaluate_pipeline(f1, test_a, seed=0)
-        m = evaluate_pipeline(f1, test_b, seed=0)
+        gp = grid_points(cfg.intervention)[0]
+        rep = fit_repeat(train, test_a, cfg, seed=3)
+        f1 = fit_pipeline(rep, cfg, gp, seed=3)
+        f2 = fit_pipeline(rep, cfg, gp, seed=3)
+        assert np.array_equal(f1.predictor.model.weights, f2.predictor.model.weights)
+        evaluate_pipeline(f1, rep, seed=0)
+        m = evaluate_pipeline(f1, fit_repeat(train, test_b, cfg, seed=3), seed=0)
         assert np.array_equal(f1.predictor.model.weights, f2.predictor.model.weights)
         assert set(m) == {"train_accuracy", "test_accuracy", "fnr_diff", "fpr_diff", "meo"}
+
+    @pytest.mark.parametrize(
+        "method",
+        [
+            "name = indicators",
+            "name = impute-then-classify\nimputer = knn:3",
+            "name = affine",
+            "name = fairmissbag\nimputer = knn:3\nbags = 2\nmode = random-pick",
+        ],
+    )
+    def test_repeat_state_is_identical_for_two_test_splits(self, rng, tmp_path, method):
+        body = BASIC.format(out=tmp_path / "x").replace("name = indicators", method)
+        body = body.replace("name = penalty\ntau = 0.1, 10", "name = eqodds\nepsilon = 0, 0.1")
+        cfg = load_config(write_config(tmp_path, body))
+        train = random_dataset(rng, n=80, d=3, missing_rate=0.2)
+        states = []
+        for missing_rate in (0.2, 0.6):
+            test = random_dataset(rng, n=30, d=3, missing_rate=missing_rate)
+            rep = fit_repeat(train, test, cfg, seed=3)
+            train_inputs = rep.train_input if rep.bags else (rep.train_input,)
+            models = [fit_pipeline(rep, cfg, gp, seed=3).predictor
+                      for gp in grid_points(cfg.intervention)]
+            members = [(p.model, p.rates) for p in models] if not rep.bags else [
+                (bag.model, bag.rates) for p in models for bag in p.bags
+            ]
+            states.append((
+                rep.scaler.mins.tobytes(), rep.scaler.ranges.tobytes(),
+                rep.train.features.tobytes(),
+                [enc.matrix.tobytes() for enc in train_inputs],
+                [bag.rows.tobytes() for bag in rep.bags],
+                [(m.weights.tobytes(), m.bias, r.flip) for m, r in members],
+            ))
+        assert states[0] == states[1]
 
 
 class TestExactAnalysis:
@@ -482,3 +529,13 @@ dir = {out}
         p = write_config(tmp_path, body.format(out=tmp_path / "r"))
         assert cli.main(["run", str(p)]) == 0
         assert "best_constrained_accuracy" in capsys.readouterr().out
+
+
+def test_import_leaves_scipy_optimize_unloaded():
+    # scipy.optimize takes most of the package's import time; only the
+    # solvers load it, when first called
+    src = str(Path(fairmiss.__file__).parents[1])
+    code = "import sys, fairmiss.harness; print('scipy.optimize' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], cwd=src, capture_output=True,
+                         text=True, check=True)
+    assert out.stdout.strip() == "False"

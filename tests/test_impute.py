@@ -317,18 +317,25 @@ def fit_and_target(draw):
 @given(fit_and_target())
 def test_every_imputer_completes_and_knn_matches_row_by_row(case):
     train, target, k = case
+    # a subset drawn with repeats, as a bag draws its rows
+    rows = np.arange(target.n_samples)[::-2].repeat(2)
     for spec in ("zero", "mean", f"knn:{k}", "iterative:3:0.01"):
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")  # iterative may report a growing update
-            out = make_imputer(spec).fit(train).transform(target)
+            imputer = make_imputer(spec).fit(train)
+            out = imputer.transform(target)
+            sub = imputer.transform(target.subset(rows))
         assert not out.mask.any()
         kept = ~target.mask
         assert np.array_equal(out.features[kept], target.features[kept])
+        assert sub.features.tobytes() == out.features[rows].tobytes()
     assert_fill_matches_reference(KNNImputer(k).fit(train), target)
 
 
 @pytest.mark.parametrize(
-    "spec", ["tarot-cards", "knn:1:2:3", "knn:abc", "iterative:2:x", "iterative:x"]
+    "spec",
+    ["tarot-cards", "knn:1:2:3", "knn:abc", "iterative:2:x", "iterative:x",
+     "iterative:3:nan", "iterative:3:inf"],
 )
 def test_make_imputer_rejects_junk(spec):
     with pytest.raises(ValidationError):
