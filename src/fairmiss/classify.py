@@ -49,7 +49,10 @@ class LinearModel:
             m = m[None, :]
         if m.shape[1] != self.weights.shape[0]:
             raise ValidationError("matrix width does not match the model")
-        return sigmoid(m @ self.weights + self.bias)
+        # summed row by row, so a row's score does not depend on the other
+        # rows scored with it; a BLAS matrix-vector product rounds each row
+        # by the batch's shape
+        return sigmoid((m * self.weights).sum(axis=1) + self.bias)
 
     def predict(self, matrix: np.ndarray) -> np.ndarray:
         return (self.scores(matrix) >= self.threshold).astype(np.int64)

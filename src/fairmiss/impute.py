@@ -89,9 +89,11 @@ class MeanImputer(Imputer):
         return np.broadcast_to(self.means_, ds.features.shape)
 
 
-# Entries in each (block of missing cells x training rows) temporary of
-# KNNImputer._fill; the block length is this over the number of training rows.
-_KNN_BLOCK_ENTRIES = 1 << 14
+# Entries in one block of KNNImputer._fill's screen: a block of query rows
+# counts (its rows + its missing cells) x distinct training rows, and the
+# screen holds about two float64 arrays of that many entries at once. Larger
+# blocks spend fewer numpy calls per row but leave the cache.
+_KNN_BLOCK_ENTRIES = 1 << 15
 
 
 class KNNImputer(Imputer):
@@ -103,15 +105,21 @@ class KNNImputer(Imputer):
     training rows with j observed; ties break on training-row index, and a
     cell with no reachable donor falls back to the training mean.
 
-    The search runs over blocks of missing cells, sized so that each
-    (block x training rows) temporary holds at most ``_KNN_BLOCK_ENTRIES``
-    entries (one cell per block past that many training rows). One matrix product gives every masked squared distance of a
-    block, and an explicit floating-point rounding bound widens each into an
-    interval that holds the exact distance. A cell's shortlist keeps the
-    donors whose lower end does not exceed the k-th smallest upper end, so it
-    holds all k nearest donors, ties included. Only shortlisted distances are
-    then computed exactly, with the arithmetic of a row-by-row search, which
-    makes every fill equal to that search's bit for bit.
+    The search screens blocks of query rows against the byte-distinct
+    training rows: a bootstrap bag repeats about a third of its rows, and
+    a row with several missing cells is screened once. One matrix product
+    per block gives every masked squared distance, and an explicit
+    floating-point rounding bound widens each into an interval that holds
+    the exact one. A missing cell keeps the distinct rows observing its
+    feature whose lower end does not exceed the k-th smallest upper end
+    among them. Over distinct rows that threshold is no tighter than over
+    all training rows, so the shortlist holds all k nearest donors, ties
+    included. Each block holds at most about ``_KNN_BLOCK_ENTRIES`` entries
+    of (query rows + missing cells) x distinct rows, or one query row where
+    that row alone needs more. Shortlisted rows expand to every training row
+    with the same bytes, and only those distances are computed exactly, with
+    the arithmetic of a row-by-row search, which makes every fill equal to
+    that search's bit for bit.
     """
 
     name = "knn"
@@ -130,17 +138,32 @@ class KNNImputer(Imputer):
             )
         self.train_ = train.features.copy()
         self.means_ = np.nanmean(train.features, axis=0)
+        # Rows merge only when their bytes are equal, so 0.0 and -0.0, or two
+        # NaN payloads, stay apart; that costs the screen some speed, never a
+        # donor. Distinct row i stands for the training rows
+        # members_[starts_[i]:starts_[i] + counts_[i]], in index order.
+        row_bytes = self.train_.view(np.dtype((np.void, 8 * train.dimension))).ravel()
+        _, first, inverse, self.counts_ = np.unique(
+            row_bytes, return_index=True, return_inverse=True, return_counts=True)
+        self.distinct_ = self.train_[first]
+        self.members_ = np.argsort(inverse, kind="stable")
+        self.starts_ = np.cumsum(self.counts_) - self.counts_
 
     def _fill(self, ds: Dataset) -> np.ndarray:
         out = np.tile(self.means_, (ds.n_samples, 1))
-        train, k = self.train_, self.k
-        n, d = train.shape
-        t_obs = ~np.isnan(train)
-        t_zero = np.where(t_obs, train, 0.0)
+        query = np.flatnonzero(ds.mask.any(axis=1))
+        if query.size == 0:
+            return out
+        train, distinct, k = self.train_, self.distinct_, self.k
+        m, d = distinct.shape
+        t_obs = ~np.isnan(distinct)
+        t_zero = np.where(t_obs, distinct, 0.0)
         # [q^2, q_obs, -2q] @ right sums q^2 + t^2 - 2qt over shared coordinates
         right = np.vstack([t_obs.T, (t_zero * t_zero).T, t_zero.T])
-        # NaN where the training row lacks the feature: never a donor for it
-        t_lacks = np.where(t_obs.T, 0.0, np.nan)
+        # added to a cell's bounds where the distinct row lacks the cell's
+        # feature, which makes it no donor for the cell
+        lacks_hi = np.where(t_obs.T, 0.0, np.inf)
+        lacks_lo = np.where(t_obs.T, 0.0, np.nan)
         # With u = eps / 2 and P the sum of q^2 + t^2 over the shared
         # coordinates, the product form lies within (6d + 2) u P of the exact
         # squared distance and the row-by-row sum within (2d + 4) u P. The
@@ -155,43 +178,74 @@ class KNNImputer(Imputer):
         if big < np.sqrt(np.finfo(np.float64).max / (4 * d)):
             t_slack = rel * right[d:2 * d].sum(axis=0) + np.finfo(np.float64).tiny
         else:
-            t_slack = np.full(n, np.inf)
+            t_slack = np.full(m, np.inf)
 
-        rows, cols = np.nonzero(ds.mask)
-        step = max(1, _KNN_BLOCK_ENTRIES // n)
-        for start in range(0, rows.size, step):
-            row, col = rows[start:start + step], cols[start:start + step]
-            x = ds.features[row]
-            # shortlist: donors whose lower end lo does not exceed the k-th
-            # smallest upper end hi. lo is NaN exactly where used is 0 (0 / 0)
-            # or NaN, so those never pass; hi is +inf there (fmin turns NaN
-            # into +inf), so a cell with fewer than k finite upper ends keeps
-            # all its donors.
+        q_obs = ~ds.mask[query]
+        q_zero = np.where(q_obs, ds.features[query], 0.0)
+        with np.errstate(over="ignore"):
+            left = np.hstack([q_zero * q_zero, q_obs, -2.0 * q_zero])
+            q_slack = rel * left[:, :d].sum(axis=1)
+        # the missing cells row by row; query row i owns cells first[i]:first[i + 1]
+        cell_row, cell_col = np.nonzero(~q_obs)
+        n_cells = d - q_obs.sum(axis=1)
+        first = np.concatenate([[0], np.cumsum(n_cells)])
+        # blocks of whole rows; a row costs (1 + its missing cells) entries
+        # per distinct row
+        block = (np.cumsum(1 + n_cells) - 1) // max(1, _KNN_BLOCK_ENTRIES // m)
+        edges = np.concatenate([[0], np.flatnonzero(np.diff(block)) + 1, [query.size]])
+        for a, b in zip(edges[:-1], edges[1:]):
+            # [lo, hi] holds the squared distance of each (query row, distinct
+            # row) pair, scaled as the exact search scales it. lo is NaN
+            # exactly where used is 0 (0 / 0), so those never pass; hi is
+            # +inf there (fmin turns NaN into +inf).
             with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-                q_obs = ~np.isnan(x)
-                q_zero = np.where(q_obs, x, 0.0)
-                q_sq = q_zero * q_zero
-                s = np.hstack([q_sq, q_obs, -2.0 * q_zero]) @ right
-                used = q_obs @ right[:d]
-                used += t_lacks[col]
-                slack = (rel * q_sq.sum(axis=1))[:, None] + t_slack
+                s = left[a:b] @ right
+                slack = q_slack[a:b, None] + t_slack
                 lo = s - slack
-                lo = _scale(np.fmax(lo, 0.0, out=lo), d, used)
                 s += slack
+                del slack
+                used = left[a:b, d:2 * d] @ right[:d]
+                lo = _scale(np.fmax(lo, 0.0, out=lo), d, used)
                 hi = np.fmin(_scale(s, d, used), np.inf, out=s)
-            hi.partition(k - 1, axis=1)
-            cell, donor = np.divmod(np.flatnonzero(lo <= hi[:, k - 1, None]), n)
+            del used
+
+            # A cell's threshold is the k-th smallest hi over the distinct rows
+            # observing its feature (+inf with fewer than k of them). The
+            # exact search compares rounded square roots, and a donor whose
+            # root ties the threshold's can still win on index, so the cell
+            # keeps every donor with lo below the square of the next double
+            # after sqrt(threshold), rounded up.
+            r, col = cell_row[first[a]:first[b]] - a, cell_col[first[a]:first[b]]
+            top = hi[r]
+            top += lacks_hi[col]
+            if k <= m:
+                top.partition(k - 1, axis=1)
+                top = top[:, k - 1]
+            else:
+                top = np.full(r.size, np.inf)
+            with np.errstate(over="ignore"):
+                top = np.nextafter(np.square(np.nextafter(np.sqrt(top), np.inf)), np.inf)
+            near = lo[r]
+            near += lacks_lo[col]
+            cell, near = np.divmod(np.flatnonzero(near <= top[:, None]), m)
+            # each shortlisted distinct row stands for all its training rows
+            reps = self.counts_[near]
+            cell = np.repeat(cell, reps)
+            ends = np.cumsum(reps)
+            donor = self.members_[
+                np.arange(cell.size) - np.repeat(ends - reps - self.starts_[near], reps)]
 
             # exact distances, ordered by (cell, distance, donor index); each
             # cell averages its first k donors, grouped by how many it has
-            dist = _masked_distance(x[cell], train[donor])
+            row = query[a + r]
+            dist = _masked_distance(ds.features[row[cell]], train[donor])
             keep = np.isfinite(dist)
             cell, donor, dist = cell[keep], donor[keep], dist[keep]
             order = np.lexsort((donor, dist, cell))
             cell, donor = cell[order], donor[order]
             take = np.arange(cell.size) - np.searchsorted(cell, cell) < k
             cell, donor = cell[take], donor[take]
-            count = np.bincount(cell, minlength=row.size)
+            count = np.bincount(cell, minlength=r.size)
             values = train[donor, col[cell]]
             for c in np.unique(count[count > 0]):
                 filled = count == c
@@ -201,11 +255,11 @@ class KNNImputer(Imputer):
 
 
 def _scale(sq: np.ndarray, d: int, used: np.ndarray) -> np.ndarray:
-    """sqrt(sq * d / used) in place, rounded step by step as in
-    ``_masked_distance``."""
+    """sq * d / used in place, rounded step by step as in ``_masked_distance``
+    before its square root."""
     sq *= d
     sq /= used
-    return np.sqrt(sq, out=sq)
+    return sq
 
 
 def _masked_distance(q: np.ndarray, t: np.ndarray) -> np.ndarray:

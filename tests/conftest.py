@@ -1,5 +1,13 @@
+import os
+
 import numpy as np
 import pytest
+from hypothesis import settings
+
+# HYPOTHESIS_PROFILE=ci runs every property test on many more examples
+settings.register_profile("default", max_examples=60, deadline=None)
+settings.register_profile("ci", max_examples=600, deadline=None)
+settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "default"))
 
 from fairmiss.data import Dataset
 

@@ -2,6 +2,8 @@ import logging
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from fairmiss.classify import (
     Intervention,
@@ -38,6 +40,25 @@ def encoded(matrix, sens, labels):
 
 def random_encoded(rng, n=60, d=3):
     return encoded(rng.normal(size=(n, d)), rng.integers(0, 2, n), rng.integers(0, 2, n))
+
+
+@st.composite
+def model_and_rows(draw):
+    n = draw(st.integers(1, 40))
+    d = draw(st.integers(1, 24))  # BLAS reblocks a product from 8 columns
+    values = st.floats(-3, 3, allow_subnormal=False)
+    matrix = draw(hnp.arrays(np.float64, (n, d), elements=values))
+    weights = draw(hnp.arrays(np.float64, d, elements=values))
+    model = LinearModel(weights, draw(values), tuple(f"orig:x{j + 1}" for j in range(d)))
+    # a subset drawn with repeats, as a bag or a cluster leaf draws its rows
+    rows = np.array(draw(st.lists(st.integers(0, n - 1), max_size=2 * n)), dtype=np.int64)
+    return model, matrix, rows
+
+
+@given(model_and_rows())
+def test_scores_of_a_subset_are_those_rows_of_the_whole(case):
+    model, matrix, rows = case
+    assert model.scores(matrix[rows]).tobytes() == model.scores(matrix)[rows].tobytes()
 
 
 class TestTrainLogreg:

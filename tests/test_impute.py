@@ -2,7 +2,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, strategies as st
 
 from fairmiss import impute
 from fairmiss.data import Dataset
@@ -149,15 +149,19 @@ class TestKnnMatchesRowByRowSearch:
     @pytest.mark.parametrize("k", [1, 5, N_TRAIN])
     @pytest.mark.parametrize("rows", ["0", "1", "block", "block+1"])
     def test_block_edges(self, rng, rows, k):
-        # one missing cell per query row, so a block of cells is a block of rows
+        # one missing cell per query row, so each row costs 2 entries per
+        # distinct training row, and the training rows are all distinct
         train = random_dataset(rng, n=self.N_TRAIN, d=self.D, missing_rate=0.3)
         imp = KNNImputer(k=k).fit(train)
-        block = impute._KNN_BLOCK_ENTRIES // self.N_TRAIN
+        assert len(imp.distinct_) == self.N_TRAIN
+        block = impute._KNN_BLOCK_ENTRIES // self.N_TRAIN // 2
         m = {"0": 0, "1": 1, "block": block, "block+1": block + 1}[rows]
         assert_fill_matches_reference(imp, one_hole_per_row(rng, m, self.D))
 
     @pytest.mark.parametrize("k", [1, 5, N_TRAIN])
-    def test_blocks_split_inside_a_row(self, rng, monkeypatch, k):
+    def test_rows_larger_than_a_block(self, rng, monkeypatch, k):
+        # a block holds 3 entries per distinct row: rows with two or more
+        # missing cells overflow it and make blocks of their own
         monkeypatch.setattr(impute, "_KNN_BLOCK_ENTRIES", 3 * self.N_TRAIN)
         train = random_dataset(rng, n=self.N_TRAIN, d=self.D, missing_rate=0.3)
         queries = random_dataset(rng, n=50, d=self.D, missing_rate=0.6, ensure_cells=False)
@@ -193,6 +197,47 @@ class TestKnnMatchesRowByRowSearch:
         for k in (1, 4):
             train = grid(60)
             assert_fill_matches_reference(KNNImputer(k=k).fit(train), grid(60))
+
+    @pytest.mark.parametrize("k", [1, 3, 40])
+    def test_every_row_duplicated(self, rng, k):
+        train = random_dataset(rng, n=20, d=4, missing_rate=0.3)
+        twice = train.subset(np.tile(np.arange(20), 2))
+        imp = KNNImputer(k=k).fit(twice)
+        assert len(imp.distinct_) == 20 and (imp.counts_ == 2).all()
+        queries = random_dataset(rng, n=30, d=4, missing_rate=0.4, ensure_cells=False)
+        assert_fill_matches_reference(imp, queries)
+        assert_fill_matches_reference(imp, twice)
+
+    def test_fewer_distinct_rows_than_k(self):
+        # one distinct row, k = n: every reachable cell averages its n copies
+        row = [0.5, -1.25, 3.0]
+        imp = KNNImputer(k=6).fit(ds_from([row] * 6))
+        assert len(imp.distinct_) == 1
+        nan = np.nan
+        queries = ds_from([[nan, 0.0, 0.0], [1.0, nan, nan], [nan, nan, nan]])
+        assert_fill_matches_reference(imp, queries)
+        filled = imp.transform(queries).features
+        assert (filled[queries.mask] == np.tile(row, (3, 1))[queries.mask]).all()
+
+    def test_signed_zeros_stay_apart_and_tie_on_index(self):
+        # rows 0 and 1 differ only in the sign of a zero, so they are two
+        # distinct rows, and row 0 sorts last by its bytes; all three rows
+        # are at distance 0 from the query, and k = 2 takes rows 0 and 1
+        imp = KNNImputer(k=2).fit(ds_from([[-0.0, 5.0], [0.0, 5.0], [0.0, 7.0]]))
+        assert len(imp.distinct_) == 3
+        queries = ds_from([[0.0, np.nan], [np.nan, 5.0]])
+        assert_fill_matches_reference(imp, queries)
+        assert imp.transform(queries).features[0, 1] == 5.0
+
+    def test_distinct_threshold_looser_than_over_all_rows(self):
+        # the 3rd smallest upper end is a copy's over all rows, but row 4's
+        # over distinct rows; the shortlist grows, the 3 copies still win
+        train = ds_from([[1.0, 10.0]] * 3 + [[2.0, 20.0], [3.0, 30.0]])
+        imp = KNNImputer(k=3).fit(train)
+        assert sorted(imp.counts_) == [1, 1, 3]
+        query = ds_from([[0.0, np.nan]])
+        assert_fill_matches_reference(imp, query)
+        assert imp.transform(query).features[0, 1] == 10.0
 
     def test_wide_value_range(self, rng):
         train = random_dataset(rng, n=50, d=6, missing_rate=0.3)
@@ -294,7 +339,9 @@ def test_width_mismatch_is_a_validation_error(spec, rng):
 
 
 @st.composite
-def fit_and_target(draw):
+def fit_and_target(draw, bootstrap=False):
+    """A training set, a target and k; with ``bootstrap`` the training set is
+    a resample with replacement, as a fair-bagging bag is."""
     d = draw(st.integers(1, 4))
     n = draw(st.integers(1, 25))
     m = draw(st.integers(0, 25))
@@ -304,8 +351,12 @@ def fit_and_target(draw):
     train = np.array(draw(st.lists(values, min_size=n * d, max_size=n * d))).reshape(n, d)
     target = np.array(draw(st.lists(values, min_size=m * d, max_size=m * d))).reshape(m, d)
     holes = np.array(draw(st.lists(st.booleans(), min_size=n * d, max_size=n * d))).reshape(n, d)
-    holes[draw(st.integers(0, n - 1))] = False  # every feature observed somewhere
+    full = draw(st.integers(0, n - 1))
+    holes[full] = False  # every feature observed somewhere
     train[holes] = np.nan
+    if bootstrap:
+        rows = draw(st.lists(st.integers(0, n - 1), min_size=n - 1, max_size=n - 1))
+        train = train[[full] + rows]
     target_holes = draw(st.lists(st.booleans(), min_size=m * d, max_size=m * d))
     target[np.array(target_holes, dtype=bool).reshape(m, d)] = np.nan
     k = draw(st.integers(1, n))
@@ -313,7 +364,6 @@ def fit_and_target(draw):
     return as_ds(train), as_ds(target), k
 
 
-@settings(max_examples=60, deadline=None)
 @given(fit_and_target())
 def test_every_imputer_completes_and_knn_matches_row_by_row(case):
     train, target, k = case
@@ -330,6 +380,14 @@ def test_every_imputer_completes_and_knn_matches_row_by_row(case):
         assert np.array_equal(out.features[kept], target.features[kept])
         assert sub.features.tobytes() == out.features[rows].tobytes()
     assert_fill_matches_reference(KNNImputer(k).fit(train), target)
+
+
+@given(fit_and_target(bootstrap=True))
+def test_knn_on_a_bootstrap_bag_matches_row_by_row(case):
+    train, target, k = case
+    imp = KNNImputer(k).fit(train)
+    assert_fill_matches_reference(imp, target)
+    assert_fill_matches_reference(imp, train)
 
 
 @pytest.mark.parametrize(
