@@ -130,16 +130,6 @@ class PostprocessRates:
         return table[at, pred.astype(np.intp)]
 
 
-def mixed_rate_table(rates: PostprocessRates, base_table: dict) -> dict:
-    """Exact post-mixing Pr(output = 1 | y, s) from base rates."""
-    out = {}
-    for (s, y), r in base_table.items():
-        a = 1.0 - rates.flip[(s, 1)]
-        b = rates.flip[(s, 0)]
-        out[(s, y)] = a * r + b * (1.0 - r)
-    return out
-
-
 def postprocess_eqodds(scores, ds, epsilon: float) -> PostprocessRates:
     """Exact accuracy-optimal randomized equalized-odds repair for two groups.
 
@@ -215,13 +205,6 @@ def apply_postprocess(rates: PostprocessRates, base_predictions, sensitive,
     rng = np.random.default_rng(seed)
     u = rng.random(pred.shape[0])
     return np.where(u < rates.flip_probs(sensitive, pred), 1 - pred, pred)
-
-
-def uniform_mixture_rates(rate_tables) -> dict:
-    """Rate table of a uniformly random pick among classifiers: the plain
-    average of their Pr(prediction = 1 | y, s) tables."""
-    keys = rate_tables[0].keys()
-    return {k: float(np.mean([t[k] for t in rate_tables])) for k in keys}
 
 
 # ---------------------------------------------------------------------------

@@ -225,22 +225,21 @@ class FeatureScaler:
 
     Constant features map to 0. Fitted on one dataset (normally the training
     split) and applied to any dataset with the same dimension; fitting requires
-    at least one observed value per feature.
+    at least one observed value and a finite range per feature. A transform
+    raises where an observed value is infinite or would scale to inf or NaN
+    (a NaN would read as a missing cell).
     """
 
     mins: np.ndarray = field(default=None)
     ranges: np.ndarray = field(default=None)
 
     def fit(self, ds: Dataset) -> "FeatureScaler":
-        observed = ~ds.mask
-        counts = observed.sum(axis=0)
-        if (counts == 0).any():
-            j = int(np.flatnonzero(counts == 0)[0])
-            raise ValidationError(
-                f"feature {ds.feature_names[j]!r} has no observed values to scale"
-            )
-        self.mins = np.nanmin(ds.features, axis=0)
-        self.ranges = np.nanmax(ds.features, axis=0) - self.mins
+        _reject_features(ds.mask.all(axis=0), ds, "has no observed values to scale")
+        mins = np.nanmin(ds.features, axis=0)
+        with np.errstate(over="ignore", invalid="ignore"):
+            ranges = np.nanmax(ds.features, axis=0) - mins
+        _reject_features(~np.isfinite(ranges), ds, "has a range that is not finite")
+        self.mins, self.ranges = mins, ranges
         return self
 
     def transform(self, ds: Dataset) -> Dataset:
@@ -249,10 +248,21 @@ class FeatureScaler:
         if ds.dimension != self.mins.shape[0]:
             raise ValidationError("dimension mismatch between scaler and dataset")
         safe = np.where(self.ranges > 0, self.ranges, 1.0)
-        scaled = (ds.features - self.mins) / safe
+        with np.errstate(over="ignore", invalid="ignore"):
+            scaled = (ds.features - self.mins) / safe
         scaled = np.where(self.ranges > 0, scaled, 0.0)
         scaled[ds.mask] = np.nan
+        bad = ~np.isfinite(scaled) & ~ds.mask | np.isinf(ds.features)
+        _reject_features(bad.any(axis=0), ds,
+                         "has an observed value that is infinite or scales to one")
         return ds.with_features(scaled)
+
+
+def _reject_features(bad: np.ndarray, ds: Dataset, problem: str) -> None:
+    """Raise naming the first feature flagged in ``bad``."""
+    if bad.any():
+        j = int(np.flatnonzero(bad)[0])
+        raise ValidationError(f"feature {ds.feature_names[j]!r} {problem}")
 
 
 def _round_half_up(x: float) -> int:

@@ -89,10 +89,12 @@ class MeanImputer(Imputer):
         return np.broadcast_to(self.means_, ds.features.shape)
 
 
-# Entries in one block of KNNImputer._fill's screen: a block of query rows
-# counts (its rows + its missing cells) x distinct training rows, and the
-# screen holds about two float64 arrays of that many entries at once. Larger
-# blocks spend fewer numpy calls per row but leave the cache.
+# Entries in one block of KNNImputer's screen: a block of query rows counts
+# (its rows + its missing cells) x distinct training rows, and the screen
+# holds about two float64 arrays of that many entries at once. A block only
+# screens, so larger blocks save a fixed number of numpy calls per block but
+# leave the cache. The exact stage's distances go in chunks of half as many
+# (pair, coordinate) entries.
 _KNN_BLOCK_ENTRIES = 1 << 15
 
 
@@ -116,10 +118,14 @@ class KNNImputer(Imputer):
     all training rows, so the shortlist holds all k nearest donors, ties
     included. Each block holds at most about ``_KNN_BLOCK_ENTRIES`` entries
     of (query rows + missing cells) x distinct rows, or one query row where
-    that row alone needs more. Shortlisted rows expand to every training row
-    with the same bytes, and only those distances are computed exactly, with
-    the arithmetic of a row-by-row search, which makes every fill equal to
-    that search's bit for bit.
+    that row alone needs more, and does nothing but screen.
+
+    One exact stage then takes every block's shortlist at once. It computes
+    each shortlisted (cell, distinct row) distance once, with the arithmetic
+    of a row-by-row search, and hands it to every training row with the
+    distinct row's bytes. One integer-key sort orders the training rows by
+    (cell, distance, index), and each cell averages its first k. That makes
+    every fill equal to the row-by-row search's, bit for bit.
     """
 
     name = "knn"
@@ -154,16 +160,66 @@ class KNNImputer(Imputer):
         query = np.flatnonzero(ds.mask.any(axis=1))
         if query.size == 0:
             return out
-        train, distinct, k = self.train_, self.distinct_, self.k
+        # the missing cells, row by row
+        cell_row, cell_col = np.nonzero(ds.mask[query])
+        cell, near = np.divmod(self._shortlist(ds, query, cell_row, cell_col),
+                               len(self.distinct_))
+
+        # The exact stage, once per transform. Each shortlisted (cell,
+        # distinct row) pair's distance, with the row-by-row search's
+        # arithmetic, is that of every training row with the distinct row's
+        # bytes. The stage holds all the transform's pairs at once, so each
+        # array goes as soon as it is used up.
+        dist = _masked_distance(ds.features, self.distinct_, query[cell_row[cell]], near)
+        keep = np.isfinite(dist)
+        cell, near, dist = cell[keep], near[keep], dist[keep]
+        # group numbers the (cell, distance) values in order; its key,
+        # cell * pairs + distance rank, is below cells * pairs
+        pair_key, group = np.unique(
+            cell * cell.size + np.unique(dist, return_inverse=True)[1], return_inverse=True)
+        del keep, dist
+        # Each pair's training rows get key group * n + donor index, below
+        # pairs * n and unique per (cell, donor), so one sort puts them in
+        # (cell, distance, donor index) order. Cells, pairs and training rows
+        # each stay below 2^31.5 (3e9) in a transform that fits in memory (an
+        # int64 array that long takes 24 GB), so both keys stay below 2^63.
+        n = len(self.train_)
+        reps = self.counts_[near]
+        # copy i of pair p is training row members_[starts_[near[p]] + i]
+        key = np.repeat(self.starts_[near] - np.cumsum(reps) + reps, reps)
+        key += np.arange(key.size)
+        key = self.members_[key]
+        key += np.repeat(group * n, reps)
+        del near, group, reps
+        key.sort()
+        group, donor = np.divmod(key, n)
+        del key
+        cell = pair_key[group] // cell.size
+        # each cell averages its first k donors, grouped by how many it has
+        take = np.arange(cell.size) - np.searchsorted(cell, cell) < self.k
+        cell, donor = cell[take], donor[take]
+        count = np.bincount(cell, minlength=cell_row.size)
+        values = self.train_[donor, cell_col[cell]]
+        for c in np.unique(count[count > 0]):
+            filled = count == c
+            means = np.mean(values[filled[cell]].reshape(-1, c), axis=1)
+            out[query[cell_row[filled]], cell_col[filled]] = means
+        return out
+
+    def _shortlist(self, ds: Dataset, query: np.ndarray, cell_row: np.ndarray,
+                   cell_col: np.ndarray):
+        """The screen: the (cell, distinct row) pairs, as cell * distinct rows
+        + distinct row in increasing order, that hold every cell's k nearest
+        donors."""
+        distinct, k = self.distinct_, self.k
         m, d = distinct.shape
         t_obs = ~np.isnan(distinct)
         t_zero = np.where(t_obs, distinct, 0.0)
         # [q^2, q_obs, -2q] @ right sums q^2 + t^2 - 2qt over shared coordinates
         right = np.vstack([t_obs.T, (t_zero * t_zero).T, t_zero.T])
-        # added to a cell's bounds where the distinct row lacks the cell's
-        # feature, which makes it no donor for the cell
-        lacks_hi = np.where(t_obs.T, 0.0, np.inf)
-        lacks_lo = np.where(t_obs.T, 0.0, np.nan)
+        # where a distinct row lacks a cell's feature, it is no donor for the cell
+        observes = t_obs.T.copy()
+        lacks = ~observes
         # With u = eps / 2 and P the sum of q^2 + t^2 over the shared
         # coordinates, the product form lies within (6d + 2) u P of the exact
         # squared distance and the row-by-row sum within (2d + 4) u P. The
@@ -185,14 +241,14 @@ class KNNImputer(Imputer):
         with np.errstate(over="ignore"):
             left = np.hstack([q_zero * q_zero, q_obs, -2.0 * q_zero])
             q_slack = rel * left[:, :d].sum(axis=1)
-        # the missing cells row by row; query row i owns cells first[i]:first[i + 1]
-        cell_row, cell_col = np.nonzero(~q_obs)
+        # query row i owns cells first[i]:first[i + 1]
         n_cells = d - q_obs.sum(axis=1)
         first = np.concatenate([[0], np.cumsum(n_cells)])
         # blocks of whole rows; a row costs (1 + its missing cells) entries
         # per distinct row
         block = (np.cumsum(1 + n_cells) - 1) // max(1, _KNN_BLOCK_ENTRIES // m)
         edges = np.concatenate([[0], np.flatnonzero(np.diff(block)) + 1, [query.size]])
+        pairs = []
         for a, b in zip(edges[:-1], edges[1:]):
             # [lo, hi] holds the squared distance of each (query row, distinct
             # row) pair, scaled as the exact search scales it. lo is NaN
@@ -217,7 +273,7 @@ class KNNImputer(Imputer):
             # after sqrt(threshold), rounded up.
             r, col = cell_row[first[a]:first[b]] - a, cell_col[first[a]:first[b]]
             top = hi[r]
-            top += lacks_hi[col]
+            np.putmask(top, lacks[col], np.inf)
             if k <= m:
                 top.partition(k - 1, axis=1)
                 top = top[:, k - 1]
@@ -225,33 +281,12 @@ class KNNImputer(Imputer):
                 top = np.full(r.size, np.inf)
             with np.errstate(over="ignore"):
                 top = np.nextafter(np.square(np.nextafter(np.sqrt(top), np.inf)), np.inf)
-            near = lo[r]
-            near += lacks_lo[col]
-            cell, near = np.divmod(np.flatnonzero(near <= top[:, None]), m)
-            # each shortlisted distinct row stands for all its training rows
-            reps = self.counts_[near]
-            cell = np.repeat(cell, reps)
-            ends = np.cumsum(reps)
-            donor = self.members_[
-                np.arange(cell.size) - np.repeat(ends - reps - self.starts_[near], reps)]
-
-            # exact distances, ordered by (cell, distance, donor index); each
-            # cell averages its first k donors, grouped by how many it has
-            row = query[a + r]
-            dist = _masked_distance(ds.features[row[cell]], train[donor])
-            keep = np.isfinite(dist)
-            cell, donor, dist = cell[keep], donor[keep], dist[keep]
-            order = np.lexsort((donor, dist, cell))
-            cell, donor = cell[order], donor[order]
-            take = np.arange(cell.size) - np.searchsorted(cell, cell) < k
-            cell, donor = cell[take], donor[take]
-            count = np.bincount(cell, minlength=r.size)
-            values = train[donor, col[cell]]
-            for c in np.unique(count[count > 0]):
-                filled = count == c
-                means = np.mean(values[filled[cell]].reshape(-1, c), axis=1)
-                out[row[filled], col[filled]] = means
-        return out
+            near = lo[r] <= top[:, None]
+            near &= observes[col]
+            pairs.append(np.flatnonzero(near) + first[a] * m)
+            # the pairs wait for the exact stage; the block's intervals need not
+            del lo, hi, near
+        return np.concatenate(pairs)
 
 
 def _scale(sq: np.ndarray, d: int, used: np.ndarray) -> np.ndarray:
@@ -262,13 +297,21 @@ def _scale(sq: np.ndarray, d: int, used: np.ndarray) -> np.ndarray:
     return sq
 
 
-def _masked_distance(q: np.ndarray, t: np.ndarray) -> np.ndarray:
-    """Row-wise distance between paired rows that share an observed
-    coordinate: Euclidean over the shared coordinates, times d / (their count)."""
+def _masked_distance(q: np.ndarray, t: np.ndarray, q_rows, t_rows) -> np.ndarray:
+    """Distance between the paired rows q[q_rows[i]] and t[t_rows[i]] that
+    share an observed coordinate: Euclidean over the shared coordinates,
+    times d / (their count). Pairs go in chunks of _KNN_BLOCK_ENTRIES / 2
+    coordinates, so a chunk's temporaries take about what a screen block's
+    do."""
     d = q.shape[1]
-    both = ~np.isnan(q) & ~np.isnan(t)
-    diff = np.where(both, t - q, 0.0)
-    return np.sqrt((diff * diff).sum(axis=1) * d / both.sum(axis=1))
+    step = max(1, _KNN_BLOCK_ENTRIES // (2 * d))
+    dist = np.empty(len(q_rows))
+    for i in range(0, len(q_rows), step):
+        a, b = q[q_rows[i:i + step]], t[t_rows[i:i + step]]
+        both = ~np.isnan(a) & ~np.isnan(b)
+        diff = np.where(both, b - a, 0.0)
+        dist[i:i + step] = np.sqrt((diff * diff).sum(axis=1) * d / both.sum(axis=1))
+    return dist
 
 
 class IterativeImputer(Imputer):

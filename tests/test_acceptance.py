@@ -15,7 +15,6 @@ from fairmiss.classify import (
     Intervention,
     train_intervention,
     train_logreg,
-    uniform_mixture_rates,
 )
 from fairmiss.encode import EncodedDataset, cluster_missing_patterns, encode_indicators, encode_plain
 from fairmiss.impute import ZeroImputer
@@ -31,6 +30,7 @@ from fairmiss.metrics import (
 from fairmiss.simulate import MaskedPositives, masked_positives_table
 
 from conftest import random_dataset
+from oracles import uniform_mixture_rates
 
 
 @contextmanager

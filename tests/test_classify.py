@@ -14,13 +14,11 @@ from fairmiss.classify import (
     apply_postprocess,
     draw_bags,
     ensemble_scores,
-    mixed_rate_table,
     postprocess_eqodds,
     predict_dataset,
     train_fair_bagging,
     train_intervention,
     train_logreg,
-    uniform_mixture_rates,
 )
 from fairmiss.data import Dataset, fair_resample
 from fairmiss.encode import EncodedDataset, encode_indicators
@@ -30,6 +28,7 @@ from fairmiss.metrics import accuracy, rate_table
 from fairmiss.optim import descend, log1p_exp, make_objective, sigmoid
 
 from conftest import random_dataset
+from oracles import mixed_rate_table, uniform_mixture_rates
 
 
 def encoded(matrix, sens, labels):

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -147,6 +149,37 @@ class TestScaling:
         test = Dataset(np.array([[5.0], [20.0]]), [0, 1], [0, 1])
         out = FeatureScaler().fit(train).transform(test)
         assert np.allclose(out.features[:, 0], [0.5, 2.0])
+
+    def test_overflowing_range_errors_by_name(self):
+        # max - min overflows to inf; scaling would turn 1.5e308 into NaN,
+        # a missing cell, and every other value into 0
+        x = np.array([[0.5, 1.5e308], [1.0, -1.5e308], [2.0, 0.0], [3.0, 1.0]])
+        ds = Dataset(x, [0, 1, 0, 1], [0, 1, 1, 0], ("fine", "huge"))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValidationError, match="'huge' has a range that is not finite"):
+                FeatureScaler().fit(ds)
+
+    @pytest.mark.parametrize("b, value", [
+        ([0.0, 1e-10], 1e300), ([0.0, 1e-10], -1e300), ([0.0, 1e-10], np.inf),
+        ([5.0, 5.0], np.inf), ([5.0, 5.0], -np.inf),
+    ])
+    def test_observed_value_scaling_past_float_range_errors_by_name(self, b, value):
+        train = Dataset(np.array([[0.0, b[0]], [1.0, b[1]]]), [0, 1], [0, 1], ("a", "b"))
+        scaler = FeatureScaler().fit(train)
+        test = Dataset(np.array([[0.5, value], [np.nan, np.nan]]), [0, 1], [0, 1], ("a", "b"))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValidationError, match="'b' has an observed value"):
+                scaler.transform(test)
+
+    def test_missing_cells_and_constant_features_still_scale(self):
+        train = Dataset(np.array([[2.0, 5.0], [np.nan, 5.0], [4.0, 5.0]]), [0, 1, 0], [0, 1, 1])
+        out = scale_features(train).features
+        assert out[:, 1].tolist() == [0.0, 0.0, 0.0]
+        assert out[0, 0] == 0.0 and np.isnan(out[1, 0]) and out[2, 0] == 1.0
+        far = Dataset(np.array([[3.0, -1e308], [3.0, 1e308]]), [0, 1], [0, 1])
+        assert FeatureScaler().fit(train).transform(far).features[:, 1].tolist() == [0.0, 0.0]
 
 
 class TestSplit:

@@ -13,6 +13,7 @@ from fairmiss.impute import (
     MeanImputer,
     ZeroImputer,
     _masked_distance,
+    _scale as impute_scale,
     make_imputer,
 )
 
@@ -95,7 +96,7 @@ class TestKnn:
     def test_distance_to_self_zero_and_k_bounds(self, rng):
         train = random_dataset(rng, n=5, d=3, missing_rate=0.1)
         imp = KNNImputer(k=5).fit(train)
-        assert _masked_distance(train.features[[2]], imp.train_[[2]])[0] == 0.0
+        assert _masked_distance(train.features, imp.train_, [2], [2])[0] == 0.0
         with pytest.raises(ValidationError):
             KNNImputer(k=6).fit(train)
         with pytest.raises(ValidationError):
@@ -135,6 +136,27 @@ def assert_fill_matches_reference(imp: KNNImputer, ds: Dataset) -> None:
     want = reference_fill(imp, ds)
     assert np.array_equal(got, want)
     assert got.tobytes() == want.tobytes()  # bit for bit, signed zeros too
+
+
+def tied_cells_interleaving_distinct_rows(imp: KNNImputer, ds: Dataset) -> int:
+    """Count the missing cells whose k-th nearest donor ties, in distance,
+    training rows of several distinct rows whose indices interleave (copies
+    of row a, then of b, then of a again, in index order)."""
+    distinct_of = np.empty(len(imp.train_), int)
+    distinct_of[imp.members_] = np.repeat(np.arange(len(imp.counts_)), imp.counts_)
+    found = 0
+    for i, j in zip(*np.nonzero(ds.mask)):
+        donors = np.flatnonzero(~np.isnan(imp.train_[:, j]))
+        with np.errstate(invalid="ignore"):  # no shared coordinate: 0 / 0
+            dist = _masked_distance(ds.features, imp.train_,
+                                    np.full(donors.size, i), donors)
+        donors, dist = donors[np.isfinite(dist)], dist[np.isfinite(dist)]
+        if donors.size <= imp.k:
+            continue
+        ids = distinct_of[donors[dist == np.sort(dist)[imp.k - 1]]]
+        runs = np.count_nonzero(np.r_[True, ids[1:] != ids[:-1]])
+        found += runs > np.unique(ids).size
+    return found
 
 
 def one_hole_per_row(rng, m, d):
@@ -182,6 +204,59 @@ class TestKnnMatchesRowByRowSearch:
         queries[:5] = np.where(np.isnan(queries[:5]), np.nan, 0.0)
         assert_fill_matches_reference(
             imp, Dataset(queries, np.zeros(80, int), np.zeros(80, int)))
+        assert_fill_matches_reference(imp, bag)
+
+    def test_exact_stage_runs_once_on_the_distinct_shortlisted_pairs(
+            self, rng, monkeypatch):
+        # every training row twice, so each distinct row stands for two
+        # training rows; one hole per query row, so a (query row, distinct
+        # row) pair is one shortlisted (cell, distinct row) pair
+        monkeypatch.setattr(impute, "_KNN_BLOCK_ENTRIES", 6 * 20)
+        train = random_dataset(rng, n=20, d=4, missing_rate=0.3)
+        imp = KNNImputer(k=3).fit(train.subset(np.tile(np.arange(20), 2)))
+        assert len(imp.distinct_) == 20 and (imp.counts_ == 2).all()
+        queries = one_hole_per_row(rng, 50, 4)
+        calls = []
+
+        def spy(q, t, q_rows, t_rows):
+            calls.append((q, t, q_rows, t_rows))
+            return _masked_distance(q, t, q_rows, t_rows)
+
+        monkeypatch.setattr(impute, "_masked_distance", spy)
+        assert_fill_matches_reference(imp, queries)
+        assert len(calls) == 1
+        q, t, q_rows, t_rows = calls[0]
+        assert q is queries.features and t is imp.distinct_
+        pairs = set(zip(q_rows.tolist(), t_rows.tolist()))
+        assert len(pairs) == len(q_rows)  # no pair twice, so none expanded
+        assert imp.k * queries.n_samples <= len(pairs) < queries.n_samples * len(t)
+
+    def test_interleaved_ties_across_many_blocks(self, rng, monkeypatch):
+        # a bootstrap bag on a coarse grid: copies of one row sit at scattered
+        # indices, and different distinct rows tie in distance, so a cell's
+        # k-th donor can be decided by the index order of interleaved copies
+        x = rng.integers(-1, 2, size=(40, 4)).astype(float)
+        x[rng.random(x.shape) < 0.25] = np.nan
+        x[0] = 0.0
+        bag = Dataset(x, np.zeros(40, int), np.zeros(40, int)).subset(
+            np.r_[0, rng.integers(0, 40, size=119)])
+        imp = KNNImputer(k=4).fit(bag)
+        queries = rng.integers(-1, 2, size=(60, 4)).astype(float)
+        queries[rng.random(queries.shape) < 0.4] = np.nan
+        queries = Dataset(queries, np.zeros(60, int), np.zeros(60, int))
+        assert tied_cells_interleaving_distinct_rows(imp, queries) >= 10
+
+        # blocks of at most three query rows; _scale runs twice per block
+        monkeypatch.setattr(impute, "_KNN_BLOCK_ENTRIES", 4 * len(imp.distinct_))
+        scaled = []
+
+        def spy(sq, d, used):
+            scaled.append(sq.shape)
+            return impute_scale(sq, d, used)
+
+        monkeypatch.setattr(impute, "_scale", spy)
+        assert_fill_matches_reference(imp, queries)
+        assert len(scaled) // 2 >= 15
         assert_fill_matches_reference(imp, bag)
 
     @pytest.mark.parametrize("offset, scale", [(1e8, 1.0), (0.0, 1e-162), (1.2e154, 1e145)])

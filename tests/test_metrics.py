@@ -246,7 +246,9 @@ class TestPostprocessOracleAgreement:
         return -res.fun
 
     def test_vertex_enumeration_matches_lp(self, rng):
-        from fairmiss.classify import mixed_rate_table, postprocess_eqodds
+        from fairmiss.classify import postprocess_eqodds
+
+        from oracles import mixed_rate_table
 
         for trial in range(25):
             n = 400
