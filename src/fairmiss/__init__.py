@@ -19,7 +19,6 @@ from .classify import (
     predict_dataset,
     train_fair_bagging,
     train_intervention,
-    train_logreg,
 )
 from .data import (
     Dataset,
@@ -36,7 +35,6 @@ from .encode import (
     ClusterPartition,
     EncodedDataset,
     cluster_missing_patterns,
-    encode_affine,
     encode_indicators,
     encode_plain,
 )

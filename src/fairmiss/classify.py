@@ -19,7 +19,7 @@ from .data import Dataset, fair_resample
 from .encode import EncodedDataset, encode_indicators
 from .errors import SolverError, ValidationError
 from .impute import Imputer, make_imputer
-from .optim import OptimizerSettings, descend, make_objective, sigmoid
+from .optim import OptimizerSettings, descend, logistic, make_objective
 
 # conditioning labels whose group score gaps each penalty constraint penalizes
 PENALTY_LABELS = {"mean-equalized-odds": (0, 1), "fnr-difference": (1,)}
@@ -52,7 +52,7 @@ class LinearModel:
         # summed row by row, so a row's score does not depend on the other
         # rows scored with it; a BLAS matrix-vector product rounds each row
         # by the batch's shape
-        return sigmoid((m * self.weights).sum(axis=1) + self.bias)
+        return logistic((m * self.weights).sum(axis=1) + self.bias)[0]
 
     def predict(self, matrix: np.ndarray) -> np.ndarray:
         return (self.scores(matrix) >= self.threshold).astype(np.int64)
@@ -96,12 +96,6 @@ def _train(enc: EncodedDataset, tau: float, constraint: str,
                          PENALTY_LABELS[constraint])
     w, _, _ = descend(obj, w0, settings.tol, settings.max_iters)
     return LinearModel(w[:-1], float(w[-1]), enc.columns)
-
-
-def train_logreg(enc: EncodedDataset, settings: OptimizerSettings = None) -> LinearModel:
-    """Fit the plain L2-regularized logistic model (deterministic L-BFGS-B
-    from zero weights)."""
-    return _train(enc, 0.0, "mean-equalized-odds", settings or OptimizerSettings())
 
 
 # ---------------------------------------------------------------------------
@@ -240,8 +234,9 @@ def train_intervention(enc: EncodedDataset, interv: Intervention):
 
     The penalty is tau times the squared gap of per-group mean sigmoid scores
     within each conditioning label (both labels for mean-equalized-odds, the
-    positive label for fnr-difference), so tau = 0 reduces exactly to
-    train_logreg. eqodds fits the plain model and then its flip rates.
+    positive label for fnr-difference), so tau = 0 reduces exactly to the
+    plain model of ``Intervention("none")``. eqodds fits the plain model and
+    then its flip rates.
     """
     if interv.kind == "eqodds":
         return TrainingSet(enc).train(interv)

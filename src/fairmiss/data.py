@@ -8,6 +8,7 @@ after construction (arrays are marked read-only) so they can be shared freely.
 from __future__ import annotations
 
 import csv
+import itertools
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -131,15 +132,30 @@ def _check_schema(header, schema) -> None:
         raise SchemaError("schema must name at least one feature column")
 
 
+# rows converted per columnar pass: bounds the tokens held at once
+_CHUNK_ROWS = 512
+# the missing-cell tokens, each mapped to a token float reads as NaN
+_MISSING = {"NA": "nan", "": "nan"}
+_LABELS = {"0": 0, "1": 1}
+
+
 def load_csv(path, schema: dict, sensitive_values=None) -> Dataset:
     """Load a header-ed CSV into a Dataset.
 
     ``schema`` maps column name -> role in {feature, sensitive, label, ignore}.
     Missing feature cells are the literal ``NA`` or the empty string; any other
     non-numeric or non-finite (``nan``, ``inf``) feature token is a parse
-    error. ``sensitive_values`` optionally fixes the group-id encoding: value
-    -> its index in the list. Without it, integer-valued sensitive columns are
-    used as-is and other columns are encoded by sorted distinct value.
+    error. Tokens are stripped of surrounding whitespace, and a feature token
+    is read as Python's ``float`` reads it. Blank lines are skipped, but still
+    count in the row numbers of error messages. ``sensitive_values``
+    optionally fixes the group-id encoding: value -> its index in the list.
+    Without it, integer-valued sensitive columns are used as-is and other
+    columns are encoded by sorted distinct value.
+
+    Rows are read in chunks of ``_CHUNK_ROWS`` and each column of a chunk is
+    converted and checked in one pass. The error raised is that of the first
+    faulty row; within a row the checks go column count, feature columns
+    from left to right, label, then sensitive value.
     """
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
@@ -154,41 +170,30 @@ def load_csv(path, schema: dict, sensitive_values=None) -> Dataset:
         label_col = next(i for i, c in enumerate(header) if schema[c] == "label")
         feat_names = tuple(header[i] for i in feat_cols)
 
-        rows, sens_raw, labels = [], [], []
-        for line_no, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != len(header):
-                raise CsvParseError(
-                    f"row {line_no}: expected {len(header)} columns, got {len(row)}"
-                )
-            vals = []
-            for i in feat_cols:
-                tok = row[i].strip()
-                if tok in ("NA", ""):
-                    vals.append(math.nan)
-                    continue
-                try:
-                    v = float(tok)
-                except ValueError:
-                    v = math.nan  # reported below, as are nan and inf
-                if not math.isfinite(v):
-                    raise CsvParseError(
-                        f"row {line_no}, column {header[i]!r}: "
-                        f"cannot parse {tok!r} as a finite number"
-                    )
-                vals.append(v)
-            lab = row[label_col].strip()
-            if lab not in ("0", "1"):
-                raise SchemaError(
-                    f"row {line_no}: label must be 0 or 1, got {lab!r}"
-                )
-            stok = row[sens_col].strip()
-            if stok in ("NA", ""):
-                raise SchemaError(f"row {line_no}: sensitive value missing")
-            rows.append(vals)
-            sens_raw.append(stok)
-            labels.append(int(lab))
+        blocks, sens_raw = [np.empty((0, len(feat_cols)))], []
+        labels = [np.empty(0, np.int64)]
+        row_no = 2
+        while True:
+            rows, error = [], None
+            try:
+                rows.extend(itertools.islice(reader, _CHUNK_ROWS))
+            except csv.Error as exc:  # e.g. an oversized field; raised
+                error = exc           # once the rows before it are checked
+            if not rows and error is None:
+                break
+            numbers = range(row_no, row_no + len(rows))
+            row_no += len(rows)
+            if not all(rows):
+                numbers = [no for no, row in zip(numbers, rows) if row]
+                rows = [row for row in rows if row]
+            block, sens, labs = _parse_rows(
+                rows, numbers, header, feat_cols, label_col, sens_col
+            )
+            blocks.append(block)
+            sens_raw.extend(sens)
+            labels.append(labs)
+            if error is not None:
+                raise error
 
     if sensitive_values is not None:
         mapping = {str(v): i for i, v in enumerate(sensitive_values)}
@@ -198,13 +203,69 @@ def load_csv(path, schema: dict, sensitive_values=None) -> Dataset:
             raise SchemaError(f"unknown sensitive value {exc.args[0]!r}") from None
     else:
         try:
-            sens = [int(v) for v in sens_raw]
+            sens = list(map(int, sens_raw))
         except ValueError:
             mapping = {v: i for i, v in enumerate(sorted(set(sens_raw)))}
             sens = [mapping[v] for v in sens_raw]
 
-    features = np.array(rows, dtype=np.float64).reshape(len(rows), len(feat_cols))
-    return Dataset(features, sens, labels, feat_names)
+    return Dataset(np.concatenate(blocks), sens, np.concatenate(labels), feat_names)
+
+
+def _parse_rows(rows, numbers, header, feat_cols, label_col, sens_col):
+    """(features, stripped sensitive tokens, labels) of non-blank CSV rows;
+    ``numbers[i]`` is row i's number in error messages."""
+    lengths = np.fromiter(map(len, rows), np.intp, len(rows))
+    wrong = np.flatnonzero(lengths != len(header))
+    n = int(wrong[0]) if wrong.size else len(rows)
+    columns = list(zip(*rows[:n])) or [()] * len(header)
+
+    # one flag per check, in the order a row is checked
+    bad = np.zeros((n, len(feat_cols) + 2), dtype=bool)
+    features = np.empty((n, len(feat_cols)))
+    for k, i in enumerate(feat_cols):
+        col = columns[i]
+        # float skips a subset of the whitespace that str.strip removes: a
+        # token it reads unstripped has the stripped token's value, and one it
+        # rejects goes to _float_or_nan, which strips first
+        try:
+            vals = np.fromiter(map(float, map(_MISSING.get, col, col)),
+                               np.float64, n)
+        except ValueError:  # a padded NA, or a token float rejects
+            vals = np.fromiter(map(_float_or_nan, col), np.float64, n)
+        odd = np.flatnonzero(~np.isfinite(vals))
+        bad[odd, k] = [col[r].strip() not in _MISSING for r in odd]
+        features[:, k] = vals
+    labs = list(map(str.strip, columns[label_col]))
+    labels = np.fromiter(map(_LABELS.get, labs, itertools.repeat(-1)), np.int64, n)
+    bad[:, -2] = labels < 0
+    sens = list(map(str.strip, columns[sens_col]))
+    bad[:, -1] = np.fromiter(map(_MISSING.__contains__, sens), bool, n)
+
+    if bad.any():
+        # row-major, so the first flag is the first faulty row's first check
+        r, c = divmod(int(np.argmax(bad)), bad.shape[1])
+        if c < len(feat_cols):
+            raise CsvParseError(
+                f"row {numbers[r]}, column {header[feat_cols[c]]!r}: "
+                f"cannot parse {columns[feat_cols[c]][r].strip()!r} as a finite number"
+            )
+        if c == len(feat_cols):
+            raise SchemaError(f"row {numbers[r]}: label must be 0 or 1, got {labs[r]!r}")
+        raise SchemaError(f"row {numbers[r]}: sensitive value missing")
+    if n < len(rows):
+        raise CsvParseError(
+            f"row {numbers[n]}: expected {len(header)} columns, got {lengths[n]}"
+        )
+    return features, sens, labels
+
+
+def _float_or_nan(tok: str) -> float:
+    """The stripped token as a float; NaN where it is missing or float
+    rejects it."""
+    try:
+        return float(tok.strip())
+    except ValueError:
+        return math.nan
 
 
 def write_csv(ds: Dataset, path, sensitive_name="sensitive", label_name="label") -> None:

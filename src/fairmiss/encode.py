@@ -15,7 +15,7 @@ import numpy as np
 from .data import Dataset
 from .errors import NotFittedError, ValidationError
 from .impute import Imputer, ZeroImputer
-from .optim import OptimizerSettings, descend, log1p_exp, make_objective
+from .optim import OptimizerSettings, descend, logistic, make_objective
 
 
 @dataclass(frozen=True)
@@ -120,11 +120,6 @@ class AffineEncoder:
         return EncodedDataset(
             matrix, ds.sensitive, ds.labels, base.columns + tuple(cross_tags)
         )
-
-
-def encode_affine(ds: Dataset) -> EncodedDataset:
-    """Fit the cross-term column set on ``ds`` itself and transform it."""
-    return AffineEncoder().fit(ds).transform(ds)
 
 
 def encode_plain(ds: Dataset, imputer: Imputer = None) -> EncodedDataset:
@@ -310,7 +305,7 @@ def cluster_missing_patterns(
             if val_rows.size == 0:
                 return 0.0
             z = x[val_rows] @ w[:-1] + w[-1]
-            return float(np.sum(log1p_exp(z) - y[val_rows] * z))
+            return float(np.sum(logistic(z)[1] - y[val_rows] * z))
         return mean_loss * n
 
     part = ClusterPartition(dimension=train.dimension)

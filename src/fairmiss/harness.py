@@ -202,20 +202,6 @@ def _read_missingness(items: dict) -> simulate.MissingnessSpec:
         raise ConfigError(str(exc)) from None
 
 
-def missingness_to_config(spec: simulate.MissingnessSpec) -> str:
-    """Render a MissingnessSpec as its config-file section."""
-    lines = ["[missingness]", f"mechanism = {spec.mechanism}"]
-    for i, e in enumerate(spec.entries, start=1):
-        if e.indicator is None:
-            ind = "none"
-        elif e.threshold is not None:
-            ind = f"{e.indicator}<{_fmt(e.threshold)}"
-        else:
-            ind = e.indicator
-        lines.append(f"entry{i} = {e.target}, {ind}, {_fmt(e.p0)}, {_fmt(e.p1)}")
-    return "\n".join(lines) + "\n"
-
-
 def load_config(path) -> ExperimentConfig:
     """Read and validate an experiment config. A ``;`` after whitespace
     starts a comment, also after a value."""

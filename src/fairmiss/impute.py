@@ -5,7 +5,9 @@ transform any dataset of the same dimension into one with no missing cells.
 Observed cells pass through untouched; transforms are deterministic. A row
 is filled from that row and the fitted state alone, so the transform of a
 subset of rows equals those rows of the whole transform, bit for bit (fair
-bagging relies on this to encode a training split once per bag).
+bagging relies on this to encode a training split once per bag). Observed
+values must be finite: ``fit`` and ``transform`` raise ``ValidationError``
+naming the first feature that holds an infinite value.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ import warnings
 
 import numpy as np
 
-from .data import Dataset
+from .data import Dataset, _reject_features
 from .errors import NotFittedError, ValidationError
 
 
@@ -28,6 +30,7 @@ class Imputer:
         self._width = None  # feature count of the fitted data; None before fit
 
     def fit(self, train: Dataset) -> "Imputer":
+        _reject_infinite(train)
         self._fit(train)
         self._width = train.dimension
         self._fitted = True
@@ -41,6 +44,7 @@ class Imputer:
                 f"{self.name} imputer was fitted on {self._width} features, "
                 f"got {ds.dimension}"
             )
+        _reject_infinite(ds)
         mask = ds.mask
         if not mask.any():
             return ds
@@ -54,6 +58,11 @@ class Imputer:
 
     def _fill(self, ds: Dataset) -> np.ndarray:
         raise NotImplementedError
+
+
+def _reject_infinite(ds: Dataset) -> None:
+    _reject_features(np.isinf(ds.features).any(axis=0), ds,
+                     "has an infinite observed value")
 
 
 def _require_observed(train: Dataset) -> None:

@@ -1,11 +1,15 @@
 """The logistic training objective and the L-BFGS-B solver that minimizes it.
 
 One objective and one solver serve the plain trainer, the penalty trainer,
-and the cluster-split loss. The solver is scipy's L-BFGS-B without bounds,
-started from the caller's point (zero everywhere in this package), so a fit
-is a deterministic function of its data. It stops when the max-norm of the
-projected gradient drops to ``tol`` or at the iteration cap; stopping short
-of ``tol`` logs a WARNING on the ``fairmiss`` logger.
+and the cluster-split loss. An evaluation of the objective takes one
+exponential per row: ``logistic`` derives both the sigmoid and the softplus
+log(1 + exp(z)) from e = exp(-|z|), branch-free. Its sigmoid, 1/(1 + e) for
+z >= 0 and e/(1 + e) below, has the bits of the usual two-exponential form,
+so fits do not depend on which form ran. The solver is scipy's L-BFGS-B
+without bounds, started from the caller's point (zero everywhere in this
+package), so a fit is a deterministic function of its data. It stops when
+the max-norm of the projected gradient drops to ``tol`` or at the iteration
+cap; stopping short of ``tol`` logs a WARNING on the ``fairmiss`` logger.
 """
 
 from __future__ import annotations
@@ -35,18 +39,13 @@ class OptimizerSettings:
     max_iters: int = 5000
 
 
-def sigmoid(z: np.ndarray) -> np.ndarray:
-    out = np.empty_like(z, dtype=np.float64)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
-
-
-def log1p_exp(z: np.ndarray) -> np.ndarray:
-    """log(1 + exp(z)) without overflow."""
-    return np.where(z > 0, z, 0.0) + np.log1p(np.exp(-np.abs(z)))
+def logistic(z: np.ndarray):
+    """(sigmoid(z), log(1 + exp(z))) elementwise, both from the one
+    exponential exp(-|z|), so neither overflows."""
+    e = np.exp(-np.abs(z))
+    p = np.where(z >= 0, 1.0, e)
+    p /= 1.0 + e
+    return p, np.maximum(z, 0.0) + np.log1p(e)
 
 
 def _contrast(cells, labels, n: int) -> np.ndarray:
@@ -93,8 +92,8 @@ def make_objective(x, y, lam: float, tau: float = 0.0, cells=(), labels=(0, 1)):
 
     def value_and_grad(w_aug):
         z = x_aug @ w_aug
-        p = sigmoid(z)
-        loss = float(np.mean(log1p_exp(z) - y * z))
+        p, softplus = logistic(z)
+        loss = float((softplus - y * z).sum()) / n  # np.mean's bits, less overhead
         reg = w_aug.copy()
         reg[-1] = 0.0
         loss += 0.5 * lam * float(reg @ reg)

@@ -14,7 +14,6 @@ from fairmiss.classify import (
     PENALTY_LABELS,
     Intervention,
     train_intervention,
-    train_logreg,
 )
 from fairmiss.encode import EncodedDataset, cluster_missing_patterns, encode_indicators, encode_plain
 from fairmiss.impute import ZeroImputer
@@ -30,7 +29,7 @@ from fairmiss.metrics import (
 from fairmiss.simulate import MaskedPositives, masked_positives_table
 
 from conftest import random_dataset
-from oracles import uniform_mixture_rates
+from oracles import train_logreg, uniform_mixture_rates
 
 
 @contextmanager

@@ -18,17 +18,23 @@ from fairmiss.classify import (
     predict_dataset,
     train_fair_bagging,
     train_intervention,
-    train_logreg,
 )
 from fairmiss.data import Dataset, fair_resample
 from fairmiss.encode import EncodedDataset, encode_indicators
 from fairmiss.errors import ValidationError
 from fairmiss.impute import make_imputer
 from fairmiss.metrics import accuracy, rate_table
-from fairmiss.optim import descend, log1p_exp, make_objective, sigmoid
+from fairmiss.optim import descend, logistic, make_objective
 
 from conftest import random_dataset
-from oracles import mixed_rate_table, uniform_mixture_rates
+from oracles import (
+    log1p_exp,
+    mixed_rate_table,
+    reference_objective,
+    sigmoid,
+    train_logreg,
+    uniform_mixture_rates,
+)
 
 
 def encoded(matrix, sens, labels):
@@ -175,6 +181,48 @@ class TestGradients:
                 enc.matrix, enc.labels.astype(float), 1e-3, 4.0, enc.cells(), labels, w)
             assert abs(value - ref_value) <= 1e-10 * abs(ref_value)
             assert np.linalg.norm(grad - ref_grad) <= 1e-10 * np.linalg.norm(ref_grad)
+
+
+# exp(-|z|) underflows past 745.13 and exp(z) overflows past 709.78
+EXTREMES = [0.0, -0.0, 709.7, -709.7, 745.2, -745.2, 1e308, -1e308,
+            5e-324, -5e-324, 2.2e-308, np.inf, -np.inf]
+
+
+@given(hnp.arrays(np.float64, st.integers(0, 40),
+                  elements=st.floats(allow_nan=False) | st.sampled_from(EXTREMES)))
+def test_logistic_has_the_bits_of_the_two_exponential_forms(z):
+    p, softplus = logistic(z)
+    assert p.tobytes() == sigmoid(z).tobytes()
+    assert softplus.tobytes() == log1p_exp(z).tobytes()
+
+
+@st.composite
+def objective_case(draw):
+    """Encoded data whose every (group, label) cell is non-empty, a weight
+    vector that may put scores far past exp's range, and a penalty."""
+    groups = draw(st.integers(2, 3))
+    cells = [(s, y) for s in range(groups) for y in (0, 1)]
+    cells += draw(st.lists(st.tuples(st.integers(0, groups - 1), st.integers(0, 1)),
+                           max_size=40))
+    sens, labels = zip(*cells)
+    d = draw(st.integers(1, 12))
+    matrix = draw(hnp.arrays(np.float64, (len(cells), d), elements=st.floats(-10, 10)))
+    weights = draw(hnp.arrays(np.float64, d + 1, elements=st.floats(-200, 200)
+                              | st.sampled_from([0.0, -0.0, 70.97, -74.52, 1e-300])))
+    tau = draw(st.sampled_from([0.0, 1e-3, 2.5, 1e3]))
+    constraint = draw(st.sampled_from(sorted(PENALTY_LABELS)))
+    lam = draw(st.sampled_from([0.0, 1e-4, 1.0]))
+    return encoded(matrix, sens, labels), weights, lam, tau, constraint
+
+
+@given(objective_case())
+def test_objective_has_the_bits_of_the_two_exponential_objective(case):
+    enc, w, lam, tau, constraint = case
+    args = (enc.matrix, enc.labels, lam, tau, enc.cells(), PENALTY_LABELS[constraint])
+    value, grad = make_objective(*args)(w)
+    ref_value, ref_grad = reference_objective(*args)(w)
+    assert np.float64(value).tobytes() == np.float64(ref_value).tobytes()
+    assert grad.tobytes() == ref_grad.tobytes()
 
 
 class TestPenalty:

@@ -1,8 +1,14 @@
+import csv
+import tempfile
 import warnings
+from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
+from fairmiss import data
 from fairmiss.data import (
     Dataset,
     FeatureScaler,
@@ -16,6 +22,7 @@ from fairmiss.data import (
 from fairmiss.errors import CsvParseError, SchemaError, ValidationError
 
 from conftest import random_dataset
+from oracles import load_csv_rows
 
 
 def write(tmp_path, name, text):
@@ -114,6 +121,133 @@ class TestLoadCsv:
         assert np.array_equal(back.mask, ds.mask)
         assert np.allclose(back.features, ds.features, equal_nan=True)
         assert np.array_equal(back.labels, ds.labels)
+
+
+# tokens float reads as finite numbers, as written by hand or by programs
+NUMBERS = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+    st.floats(-1e6, 1e6).map(lambda v: f"{v:.4e}"),
+    st.integers(-10**6, 10**6).map(str),
+    st.tuples(st.integers(1, 99), st.integers(0, 999)).map(lambda t: f"{t[0]}_{t[1]}"),
+    st.sampled_from([".5", "5.", "+3", "-0", "1E5", "-1e-320", "1e308", "0.0"]),
+)
+FEATURES = NUMBERS | st.sampled_from(["NA", ""])
+GROUPS = st.sampled_from([("0", "1", "2"), ("7", "-1"), ("a", "b", "c"), ("x", "10", " y ")])
+# one token per fault, keyed by the column role it breaks
+FAULTS = {
+    "feature": st.sampled_from(["nan", "NaN", "inf", "-Infinity", "1e999", "huh", "0x10",
+                                "1__0", "1,5", "N A"]),
+    "label": st.sampled_from(["2", "", "NA", "-1", "01", "1.0", "yes"]),
+    "sensitive": st.sampled_from(["NA", "", "  "]),
+}
+
+
+PADS = [("", ""), (" ", ""), ("", " "), ("  ", "\t"), ("\t", " ")]
+
+
+def _pad(tok):
+    return st.sampled_from(PADS).map(lambda p: p[0] + tok + p[1])
+
+
+def _cell(tok):
+    """A padded token, bare or in quotes."""
+    quoted = '"' + tok.replace('"', '""') + '"'
+    if any(c in tok for c in ',"\n\r'):
+        return st.just(quoted)
+    return st.sampled_from([tok, quoted])
+
+
+@st.composite
+def csv_case(draw, faults=0):
+    """(CSV text, schema, sensitive_values or None, chunk size) with at least
+    ``faults`` faulty rows. Rows may be blank, and an ignored column holds
+    anything."""
+    k = draw(st.integers(1, 4))
+    roles = ["feature"] * k + ["sensitive", "label"] + draw(st.sampled_from([[], ["ignore"]]))
+    order = draw(st.permutations(range(len(roles))))
+    names = [f"c{i}" for i in range(len(roles))]
+    schema = {names[i]: roles[j] for i, j in enumerate(order)}
+    groups = draw(GROUPS)
+    n = draw(st.integers(faults, 12))
+    rows = []
+    for _ in range(n):
+        row = []
+        for name in names:
+            role = schema[name]
+            if role == "feature":
+                tok = draw(FEATURES)
+            elif role == "sensitive":
+                tok = draw(st.sampled_from(groups))
+            elif role == "label":
+                tok = draw(st.sampled_from(["0", "1"]))
+            else:
+                # no NUL: the csv module rejects it before Python 3.11
+                tok = draw(st.text(max_size=3).filter(lambda t: "\x00" not in t))
+            row.append(draw(_pad(tok)) if role != "ignore" else tok)
+        rows.append(row)
+    for r in draw(st.lists(st.integers(0, max(n - 1, 0)), min_size=faults,
+                           max_size=faults, unique=True)) if n else []:
+        kind = draw(st.sampled_from(["feature", "label", "sensitive", "width"]))
+        if kind == "width":
+            if draw(st.booleans()) and len(rows[r]) > 1:
+                rows[r].pop()
+            else:
+                rows[r].append("1")
+        else:
+            col = draw(st.sampled_from([c for c, name in enumerate(names) if schema[name] == kind]))
+            rows[r][col] = draw(_pad(draw(FAULTS[kind])))
+    lines = [",".join(draw(_cell(t)) for t in row) for row in rows]
+    for _ in range(draw(st.integers(0, 3))):
+        lines.insert(draw(st.integers(0, len(lines))), "")
+    text = ",".join(names) + "\n" + "\n".join(lines) + draw(st.sampled_from(["", "\n"]))
+    declared = draw(st.sampled_from([None, [g.strip() for g in groups]]))
+    return text, schema, declared, draw(st.sampled_from([1, 2, 3, 7, 512]))
+
+
+def _load_both(case):
+    """Each loader's Dataset, or its exception as (type, message)."""
+    text, schema, declared, chunk = case
+    out = []
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "d.csv"
+        path.write_text(text)
+        for load in (load_csv, load_csv_rows):
+            try:
+                with mock.patch.object(data, "_CHUNK_ROWS", chunk):
+                    out.append(load(path, schema, declared))
+            except Exception as exc:  # compared below, type and message
+                out.append((type(exc), str(exc)))
+    return out
+
+
+@given(csv_case())
+def test_columnar_load_has_the_bits_of_the_row_by_row_load(case):
+    new, old = _load_both(case)
+    assert new.features.tobytes() == old.features.tobytes()
+    assert new.features.shape == old.features.shape
+    assert new.sensitive.tobytes() == old.sensitive.tobytes()
+    assert new.labels.tobytes() == old.labels.tobytes()
+    assert new.feature_names == old.feature_names
+
+
+@given(csv_case(faults=3))
+def test_first_faulty_row_raises_as_in_the_row_by_row_load(case):
+    new, old = _load_both(case)
+    assert isinstance(old, tuple) and new == old
+
+
+@pytest.mark.parametrize("chunk", [1, 2, 512])
+@pytest.mark.parametrize("before", ["1,2,0,0", "1,2,0,5"])
+def test_reader_error_raises_after_the_rows_before_it(tmp_path, chunk, before, monkeypatch):
+    huge = "9" * (csv.field_size_limit() + 1)
+    p = write(tmp_path, "d.csv", f"a,b,s,y\n1,2,0,1\n{before}\n{huge},2,0,0\n")
+    monkeypatch.setattr(data, "_CHUNK_ROWS", chunk)
+    errors = []
+    for load in (load_csv, load_csv_rows):
+        with pytest.raises((csv.Error, SchemaError)) as info:
+            load(p, SCHEMA)
+        errors.append((info.type, str(info.value)))
+    assert errors[0] == errors[1]
 
 
 class TestScaling:

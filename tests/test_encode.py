@@ -6,7 +6,6 @@ from fairmiss.encode import (
     AffineEncoder,
     ClusterPartition,
     cluster_missing_patterns,
-    encode_affine,
     encode_indicators,
 )
 from fairmiss.errors import ValidationError
@@ -14,6 +13,7 @@ from fairmiss.metrics import conditional_entropy, entropy
 from fairmiss.simulate import gen_synthetic
 
 from conftest import random_dataset
+from oracles import encode_affine
 
 
 def ds_from(matrix, sens=None, labels=None):

@@ -149,7 +149,7 @@ class TestConfig:
         )
 
     def test_missingness_config_roundtrip(self, tmp_path):
-        from fairmiss.harness import missingness_to_config
+        from oracles import missingness_to_config
 
         body = BASIC.format(out=tmp_path) + (
             "\n[missingness]\nmechanism = mnar\n"

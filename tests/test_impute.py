@@ -413,6 +413,16 @@ def test_width_mismatch_is_a_validation_error(spec, rng):
         imp.transform(wider)
 
 
+@pytest.mark.parametrize("spec", ["zero", "mean", "knn:2", "iterative:4:0.01"])
+def test_infinite_observed_value_is_a_validation_error(spec):
+    ds = ds_from([[np.inf, 1], [0, 2], [1, np.nan], [2, 3]], names=("a", "b"))
+    with pytest.raises(ValidationError, match="feature 'a' has an infinite"):
+        make_imputer(spec).fit(ds)
+    imp = make_imputer(spec).fit(ds_from([[0, 1], [1, 2], [2, 3]], names=("a", "b")))
+    with pytest.raises(ValidationError, match="feature 'a' has an infinite"):
+        imp.transform(ds)
+
+
 @st.composite
 def fit_and_target(draw, bootstrap=False):
     """A training set, a target and k; with ``bootstrap`` the training set is
