@@ -155,14 +155,18 @@ def load_csv(path, schema: dict, sensitive_values=None) -> Dataset:
     Rows are read in chunks of ``_CHUNK_ROWS`` and each column of a chunk is
     converted and checked in one pass. The error raised is that of the first
     faulty row; within a row the checks go column count, feature columns
-    from left to right, label, then sensitive value.
+    from left to right, label, then sensitive value. A row the reader cannot
+    read (a byte that is not UTF-8 text, or a field over ``csv``'s field
+    size limit) raises ``CsvParseError`` naming the file and the row.
     """
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
+    with open(path, newline="", encoding="utf-8", errors="surrogateescape") as fh:
+        reader = csv.reader(_utf8_lines(fh))
         try:
             header = next(reader)
         except StopIteration:
             raise CsvParseError(f"{path}: empty file, header row required") from None
+        except csv.Error as exc:
+            raise CsvParseError(f"{path}: row 1: {exc}") from None
         header = [h.strip() for h in header]
         _check_schema(header, schema)
         feat_cols = [i for i, c in enumerate(header) if schema[c] == "feature"]
@@ -177,8 +181,9 @@ def load_csv(path, schema: dict, sensitive_values=None) -> Dataset:
             rows, error = [], None
             try:
                 rows.extend(itertools.islice(reader, _CHUNK_ROWS))
-            except csv.Error as exc:  # e.g. an oversized field; raised
-                error = exc           # once the rows before it are checked
+            except csv.Error as exc:  # an oversized field or a byte that is
+                error = exc           # not UTF-8; raised once the rows before
+                                      # it are checked
             if not rows and error is None:
                 break
             numbers = range(row_no, row_no + len(rows))
@@ -193,7 +198,7 @@ def load_csv(path, schema: dict, sensitive_values=None) -> Dataset:
             sens_raw.extend(sens)
             labels.append(labs)
             if error is not None:
-                raise error
+                raise CsvParseError(f"{path}: row {row_no}: {error}") from None
 
     if sensitive_values is not None:
         mapping = {str(v): i for i, v in enumerate(sensitive_values)}
@@ -209,6 +214,17 @@ def load_csv(path, schema: dict, sensitive_values=None) -> Dataset:
             sens = [mapping[v] for v in sens_raw]
 
     return Dataset(np.concatenate(blocks), sens, np.concatenate(labels), feat_names)
+
+
+def _utf8_lines(fh):
+    """The lines of a file read with ``errors="surrogateescape"``; raises
+    ``csv.Error`` naming the first byte that is not UTF-8 text."""
+    for line in fh:
+        if not line.isascii():
+            bad = [c for c in line if "\udc80" <= c <= "\udcff"]
+            if bad:
+                raise csv.Error(f"byte 0x{ord(bad[0]) - 0xdc00:02x} is not UTF-8 text")
+        yield line
 
 
 def _parse_rows(rows, numbers, header, feat_cols, label_col, sens_col):

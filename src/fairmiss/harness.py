@@ -244,7 +244,8 @@ def validate_config(cfg: ExperimentConfig) -> None:
         raise ConfigError(f"bags must be >= 1, got {m.bags}")
     if not 0.0 <= m.val_fraction < 1.0:
         raise ConfigError(f"val_fraction must lie in [0, 1), got {m.val_fraction}")
-    # the 1/|S| bound between them needs the data: cluster_missing_patterns checks it
+    # the 1/|S| bound between them needs the data: run_experiment checks
+    # alpha, and cluster_missing_patterns both
     if not 0.0 <= m.beta <= m.alpha <= 1.0:
         raise ConfigError(f"need 0 <= beta <= alpha <= 1, got alpha={m.alpha}, beta={m.beta}")
     try:
@@ -547,6 +548,14 @@ def run_experiment(cfg: ExperimentConfig) -> RunResult:
         return result
 
     ds = source
+    # a training split has at most the data's groups, so every grid point
+    # would fail; beta <= 1/|S| may still hold for a split with fewer groups
+    n_groups = len(ds.group_set)
+    if cfg.method.name == "clustering" and n_groups and cfg.method.alpha < 1.0 / n_groups:
+        raise ConfigError(
+            f"clustering needs alpha >= 1/|S| = 1/{n_groups} for the data's "
+            f"groups, got alpha={cfg.method.alpha}"
+        )
     if cfg.data.balance:
         ds = data.balance_cells(ds, cfg.sweep.seed)
 

@@ -12,12 +12,15 @@ naming the first feature that holds an infinite value.
 
 from __future__ import annotations
 
+import logging
 import warnings
 
 import numpy as np
 
 from .data import Dataset, _reject_features
 from .errors import NotFittedError, ValidationError
+
+log = logging.getLogger("fairmiss")
 
 
 class Imputer:
@@ -100,11 +103,12 @@ class MeanImputer(Imputer):
 
 # Entries in one block of KNNImputer's screen: a block of query rows counts
 # (its rows + its missing cells) x distinct training rows, and the screen
-# holds about two float64 arrays of that many entries at once. A block only
-# screens, so larger blocks save a fixed number of numpy calls per block but
-# leave the cache. The exact stage's distances go in chunks of half as many
-# (pair, coordinate) entries.
-_KNN_BLOCK_ENTRIES = 1 << 15
+# holds about two float32 arrays of that many entries at once (256 KB each).
+# A block only screens, so larger blocks save a fixed number of numpy calls
+# per block but leave the cache. The exact stage's float64 distances go in
+# chunks of a quarter as many (pair, coordinate) entries, the same bytes as
+# half a block.
+_KNN_BLOCK_ENTRIES = 1 << 16
 
 
 class KNNImputer(Imputer):
@@ -118,15 +122,19 @@ class KNNImputer(Imputer):
 
     The search screens blocks of query rows against the byte-distinct
     training rows: a bootstrap bag repeats about a third of its rows, and
-    a row with several missing cells is screened once. One matrix product
-    per block gives every masked squared distance, and an explicit
-    floating-point rounding bound widens each into an interval that holds
-    the exact one. A missing cell keeps the distinct rows observing its
+    a row with several missing cells is screened once. The screen runs in
+    float32, on half the bytes of float64. One matrix product per block
+    gives every masked squared distance, and an explicit rounding bound,
+    which covers the float32 inputs, the product form and the float64
+    search's own rounding, widens each into an interval that holds the
+    exact search's. A missing cell keeps the distinct rows observing its
     feature whose lower end does not exceed the k-th smallest upper end
     among them. Over distinct rows that threshold is no tighter than over
     all training rows, so the shortlist holds all k nearest donors, ties
-    included. Each block holds at most about ``_KNN_BLOCK_ENTRIES`` entries
-    of (query rows + missing cells) x distinct rows, or one query row where
+    included. Where the values are too large for float32, the screen keeps
+    every distinct row sharing a coordinate with the query row instead.
+    Each block holds at most about ``_KNN_BLOCK_ENTRIES`` float32 entries of
+    (query rows + missing cells) x distinct rows, or one query row where
     that row alone needs more, and does nothing but screen.
 
     One exact stage then takes every block's shortlist at once. It computes
@@ -173,6 +181,8 @@ class KNNImputer(Imputer):
         cell_row, cell_col = np.nonzero(ds.mask[query])
         cell, near = np.divmod(self._shortlist(ds, query, cell_row, cell_col),
                                len(self.distinct_))
+        log.debug("knn transform: %d query rows, %d cells, %.2f shortlisted "
+                  "pairs per cell", query.size, cell_row.size, cell.size / cell_row.size)
 
         # The exact stage, once per transform. Each shortlisted (cell,
         # distinct row) pair's distance, with the row-by-row search's
@@ -224,32 +234,54 @@ class KNNImputer(Imputer):
         m, d = distinct.shape
         t_obs = ~np.isnan(distinct)
         t_zero = np.where(t_obs, distinct, 0.0)
-        # [q^2, q_obs, -2q] @ right sums q^2 + t^2 - 2qt over shared coordinates
-        right = np.vstack([t_obs.T, (t_zero * t_zero).T, t_zero.T])
+        q_obs = ~ds.mask[query]
+        q_zero = np.where(q_obs, ds.features[query], 0.0)
         # where a distinct row lacks a cell's feature, it is no donor for the cell
         observes = t_obs.T.copy()
         lacks = ~observes
-        # With u = eps / 2 and P the sum of q^2 + t^2 over the shared
-        # coordinates, the product form lies within (6d + 2) u P of the exact
-        # squared distance and the row-by-row sum within (2d + 4) u P. The
-        # slack is twice that, on |q|^2 + |t|^2 >= P, which also covers
-        # rounding s +- slack; tiny covers underflow. Rounding is monotone,
-        # so scaling s +- slack as the exact search does bounds its distance.
-        rel = 8.0 * (d + 1) * np.finfo(np.float64).eps
-        # The product form's partial sums stay below 4 d max|value|^2; where
-        # that could overflow, an infinite slack shortlists every donor.
-        big = max(np.abs(t_zero).max(initial=0.0),
-                  np.abs(np.nan_to_num(ds.features)).max(initial=0.0))
-        if big < np.sqrt(np.finfo(np.float64).max / (4 * d)):
-            t_slack = rel * right[d:2 * d].sum(axis=0) + np.finfo(np.float64).tiny
+        # The bound. Take u = eps32 / 2, and eta = the smallest normal float32,
+        # which bounds the error of one float32 rounding below the normal
+        # range, gradual or flushed to zero. For a pair sharing coordinates S,
+        # E = sum over S of (t - q)^2 and P = sum over S of q^2 + t^2 on the
+        # float64 inputs (E <= 2P). With d < 2^20, gamma(3d) = 3du / (1 - 3du)
+        # <= 3.7du. The screen's s lies within these of E:
+        # - 4.01 u P + 3d eta from rounding q and t to float32, subnormal
+        #   inputs included;
+        # - 1.01 u P + 2d eta from rounding q^2 and t^2 (P32 <= (1 + 2.01u) P);
+        # - gamma(3d) (2 + u) P32 + 6.5d eta <= 7.41 d u P + 6.5d eta from
+        #   summing the 3d products of [q^2, q_obs, -2q] and [t_obs, t^2, t]
+        #   in any order, with or without FMA, where each of the 6d
+        #   operations may underflow once.
+        # The float64 search's own sum E64 lies within 0.01 u P + d eta of E:
+        # it rounds d + 2 times at u64 <= 2^-29 u. Rounding s - slack and
+        # s + slack and scaling them by d / used (>= 1) in float32, against
+        # the float64 search's two roundings of its scaling, moves each end by
+        # at most 3.01 u E64 + 2 eta <= 6.05 u P + 2 eta. So lo <= the exact
+        # search's scaled E64 <= hi once the slack exceeds (7.41d + 11.1) u P
+        # + 14.5d eta. The slack is 8 (d + 2) u on |q|^2 + |t|^2 >= P, plus
+        # 16d eta, rounded to float32 twice (a factor 1 - 2.01u, and eta),
+        # which covers that; 16d eta also keeps hi a normal float32.
+        # Overflow: with B the largest |value|, the product form's partial
+        # sums stay below 5d B^2 and the slack below 2d B^2 (8 (d + 2) u < 1),
+        # so each value of the screen, s * d included, stays below 7.01 d^2 B^2,
+        # under the float32 maximum where 8 d^2 B^2 is.
+        f32 = np.finfo(np.float32)
+        big = max(np.abs(t_zero).max(initial=0.0), np.abs(q_zero).max(initial=0.0))
+        if d < 1 << 20 and big <= np.sqrt(f32.max / 8) / d:
+            rel = 4.0 * (d + 2) * f32.eps
+            q_slack = rel * (q_zero * q_zero).sum(axis=1)
+            t_slack = rel * (t_zero * t_zero).sum(axis=1) + 16.0 * d * f32.tiny
+            q_zero, t_zero = q_zero.astype(np.float32), t_zero.astype(np.float32)
         else:
-            t_slack = np.full(m, np.inf)
-
-        q_obs = ~ds.mask[query]
-        q_zero = np.where(q_obs, ds.features[query], 0.0)
-        with np.errstate(over="ignore"):
-            left = np.hstack([q_zero * q_zero, q_obs, -2.0 * q_zero])
-            q_slack = rel * left[:, :d].sum(axis=1)
+            # no value is cast: s = 0 and an infinite slack make lo 0 where
+            # used > 0, so every distinct row sharing a coordinate passes
+            q_slack, t_slack = np.zeros(query.size), np.full(m, np.inf)
+            q_zero = np.zeros(q_zero.shape, np.float32)
+            t_zero = np.zeros(t_zero.shape, np.float32)
+        q_slack, t_slack = q_slack.astype(np.float32), t_slack.astype(np.float32)
+        # [q^2, q_obs, -2q] @ right sums q^2 + t^2 - 2qt over shared coordinates
+        right = np.vstack([t_obs.T, (t_zero * t_zero).T, t_zero.T])
+        left = np.hstack([q_zero * q_zero, q_obs, -2 * q_zero])
         # query row i owns cells first[i]:first[i + 1]
         n_cells = d - q_obs.sum(axis=1)
         first = np.concatenate([[0], np.cumsum(n_cells)])
@@ -263,7 +295,7 @@ class KNNImputer(Imputer):
             # row) pair, scaled as the exact search scales it. lo is NaN
             # exactly where used is 0 (0 / 0), so those never pass; hi is
             # +inf there (fmin turns NaN into +inf).
-            with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            with np.errstate(divide="ignore", invalid="ignore"):
                 s = left[a:b] @ right
                 slack = q_slack[a:b, None] + t_slack
                 lo = s - slack
@@ -279,18 +311,21 @@ class KNNImputer(Imputer):
             # exact search compares rounded square roots, and a donor whose
             # root ties the threshold's can still win on index, so the cell
             # keeps every donor with lo below the square of the next double
-            # after sqrt(threshold), rounded up.
+            # after sqrt(threshold), rounded up. That widening runs in float64
+            # on the exactly converted threshold; rounding the result up to a
+            # float32 then passes exactly the float32 lo it passes.
             r, col = cell_row[first[a]:first[b]] - a, cell_col[first[a]:first[b]]
             top = hi[r]
             np.putmask(top, lacks[col], np.inf)
             if k <= m:
                 top.partition(k - 1, axis=1)
-                top = top[:, k - 1]
+                top = top[:, k - 1].astype(np.float64)
             else:
                 top = np.full(r.size, np.inf)
-            with np.errstate(over="ignore"):
-                top = np.nextafter(np.square(np.nextafter(np.sqrt(top), np.inf)), np.inf)
-            near = lo[r] <= top[:, None]
+            top = np.nextafter(np.square(np.nextafter(np.sqrt(top), np.inf)), np.inf)
+            top32 = top.astype(np.float32)
+            top32 = np.where(top32 < top, np.nextafter(top32, np.float32(np.inf)), top32)
+            near = lo[r] <= top32[:, None]
             near &= observes[col]
             pairs.append(np.flatnonzero(near) + first[a] * m)
             # the pairs wait for the exact stage; the block's intervals need not
@@ -309,11 +344,11 @@ def _scale(sq: np.ndarray, d: int, used: np.ndarray) -> np.ndarray:
 def _masked_distance(q: np.ndarray, t: np.ndarray, q_rows, t_rows) -> np.ndarray:
     """Distance between the paired rows q[q_rows[i]] and t[t_rows[i]] that
     share an observed coordinate: Euclidean over the shared coordinates,
-    times d / (their count). Pairs go in chunks of _KNN_BLOCK_ENTRIES / 2
-    coordinates, so a chunk's temporaries take about what a screen block's
-    do."""
+    times d / (their count). Pairs go in chunks of _KNN_BLOCK_ENTRIES / 4
+    coordinates, so a chunk's float64 temporaries take about what a screen
+    block's float32 ones do."""
     d = q.shape[1]
-    step = max(1, _KNN_BLOCK_ENTRIES // (2 * d))
+    step = max(1, _KNN_BLOCK_ENTRIES // (4 * d))
     dist = np.empty(len(q_rows))
     for i in range(0, len(q_rows), step):
         a, b = q[q_rows[i:i + step]], t[t_rows[i:i + step]]

@@ -3,6 +3,7 @@ the loop versions of code the package now runs vectorized, and shorthands
 that only tests call."""
 
 import csv
+import itertools
 import math
 
 import numpy as np
@@ -88,12 +89,11 @@ def reference_objective(x, y, lam: float, tau: float = 0.0, cells=(), labels=(0,
 def load_csv_rows(path, schema: dict, sensitive_values=None) -> Dataset:
     """``data.load_csv``, row by row and token by token: the reference for
     its arrays and for the error it raises on the first faulty row."""
-    with open(path, newline="") as fh:
+    with open(path, newline="", encoding="utf-8", errors="surrogateescape") as fh:
         reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise CsvParseError(f"{path}: empty file, header row required") from None
+        header = _read_row(reader, path, 1)
+        if header is None:
+            raise CsvParseError(f"{path}: empty file, header row required")
         header = [h.strip() for h in header]
         _check_schema(header, schema)
         feat_cols = [i for i, c in enumerate(header) if schema[c] == "feature"]
@@ -102,7 +102,10 @@ def load_csv_rows(path, schema: dict, sensitive_values=None) -> Dataset:
         feat_names = tuple(header[i] for i in feat_cols)
 
         rows, sens_raw, labels = [], [], []
-        for line_no, row in enumerate(reader, start=2):
+        for line_no in itertools.count(2):
+            row = _read_row(reader, path, line_no)
+            if row is None:
+                break
             if not row:
                 continue
             if len(row) != len(header):
@@ -152,6 +155,22 @@ def load_csv_rows(path, schema: dict, sensitive_values=None) -> Dataset:
 
     features = np.array(rows, dtype=np.float64).reshape(len(rows), len(feat_cols))
     return Dataset(features, sens, labels, feat_names)
+
+
+def _read_row(reader, path, line_no):
+    """The reader's next row, or None at the end of the file; a row it cannot
+    read, or one holding a byte that is not UTF-8, is a CsvParseError."""
+    try:
+        row = next(reader)
+    except StopIteration:
+        return None
+    except csv.Error as exc:
+        raise CsvParseError(f"{path}: row {line_no}: {exc}") from None
+    for c in "".join(row):
+        if "\udc80" <= c <= "\udcff":
+            raise CsvParseError(
+                f"{path}: row {line_no}: byte 0x{ord(c) - 0xdc00:02x} is not UTF-8 text")
+    return row
 
 
 # ---------------------------------------------------------------------------

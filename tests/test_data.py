@@ -244,10 +244,40 @@ def test_reader_error_raises_after_the_rows_before_it(tmp_path, chunk, before, m
     monkeypatch.setattr(data, "_CHUNK_ROWS", chunk)
     errors = []
     for load in (load_csv, load_csv_rows):
-        with pytest.raises((csv.Error, SchemaError)) as info:
+        with pytest.raises((CsvParseError, SchemaError)) as info:
             load(p, SCHEMA)
         errors.append((info.type, str(info.value)))
     assert errors[0] == errors[1]
+    if before == "1,2,0,0":
+        assert errors[0] == (CsvParseError, f"{p}: row 4: field larger than field limit "
+                                            f"({csv.field_size_limit()})")
+
+
+@pytest.mark.parametrize("chunk", [1, 2, 512])
+@pytest.mark.parametrize("text, error", [
+    (b"a,b,s,y,caf\xe9\n1,2,0,1\n", "row 1: byte 0xe9 is not UTF-8 text"),
+    (b"a,b,s,y\n1,2,0,1\n1,2,0,0\n\n1,2,caf\xe9,0\n1,2,0,0\n",
+     "row 5: byte 0xe9 is not UTF-8 text"),
+    (b"a,b,s,y\n1,2,0,1\n1,2,0,5\n1,2,caf\xe9,0\n", "row 3: label must be 0 or 1"),
+])
+def test_byte_that_is_not_utf8_raises_after_the_rows_before_it(
+        tmp_path, chunk, text, error, monkeypatch):
+    p = tmp_path / "d.csv"
+    p.write_bytes(text)
+    monkeypatch.setattr(data, "_CHUNK_ROWS", chunk)
+    errors = []
+    for load in (load_csv, load_csv_rows):
+        with pytest.raises((CsvParseError, SchemaError), match=error) as info:
+            load(p, SCHEMA)
+        errors.append((info.type, str(info.value)))
+    assert errors[0] == errors[1]
+
+
+def test_text_that_is_utf8_loads(tmp_path):
+    p = write(tmp_path, "d.csv", "a,b,s,y,note\n1,2,Zürich,1,café\n3,4,Genève,0,\u00e9t\u00e9\n")
+    ds = load_csv(p, {**SCHEMA, "note": "ignore"})
+    assert ds.features.tolist() == [[1.0, 2.0], [3.0, 4.0]]
+    assert ds.sensitive.tolist() == [1, 0]
 
 
 class TestScaling:

@@ -531,6 +531,35 @@ dir = {out}
         assert "best_constrained_accuracy" in capsys.readouterr().out
 
 
+    def test_run_reports_a_csv_that_is_not_utf8(self, tmp_path, capsys):
+        (tmp_path / "d.csv").write_bytes(b"x1,sensitive,label\n0.5,0,1\ncaf\xe9,1,0\n")
+        (tmp_path / "s.txt").write_text("x1 = feature\nsensitive = sensitive\nlabel = label\n")
+        body = f"""
+[data]
+source = csv
+path = {tmp_path / "d.csv"}
+schema = {tmp_path / "s.txt"}
+
+[output]
+dir = {tmp_path / "out"}
+"""
+        assert cli.main(["run", str(write_config(tmp_path, body))]) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: {tmp_path / 'd.csv'}: row 3: byte 0xe9 is not UTF-8 text\n"
+
+
+def test_clustering_alpha_below_one_over_the_groups_is_one_config_error(tmp_path):
+    # two groups in the synthetic data: alpha = 0.4 < 1/2 fails before any fit
+    body = BASIC.format(out=tmp_path / "a").replace(
+        "name = indicators", "name = clustering\nalpha = 0.4")
+    cfg = load_config(write_config(tmp_path, body))
+    with pytest.raises(ConfigError, match=r"alpha >= 1/\|S\| = 1/2 .* got alpha=0.4"):
+        run_experiment(cfg)
+    assert not (tmp_path / "a").exists()
+    cfg.method.alpha = 0.5
+    assert run_experiment(cfg).succeeded
+
+
 def test_import_leaves_scipy_optimize_unloaded():
     # scipy.optimize takes most of the package's import time; only the
     # solvers load it, when first called

@@ -1,3 +1,5 @@
+import logging
+import re
 import warnings
 
 import numpy as np
@@ -136,6 +138,35 @@ def assert_fill_matches_reference(imp: KNNImputer, ds: Dataset) -> None:
     want = reference_fill(imp, ds)
     assert np.array_equal(got, want)
     assert got.tobytes() == want.tobytes()  # bit for bit, signed zeros too
+
+
+def assert_shortlist_holds_the_nearest(imp: KNNImputer, ds: Dataset) -> int:
+    """The screen's invariant: every cell's shortlist holds the distinct rows
+    of its k nearest donors and of every donor tying the k-th, by the exact
+    search's distances. Returns the number of cells with such a tie."""
+    query = np.flatnonzero(ds.mask.any(axis=1))
+    cell_row, cell_col = np.nonzero(ds.mask[query])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = imp._shortlist(ds, query, cell_row, cell_col)
+    assert (np.diff(got) > 0).all()
+    m = len(imp.distinct_)
+    shortlisted = set(got.tolist())
+    distinct_of = np.empty(len(imp.train_), int)
+    distinct_of[imp.members_] = np.repeat(np.arange(m), imp.counts_)
+    ties = 0
+    for c, (i, j) in enumerate(zip(query[cell_row], cell_col)):
+        donors = np.flatnonzero(~np.isnan(imp.train_[:, j]))
+        with np.errstate(invalid="ignore"):  # no shared coordinate: 0 / 0
+            dist = _masked_distance(ds.features, imp.train_,
+                                    np.full(donors.size, i), donors)
+        donors, dist = donors[np.isfinite(dist)], dist[np.isfinite(dist)]
+        if donors.size == 0:
+            continue
+        near = dist <= np.sort(dist)[min(imp.k, donors.size) - 1]
+        assert {c * m + r for r in distinct_of[donors[near]].tolist()} <= shortlisted
+        ties += np.count_nonzero(near) > imp.k
+    return ties
 
 
 def tied_cells_interleaving_distinct_rows(imp: KNNImputer, ds: Dataset) -> int:
@@ -322,6 +353,30 @@ class TestKnnMatchesRowByRowSearch:
         queries = queries.with_features(queries.features * scale)
         assert_fill_matches_reference(KNNImputer(k=3).fit(train), queries)
 
+    ULP, UNIT = 2.0 ** -23, 2.0 ** -149  # a float32 ulp at 1; its least subnormal
+
+    @pytest.mark.parametrize("train, query", [
+        # squared distances of 1 + 1.2 ulp (row 1) and 1 + 1.3 ulp (row 0) in
+        # float64, but row 1's coordinate rounds up to 1 + ulp in float32, so
+        # its product form, 1 + 2 ulp, exceeds row 0's
+        ([[1.0, np.sqrt(1.3 * ULP), 0.5], [1.0 + 0.6 * ULP, 0.0, 0.25]],
+         [0.0, 0.0, np.nan]),
+        # squares of 2.49 and 4 x 0.6 float32 subnormal units: each of row 1's
+        # rounds up to one unit, and its product form is twice row 0's; the
+        # values to fill are tiny too, so only the slack's tiny term keeps row 1
+        ([[np.sqrt(2.49 * UNIT), 0.0, 0.0, 0.0, 1e-30]] + [[np.sqrt(0.6 * UNIT)] * 4 + [2e-30]],
+         [0.0, 0.0, 0.0, 0.0, np.nan]),
+    ])
+    def test_float64_nearest_wins_below_one_float32_ulp(self, train, query):
+        # k = 1, and the two donors' squared distances differ by less than a
+        # float32 ulp: only the bound keeps row 1, the float64 nearest
+        imp = KNNImputer(k=1).fit(ds_from(train))
+        query = ds_from([query])
+        d0, d1 = _masked_distance(query.features, imp.train_, [0, 0], [0, 1])
+        assert d1 < d0
+        assert_fill_matches_reference(imp, query)
+        assert imp.transform(query).features[0, -1] == train[1][-1]
+
     def test_donor_at_infinite_distance_is_no_donor(self):
         # both squared distances overflow to inf, as in the row-by-row search,
         # so the cell keeps the training mean
@@ -333,6 +388,33 @@ class TestKnnMatchesRowByRowSearch:
             want = reference_fill(imp, query)
         assert got[0, 1] == 6.0
         assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("k", [1, 3, 8])
+    def test_shortlist_holds_every_nearest_donor_and_its_ties(self, rng, monkeypatch, k):
+        # a bootstrap bag on a coarse grid: duplicated rows, and many donors
+        # tying a cell's k-th distance; blocks of a few query rows each
+        x = rng.integers(-1, 2, size=(40, 5)).astype(float)
+        x[rng.random(x.shape) < 0.3] = np.nan
+        x[0] = 0.0
+        bag = Dataset(x, np.zeros(40, int), np.zeros(40, int)).subset(
+            np.r_[0, rng.integers(0, 40, size=79)])
+        imp = KNNImputer(k=k).fit(bag)
+        monkeypatch.setattr(impute, "_KNN_BLOCK_ENTRIES", 5 * len(imp.distinct_))
+        queries = rng.integers(-1, 2, size=(60, 5)).astype(float)
+        queries[rng.random(queries.shape) < 0.4] = np.nan
+        queries = Dataset(queries, np.zeros(60, int), np.zeros(60, int))
+        assert assert_shortlist_holds_the_nearest(imp, queries) >= 10
+        assert assert_shortlist_holds_the_nearest(imp, bag) >= 10
+
+    def test_transform_logs_its_shortlist_size(self, rng, caplog):
+        train = random_dataset(rng, n=30, d=4, missing_rate=0.25)
+        imp = KNNImputer(k=3).fit(train)
+        with caplog.at_level(logging.DEBUG, logger="fairmiss"):
+            imp.transform(one_hole_per_row(rng, 7, 4))
+        [line] = [r.getMessage() for r in caplog.records if r.name == "fairmiss"]
+        match = re.fullmatch(r"knn transform: 7 query rows, 7 cells, (\d+\.\d\d) "
+                             r"shortlisted pairs per cell", line)
+        assert match and 3 <= float(match[1]) <= 30
 
     def test_degenerate_queries(self):
         nan = np.nan
@@ -469,6 +551,41 @@ def test_every_imputer_completes_and_knn_matches_row_by_row(case):
 
 @given(fit_and_target(bootstrap=True))
 def test_knn_on_a_bootstrap_bag_matches_row_by_row(case):
+    train, target, k = case
+    imp = KNNImputer(k).fit(train)
+    assert_fill_matches_reference(imp, target)
+    assert_fill_matches_reference(imp, train)
+
+
+@given(fit_and_target(bootstrap=True))
+def test_shortlist_holds_every_nearest_donor(case):
+    train, target, k = case
+    imp = KNNImputer(k).fit(train)
+    assert_shortlist_holds_the_nearest(imp, target)
+    assert_shortlist_holds_the_nearest(imp, train)
+
+
+@st.composite
+def scaled_fit_and_target(draw):
+    """``fit_and_target`` at the float32 screen's edges: each feature scaled
+    by 10^-46 to 10^-19 (subnormal float32 inputs, and squares that are
+    subnormal or underflow to zero), or all values scaled to 1/2 to 4 times
+    the screen's overflow guard."""
+    train, target, k = draw(fit_and_target(bootstrap=draw(st.booleans())))
+    d = train.dimension
+    if draw(st.booleans()):
+        powers = draw(st.lists(st.floats(-46.0, -19.0), min_size=d, max_size=d))
+        scale = 10.0 ** np.array(powers)
+    else:
+        guard = np.sqrt(np.finfo(np.float32).max / 8) / d
+        big = np.nanmax(np.abs(np.vstack([train.features, target.features])))
+        scale = draw(st.floats(0.5, 4.0)) * guard / big if big > 0 else 1.0
+    return (train.with_features(train.features * scale),
+            target.with_features(target.features * scale), k)
+
+
+@given(scaled_fit_and_target())
+def test_knn_at_the_float32_underflow_and_overflow_edges_matches_row_by_row(case):
     train, target, k = case
     imp = KNNImputer(k).fit(train)
     assert_fill_matches_reference(imp, target)
