@@ -3,13 +3,16 @@ ensemble for data with missing values.
 
 The in-processing intervention adds a smooth score-disparity penalty to the
 logistic loss; the post-processing intervention solves the small randomized
-equalized-odds program exactly as two linear programs. The bagging ensemble
-resamples within (group, label) cells, imputes and indicator-encodes each bag
-separately, and aggregates by a uniformly random pick or by score averaging.
+equalized-odds program exactly, by enumerating the vertices of its two linear
+programs. The bagging ensemble resamples within (group, label) cells, imputes
+and indicator-encodes each bag separately, and aggregates by a uniformly
+random pick or by score averaging.
 """
 
 from __future__ import annotations
 
+import itertools
+import logging
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -17,13 +20,15 @@ import numpy as np
 from . import metrics
 from .data import Dataset, fair_resample
 from .encode import EncodedDataset, encode_indicators
-from .errors import SolverError, ValidationError
+from .errors import ValidationError
 from .impute import Imputer, make_imputer
 from .optim import OptimizerSettings, descend, logistic, make_objective
 
 # conditioning labels whose group score gaps each penalty constraint penalizes
 PENALTY_LABELS = {"mean-equalized-odds": (0, 1), "fnr-difference": (1,)}
 ENSEMBLE_MODES = ("random-pick", "score-average")
+
+log = logging.getLogger("fairmiss")
 
 
 @dataclass(frozen=True)
@@ -56,27 +61,6 @@ class LinearModel:
 
     def predict(self, matrix: np.ndarray) -> np.ndarray:
         return (self.scores(matrix) >= self.threshold).astype(np.int64)
-
-    def to_text(self) -> str:
-        lines = [f"bias {float(self.bias)!r}", f"threshold {float(self.threshold)!r}"]
-        lines += [f"{tag} {float(w)!r}" for tag, w in zip(self.columns, self.weights)]
-        return "\n".join(lines) + "\n"
-
-    @classmethod
-    def from_text(cls, text: str) -> "LinearModel":
-        bias, threshold, tags, weights = 0.0, 0.5, [], []
-        for ln in text.splitlines():
-            if not ln.strip():
-                continue
-            key, val = ln.rsplit(None, 1)
-            if key == "bias":
-                bias = float(val)
-            elif key == "threshold":
-                threshold = float(val)
-            else:
-                tags.append(key)
-                weights.append(float(val))
-        return cls(np.array(weights), bias, tuple(tags), threshold)
 
 
 def _check_training_data(enc: EncodedDataset) -> None:
@@ -124,23 +108,50 @@ class PostprocessRates:
         return table[at, pred.astype(np.intp)]
 
 
-def postprocess_eqodds(scores, ds, epsilon: float) -> PostprocessRates:
-    """Exact accuracy-optimal randomized equalized-odds repair for two groups.
+@dataclass(frozen=True)
+class EqoddsProgram:
+    """The epsilon-free inputs of ``postprocess_eqodds`` over v = (a_g0, b_g0,
+    a_g1, b_g1), where a_g and b_g are Pr(output 1 | group g, base prediction
+    1 and 0): the constraint rows from the base predictor's rate table, and
+    the accuracy gain per unit of v from the cell probabilities (``const`` is
+    the accuracy at v = 0)."""
 
-    The base prediction thresholds the given scores at 0.5; the output mixes
-    each (group, base prediction) with probabilities chosen by a linear
-    program over the feasible polytope (|FPR gap| <= epsilon, |FNR gap| <=
-    epsilon) that maximizes accuracy on the fitting data. A second program
-    then takes, among points within 1e-12 of that accuracy, the one flipping
-    the least mass, so an already fair base predictor stays untouched.
-    """
-    from scipy.optimize import linprog  # scipy.optimize is slow to import
+    groups: tuple
+    rows: np.ndarray
+    gain: np.ndarray
+    const: float
 
+    @classmethod
+    def from_rates(cls, groups, base: dict, p_sy: dict) -> "EqoddsProgram":
+        """The program of two groups' base rate table (s, y) -> Pr(base
+        prediction 1 | s, y) and their cell probabilities (s, y) -> Pr(s, y)."""
+
+        def rate_row(s_i, y):
+            r = base[(groups[s_i], y)]
+            row = np.zeros(4)
+            row[2 * s_i] = r
+            row[2 * s_i + 1] = 1.0 - r
+            return row
+
+        tpr0, tpr1 = rate_row(0, 1), rate_row(1, 1)
+        fpr0, fpr1 = rate_row(0, 0), rate_row(1, 0)
+        gain = (
+            p_sy[(groups[0], 1)] * tpr0
+            + p_sy[(groups[1], 1)] * tpr1
+            - p_sy[(groups[0], 0)] * fpr0
+            - p_sy[(groups[1], 0)] * fpr1
+        )
+        rows = np.vstack([tpr0 - tpr1, tpr1 - tpr0, fpr0 - fpr1, fpr1 - fpr0,
+                          np.eye(4), -np.eye(4)])
+        return cls((groups[0], groups[1]), rows, gain,
+                   p_sy[(groups[0], 0)] + p_sy[(groups[1], 0)])
+
+
+def eqodds_program(scores, ds) -> EqoddsProgram:
+    """Validate the scores and build the program of their 0.5 threshold."""
     scores = np.asarray(scores, dtype=np.float64)
     if scores.shape != ds.labels.shape:
         raise ValidationError("score length must equal dataset size")
-    if epsilon < 0:
-        raise ValidationError("epsilon must be non-negative")
     groups = ds.group_set
     if len(groups) != 2:
         raise ValidationError("equalized-odds post-processing supports exactly 2 groups")
@@ -149,47 +160,92 @@ def postprocess_eqodds(scores, ds, epsilon: float) -> PostprocessRates:
     base = metrics.rate_table((scores >= 0.5).astype(np.int64), ds)
     n = ds.labels.shape[0]
     p_sy = {cell: idx.size / n for cell, idx in ds.cells()}
+    return EqoddsProgram.from_rates(groups, base, p_sy)
 
-    # variables v = (a_g0, b_g0, a_g1, b_g1): Pr(output 1 | group, base pred 1/0)
-    def rate_row(s_i, y):
-        r = base[(groups[s_i], y)]
-        row = np.zeros(4)
-        row[2 * s_i] = r
-        row[2 * s_i + 1] = 1.0 - r
-        return row
 
-    tpr0, tpr1 = rate_row(0, 1), rate_row(1, 1)
-    fpr0, fpr1 = rate_row(0, 0), rate_row(1, 0)
-    a_gap = np.array([tpr0 - tpr1, tpr1 - tpr0, fpr0 - fpr1, fpr1 - fpr0])
-    b_gap = np.full(4, float(epsilon))
-    obj = (
-        p_sy[(groups[0], 1)] * tpr0
-        + p_sy[(groups[1], 1)] * tpr1
-        - p_sy[(groups[0], 0)] * fpr0
-        - p_sy[(groups[1], 0)] * fpr1
-    )
-    bounds = [(0.0, 1.0)] * 4
-    best = linprog(-obj, A_ub=a_gap, b_ub=b_gap, bounds=bounds, method="highs")
-    if not best.success:
-        raise SolverError(f"equalized-odds LP failed: {best.message}")
-    # flip mass (1 - a_g0) + b_g0 + (1 - a_g1) + b_g1, up to its constant
-    least = linprog(
-        np.array([-1.0, 1.0, -1.0, 1.0]),
-        A_ub=np.vstack([a_gap, -obj]),
-        b_ub=np.append(b_gap, best.fun + 1e-12),
-        bounds=bounds,
-        method="highs",
-    )
-    if not least.success:
-        raise SolverError(f"equalized-odds least-flip LP failed: {least.message}")
-    v = np.clip(least.x, 0.0, 1.0)
+# Rows of the equalized-odds program over v = (a_g0, b_g0, a_g1, b_g1):
+# +/- the TPR gap and +/- the FPR gap (rows 0-3), v_j <= 1 (rows 4-7) and
+# -v_j <= 0 (rows 8-11). A vertex is where 4 linearly independent rows hold
+# with equality. Opposite rows (a gap row and its negation, the two bounds on
+# one coordinate) are parallel, so a basis takes at most one row of each
+# pair; every other basis is singular.
+_OPPOSITE = ((0, 1), (2, 3)) + tuple((4 + j, 8 + j) for j in range(4))
+
+
+def _bases(size: int, extra: tuple = ()) -> np.ndarray:
+    return np.array([tuple(pair[side] for pair, side in zip(pairs, sides)) + extra
+                     for pairs in itertools.combinations(_OPPOSITE, size)
+                     for sides in itertools.product((0, 1), repeat=size)])
+
+
+_BASES = _bases(4)               # 240 bases of the accuracy program
+_CUT_BASES = _bases(3, (12,))    # 160 holding the accuracy cut, row 12
+_FLIP = np.array([-1.0, 1.0, -1.0, 1.0])  # flip mass, less its constant 2
+_TOL = 1e-13  # slack on every row: rounding, not a looser program
+
+
+def _vertices(rows, rhs, bases) -> np.ndarray:
+    """The basic solutions of ``bases`` that satisfy every row within _TOL,
+    clipped into the box that rounding may leave them just outside of. Only
+    bases with an exactly zero pivot are skipped (the sign of slogdet does
+    not underflow), so a vertex of a nearly singular basis is found."""
+    m = rows[bases]
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        solvable = np.linalg.slogdet(m)[0] != 0.0  # log 0 of a singular basis
+        # far-off solutions of nearly singular bases fail the row test
+        v = np.linalg.solve(m[solvable], rhs[bases][solvable][..., None])[..., 0]
+        return np.clip(v[(v @ rows.T <= rhs + _TOL).all(axis=1)], 0.0, 1.0)
+
+
+def postprocess_eqodds(scores, ds, epsilon: float, *,
+                       program: EqoddsProgram = None) -> PostprocessRates:
+    """Exact accuracy-optimal randomized equalized-odds repair for two groups.
+
+    The base prediction thresholds the given scores at 0.5; the output mixes
+    each (group, base prediction) with probabilities v that maximize
+    accuracy on the fitting data over the polytope |FPR gap| <= epsilon,
+    |FNR gap| <= epsilon, 0 <= v <= 1. Then, among points within 1e-12 of
+    that accuracy, it takes the one flipping the least mass, so an already
+    fair base predictor stays untouched.
+
+    Both linear programs are solved by enumerating their vertices: every
+    basis of 4 constraint rows that can be nonsingular is solved at once, and
+    the solutions that satisfy every row are compared. The second program
+    adds the cut "accuracy >= best - 1e-12" as one more row. Ties in flip
+    mass (within 1e-13) go to the more accurate vertex, then to the first
+    basis in the fixed enumeration order.
+    ``program`` is ``eqodds_program(scores, ds)`` when the caller has it
+    already, as ``TrainingSet`` does for a grid of epsilons; ``scores`` and
+    ``ds`` are then not read.
+    """
+    if epsilon < 0:
+        raise ValidationError("epsilon must be non-negative")
+    if program is None:
+        program = eqodds_program(scores, ds)
+    rows, gain = program.rows, program.gain
+    # every gap lies in [-1, 1], so an epsilon above 1 constrains nothing;
+    # capping it keeps the vertex arithmetic finite
+    rhs = np.concatenate([np.full(4, min(float(epsilon), 2.0)), np.ones(4), np.zeros(4)])
+    first = _vertices(rows, rhs, _BASES)
+    best = float((first @ gain).max())
+    cut_rows = np.vstack([rows, -gain])
+    cut_rhs = np.append(rhs, 1e-12 - best)
+    kept = first[first @ -gain <= cut_rhs[-1] + _TOL]
+    last = np.vstack([kept, _vertices(cut_rows, cut_rhs, _CUT_BASES)])
+    mass = last @ _FLIP
+    tied = np.flatnonzero(mass <= mass.min() + 1e-13)
+    v = last[tied[np.argmax(last[tied] @ gain)]]
+    g0, g1 = program.groups
     flip = {
-        (groups[0], 1): float(1.0 - v[0]),
-        (groups[0], 0): float(v[1]),
-        (groups[1], 1): float(1.0 - v[2]),
-        (groups[1], 0): float(v[3]),
+        (g0, 1): float(1.0 - v[0]),
+        (g0, 0): float(v[1]),
+        (g1, 1): float(1.0 - v[2]),
+        (g1, 0): float(v[3]),
     }
-    return PostprocessRates((groups[0], groups[1]), flip)
+    log.debug("eqodds solve: epsilon %g, training accuracy %.6f -> %.6f, flip mass "
+              "%.6f, %d vertices examined", epsilon, program.const + gain[0] + gain[2],
+              program.const + float(v @ gain), sum(flip.values()), len(first) + len(last))
+    return PostprocessRates((g0, g1), flip)
 
 
 def apply_postprocess(rates: PostprocessRates, base_predictions, sensitive,
@@ -248,14 +304,15 @@ class TrainingSet:
     """An encoded training set that serves a whole intervention grid.
 
     ``train`` fits none and the penalty anew at each call. eqodds
-    post-processes the plain model at every epsilon; that model is fitted at
-    the first eqodds call and kept (one per optimizer settings), so a grid of
-    epsilons trains it once.
+    post-processes the plain model at every epsilon; that model and its
+    epsilon-free ``EqoddsProgram`` are built at the first eqodds call and kept
+    (one per optimizer settings), so a grid of epsilons trains the model and
+    tallies its rates once.
     """
 
     def __init__(self, enc: EncodedDataset):
         self.enc = enc
-        self._plain = {}  # OptimizerSettings -> plain LinearModel
+        self._plain = {}  # OptimizerSettings -> (plain LinearModel, its EqoddsProgram)
 
     def train(self, interv: Intervention):
         """(LinearModel, PostprocessRates or None), as ``train_intervention``."""
@@ -263,9 +320,11 @@ class TrainingSet:
             return train_intervention(self.enc, interv)
         if interv.settings not in self._plain:
             plain = Intervention(settings=interv.settings)
-            self._plain[interv.settings] = train_intervention(self.enc, plain)[0]
-        model = self._plain[interv.settings]
-        return model, postprocess_eqodds(model.scores(self.enc.matrix), self.enc, interv.epsilon)
+            model = train_intervention(self.enc, plain)[0]
+            program = eqodds_program(model.scores(self.enc.matrix), self.enc)
+            self._plain[interv.settings] = model, program
+        model, program = self._plain[interv.settings]
+        return model, postprocess_eqodds(None, None, interv.epsilon, program=program)
 
 
 @dataclass(frozen=True)
@@ -314,19 +373,6 @@ class FairEnsemble:
 
     def predict_encoded(self, encodings: tuple, seed: int) -> np.ndarray:
         return predict_dataset(self, encodings, seed)
-
-    def to_text(self) -> str:
-        """Audit dump: mode, then each bag's imputer name, weights, and any
-        post-processing flip rates. Imputer statistics are not serialized, so
-        this is for inspection rather than reconstruction."""
-        lines = [f"mode {self.mode}", f"bags {self.n_bags}"]
-        for i, bag in enumerate(self.bags):
-            lines.append(f"bag {i} imputer={bag.imputer.name}")
-            lines.append(bag.model.to_text().rstrip("\n"))
-            if bag.rates is not None:
-                for (s, p), f in sorted(bag.rates.flip.items()):
-                    lines.append(f"flip s={s} base={p} {float(f)!r}")
-        return "\n".join(lines) + "\n"
 
 
 @dataclass(frozen=True)

@@ -96,10 +96,24 @@ class Dataset:
         return out
 
 
+def read_text(path, error) -> str:
+    """The text of a UTF-8 file, with universal newlines. A byte that is not
+    UTF-8 raises ``error`` naming the file, the line and the byte, as
+    ``load_csv`` names the row."""
+    raw = Path(path).read_bytes()
+    try:
+        text = raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = raw.count(b"\n", 0, exc.start) + 1
+        raise error(f"{path}: line {line}: byte 0x{raw[exc.start]:02x} "
+                    "is not UTF-8 text") from None
+    return text.replace("\r\n", "\n").replace("\r", "\n")
+
+
 def read_schema(path) -> dict:
     """Parse a plain-text schema file: one ``column = role`` per line."""
     schema = {}
-    for raw in Path(path).read_text().splitlines():
+    for raw in read_text(path, SchemaError).splitlines():
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue

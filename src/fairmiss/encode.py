@@ -174,15 +174,6 @@ class ClusterPartition:
     def n_clusters(self) -> int:
         return len(self.leaves)
 
-    def assign(self, mask) -> int:
-        bits = np.asarray(mask).astype(bool).reshape(-1)
-        if bits.shape[0] != self.dimension:
-            raise ValidationError("mask length does not match the partition")
-        node = self.nodes[0]
-        while node.cluster is None:
-            node = self.nodes[node.right if bits[node.feature] else node.left]
-        return node.cluster
-
     def assign_dataset(self, ds: Dataset) -> np.ndarray:
         """Cluster of every row, routing all rows down the tree at once."""
         mask = ds.mask
@@ -200,39 +191,6 @@ class ClusterPartition:
             stack.append((node.left, rows[~missing]))
             stack.append((node.right, rows[missing]))
         return out
-
-    def to_text(self) -> str:
-        lines = [f"d={self.dimension}"]
-        for i, node in enumerate(self.nodes):
-            if node.cluster is None:
-                lines.append(f"{i} split {node.feature} {node.left} {node.right}")
-            else:
-                lines.append(f"{i} leaf {node.cluster}")
-        return "\n".join(lines) + "\n"
-
-    @classmethod
-    def from_text(cls, text: str) -> "ClusterPartition":
-        lines = [ln for ln in text.splitlines() if ln.strip()]
-        if not lines or not lines[0].startswith("d="):
-            raise ValidationError("partition text must start with 'd=<dimension>'")
-        part = cls(dimension=int(lines[0][2:]))
-        clusters = set()
-        for ln in lines[1:]:
-            toks = ln.split()
-            if toks[1] == "split":
-                part.nodes.append(
-                    TreeNode(feature=int(toks[2]), left=int(toks[3]), right=int(toks[4]))
-                )
-            elif toks[1] == "leaf":
-                part.nodes.append(TreeNode(cluster=int(toks[2])))
-                clusters.add(int(toks[2]))
-            else:
-                raise ValidationError(f"bad partition line: {ln!r}")
-        part.leaves = [
-            LeafRecord(cluster=q, size=0, group_fractions={}, from_split=False)
-            for q in sorted(clusters)
-        ]
-        return part
 
 
 def _group_fractions(ds: Dataset, idx: np.ndarray) -> dict:

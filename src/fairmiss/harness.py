@@ -27,7 +27,7 @@ the method name:
     trained there, so neither the penalty nor eqodds applies to that leaf).
     The partition is searched at each grid point.
   eqodds post-processes one plain model per encoding and repeat
-  (``classify.TrainingSet``), so each epsilon costs only its linear program.
+  (``classify.TrainingSet``), so each epsilon costs only its vertex solve.
 
 ``evaluate_pipeline`` predicts the encoded test split and scores it.
 """
@@ -207,11 +207,13 @@ def load_config(path) -> ExperimentConfig:
     starts a comment, also after a value."""
     parser = configparser.ConfigParser(inline_comment_prefixes=(";",))
     try:
-        read = parser.read(path)
+        text = data.read_text(path, ConfigError)
+    except OSError:
+        raise ConfigError(f"cannot read config file {path}") from None
+    try:
+        parser.read_string(text, source=str(path))
     except configparser.Error as exc:
         raise ConfigError(f"cannot parse config file {path}: {exc}") from None
-    if not read:
-        raise ConfigError(f"cannot read config file {path}")
     types = typing.get_type_hints(ExperimentConfig)
     sections = {}
     for name in parser.sections():

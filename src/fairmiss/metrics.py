@@ -237,23 +237,6 @@ class JointTable:
                 probs[:, values.index(v), :] += self.probs[:, xi, :]
         return JointTable(self.groups, tuple(values), probs)
 
-    def to_dataset(self, denominator: int) -> Dataset:
-        """Expand to an integer-count dataset when every cell probability is a
-        multiple of 1/denominator (for exercising plug-in estimators)."""
-        counts = self.probs * denominator
-        rounded = np.rint(counts)
-        if not np.allclose(counts, rounded, atol=1e-9):
-            raise ValidationError("probabilities are not multiples of 1/denominator")
-        feats, sens, labels = [], [], []
-        for si, s in enumerate(self.groups):
-            for xi, v in enumerate(self.x_values):
-                for y in (0, 1):
-                    c = int(rounded[si, xi, y])
-                    feats.extend([np.nan if v is None else float(v)] * c)
-                    sens.extend([s] * c)
-                    labels.extend([y] * c)
-        return Dataset(np.array(feats).reshape(-1, 1), sens, labels, ("x",))
-
 
 def bayes_accuracy(table: JointTable) -> float:
     """Unconstrained best accuracy: pick the majority label per feature value."""

@@ -1,17 +1,27 @@
 """Test oracles: closed-form rate tables the package itself never needs,
-the loop versions of code the package now runs vectorized, and shorthands
-that only tests call."""
+the loop versions of code the package now runs vectorized, the solvers the
+package replaced, and serializers and shorthands that only tests call."""
 
 import csv
 import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
+from scipy.optimize import linprog
 
-from fairmiss.classify import Intervention, LinearModel, OptimizerSettings, train_intervention
+from fairmiss import metrics
+from fairmiss.classify import (
+    EqoddsProgram,
+    Intervention,
+    LinearModel,
+    OptimizerSettings,
+    PostprocessRates,
+    train_intervention,
+)
 from fairmiss.data import Dataset, _check_schema
-from fairmiss.encode import AffineEncoder, EncodedDataset
-from fairmiss.errors import CsvParseError, SchemaError
+from fairmiss.encode import AffineEncoder, ClusterPartition, EncodedDataset, LeafRecord, TreeNode
+from fairmiss.errors import CsvParseError, SchemaError, SolverError, ValidationError
 from fairmiss.harness import _fmt
 from fairmiss.optim import _contrast
 from fairmiss.simulate import MissingnessSpec
@@ -33,6 +43,149 @@ def uniform_mixture_rates(rate_tables) -> dict:
     average of their Pr(prediction = 1 | y, s) tables."""
     keys = rate_tables[0].keys()
     return {k: float(np.mean([t[k] for t in rate_tables])) for k in keys}
+
+
+# ---------------------------------------------------------------------------
+# equalized-odds post-processing as two scipy linear programs, as
+# ``classify.postprocess_eqodds`` solved it before it enumerated vertices, and
+# the same two programs solved exactly in rational arithmetic
+# ---------------------------------------------------------------------------
+
+def reference_postprocess_eqodds(scores, ds, epsilon: float) -> PostprocessRates:
+    """Exact accuracy-optimal randomized equalized-odds repair for two groups.
+
+    The base prediction thresholds the given scores at 0.5; the output mixes
+    each (group, base prediction) with probabilities chosen by a linear
+    program over the feasible polytope (|FPR gap| <= epsilon, |FNR gap| <=
+    epsilon) that maximizes accuracy on the fitting data. A second program
+    then takes, among points within 1e-12 of that accuracy, the one flipping
+    the least mass, so an already fair base predictor stays untouched.
+    """
+    scores = np.asarray(scores, dtype=np.float64)
+    if scores.shape != ds.labels.shape:
+        raise ValidationError("score length must equal dataset size")
+    if epsilon < 0:
+        raise ValidationError("epsilon must be non-negative")
+    groups = ds.group_set
+    if len(groups) != 2:
+        raise ValidationError("equalized-odds post-processing supports exactly 2 groups")
+    if scores.min() < 0.0 or scores.max() > 1.0:
+        raise ValidationError("scores must lie in [0, 1]")
+    base = metrics.rate_table((scores >= 0.5).astype(np.int64), ds)
+    n = ds.labels.shape[0]
+    p_sy = {cell: idx.size / n for cell, idx in ds.cells()}
+    return reference_eqodds_rates(groups, base, p_sy, epsilon)
+
+
+def reference_eqodds_rates(groups, base: dict, p_sy: dict, epsilon: float) -> PostprocessRates:
+    """The two linear programs of ``reference_postprocess_eqodds``, from the
+    base rate table and the cell probabilities."""
+    # variables v = (a_g0, b_g0, a_g1, b_g1): Pr(output 1 | group, base pred 1/0)
+    def rate_row(s_i, y):
+        r = base[(groups[s_i], y)]
+        row = np.zeros(4)
+        row[2 * s_i] = r
+        row[2 * s_i + 1] = 1.0 - r
+        return row
+
+    tpr0, tpr1 = rate_row(0, 1), rate_row(1, 1)
+    fpr0, fpr1 = rate_row(0, 0), rate_row(1, 0)
+    a_gap = np.array([tpr0 - tpr1, tpr1 - tpr0, fpr0 - fpr1, fpr1 - fpr0])
+    b_gap = np.full(4, float(epsilon))
+    obj = (
+        p_sy[(groups[0], 1)] * tpr0
+        + p_sy[(groups[1], 1)] * tpr1
+        - p_sy[(groups[0], 0)] * fpr0
+        - p_sy[(groups[1], 0)] * fpr1
+    )
+    bounds = [(0.0, 1.0)] * 4
+    best = linprog(-obj, A_ub=a_gap, b_ub=b_gap, bounds=bounds, method="highs")
+    if not best.success:
+        raise SolverError(f"equalized-odds LP failed: {best.message}")
+    # flip mass (1 - a_g0) + b_g0 + (1 - a_g1) + b_g1, up to its constant
+    least = linprog(
+        np.array([-1.0, 1.0, -1.0, 1.0]),
+        A_ub=np.vstack([a_gap, -obj]),
+        b_ub=np.append(b_gap, best.fun + 1e-12),
+        bounds=bounds,
+        method="highs",
+    )
+    if not least.success:
+        raise SolverError(f"equalized-odds least-flip LP failed: {least.message}")
+    v = np.clip(least.x, 0.0, 1.0)
+    flip = {
+        (groups[0], 1): float(1.0 - v[0]),
+        (groups[0], 0): float(v[1]),
+        (groups[1], 1): float(1.0 - v[2]),
+        (groups[1], 0): float(v[3]),
+    }
+    return PostprocessRates((groups[0], groups[1]), flip)
+
+
+def exact_best_accuracy(program: EqoddsProgram, epsilon) -> Fraction:
+    """The optimum of the accuracy program of ``postprocess_eqodds``, in
+    rational arithmetic, by visiting every vertex: the exact optimum of the
+    program the solver is given, its float rows read as exact numbers."""
+    return max(map(_exact_accuracy(program), _exact_vertices(_gap_rows(program, epsilon))))
+
+
+def exact_least_flip(program: EqoddsProgram, epsilon, floor) -> list:
+    """[(flip mass, accuracy, v) for every vertex of {gaps <= epsilon,
+    accuracy >= floor}], the least-flip program of ``postprocess_eqodds`` with
+    its cut at ``floor``, all exact, with v = (a_g0, b_g0, a_g1, b_g1)."""
+    accuracy = _exact_accuracy(program)
+    cut = ([-Fraction(x) for x in program.gain], Fraction(program.const) - Fraction(floor))
+    return [(2 - v[0] + v[1] - v[2] + v[3], accuracy(v), v)
+            for v in _exact_vertices(_gap_rows(program, epsilon) + [cut])]
+
+
+def _exact_accuracy(program: EqoddsProgram):
+    gain = [Fraction(x) for x in program.gain]
+    return lambda v: Fraction(program.const) + sum(x * y for x, y in zip(gain, v))
+
+
+def _gap_rows(program: EqoddsProgram, epsilon) -> list:
+    return [([Fraction(x) for x in a], Fraction(epsilon)) for a in program.rows[:4]]
+
+
+def _exact_vertices(rows) -> list:
+    """Every vertex of {v in [0, 1]^4 : a . v <= b for each (a, b) in rows},
+    for rational rows: each choice of k rows held with equality and 4 - k
+    coordinates at a bound, solved by Cramer's rule over the integers."""
+    scaled = []
+    for a, b in rows:  # each row times the least common multiple of its denominators
+        m = math.lcm(*(x.denominator for x in (*a, b)))
+        scaled.append(([int(x * m) for x in a], int(b * m)))
+    out = []
+    for k in range(min(len(rows), 4) + 1):
+        for active in itertools.combinations(scaled, k):
+            for free in itertools.combinations(range(4), k):
+                system = [[a[j] for j in free] for a, _ in active]
+                d = _det(system)
+                if d == 0:
+                    continue
+                fixed = [j for j in range(4) if j not in free]
+                for values in itertools.product((0, 1), repeat=4 - k):
+                    rhs = [b - sum(a[j] * x for j, x in zip(fixed, values)) for a, b in active]
+                    w = [0] * 4  # d times the vertex
+                    for j, x in zip(fixed, values):
+                        w[j] = x * d
+                    for i, j in enumerate(free):
+                        w[j] = _det([r[:i] + [c] + r[i + 1:] for r, c in zip(system, rhs)])
+                    if d < 0:
+                        w = [-x for x in w]
+                    if all(0 <= x <= abs(d) for x in w) and all(
+                            sum(x * y for x, y in zip(a, w)) <= b * abs(d) for a, b in scaled):
+                        out.append([Fraction(x, abs(d)) for x in w])
+    return out
+
+
+def _det(m) -> int:
+    """Determinant by cofactor expansion along the first row (1 when empty)."""
+    if not m:
+        return 1
+    return sum((-1) ** j * m[0][j] * _det([r[:j] + r[j + 1:] for r in m[1:]])
+               for j in range(len(m)) if m[0][j])
 
 
 # ---------------------------------------------------------------------------
@@ -201,3 +354,107 @@ def missingness_to_config(spec: MissingnessSpec) -> str:
             ind = e.indicator
         lines.append(f"entry{i} = {e.target}, {ind}, {_fmt(e.p0)}, {_fmt(e.p1)}")
     return "\n".join(lines) + "\n"
+
+
+# ---------------------------------------------------------------------------
+# single-row routing and text forms that the package does not need
+# ---------------------------------------------------------------------------
+
+def assign_row(part: ClusterPartition, mask) -> int:
+    """Cluster of one missing pattern, walked down the tree node by node."""
+    bits = np.asarray(mask).astype(bool).reshape(-1)
+    if bits.shape[0] != part.dimension:
+        raise ValidationError("mask length does not match the partition")
+    node = part.nodes[0]
+    while node.cluster is None:
+        node = part.nodes[node.right if bits[node.feature] else node.left]
+    return node.cluster
+
+
+def partition_to_text(part: ClusterPartition) -> str:
+    lines = [f"d={part.dimension}"]
+    for i, node in enumerate(part.nodes):
+        if node.cluster is None:
+            lines.append(f"{i} split {node.feature} {node.left} {node.right}")
+        else:
+            lines.append(f"{i} leaf {node.cluster}")
+    return "\n".join(lines) + "\n"
+
+
+def partition_from_text(text: str) -> ClusterPartition:
+    lines = [ln for ln in text.splitlines() if ln.strip()]
+    if not lines or not lines[0].startswith("d="):
+        raise ValidationError("partition text must start with 'd=<dimension>'")
+    part = ClusterPartition(dimension=int(lines[0][2:]))
+    clusters = set()
+    for ln in lines[1:]:
+        toks = ln.split()
+        if toks[1] == "split":
+            part.nodes.append(
+                TreeNode(feature=int(toks[2]), left=int(toks[3]), right=int(toks[4]))
+            )
+        elif toks[1] == "leaf":
+            part.nodes.append(TreeNode(cluster=int(toks[2])))
+            clusters.add(int(toks[2]))
+        else:
+            raise ValidationError(f"bad partition line: {ln!r}")
+    part.leaves = [
+        LeafRecord(cluster=q, size=0, group_fractions={}, from_split=False)
+        for q in sorted(clusters)
+    ]
+    return part
+
+
+def model_to_text(model: LinearModel) -> str:
+    lines = [f"bias {float(model.bias)!r}", f"threshold {float(model.threshold)!r}"]
+    lines += [f"{tag} {float(w)!r}" for tag, w in zip(model.columns, model.weights)]
+    return "\n".join(lines) + "\n"
+
+
+def model_from_text(text: str) -> LinearModel:
+    bias, threshold, tags, weights = 0.0, 0.5, [], []
+    for ln in text.splitlines():
+        if not ln.strip():
+            continue
+        key, val = ln.rsplit(None, 1)
+        if key == "bias":
+            bias = float(val)
+        elif key == "threshold":
+            threshold = float(val)
+        else:
+            tags.append(key)
+            weights.append(float(val))
+    return LinearModel(np.array(weights), bias, tuple(tags), threshold)
+
+
+def ensemble_to_text(ens) -> str:
+    """Audit dump: mode, then each bag's imputer name, weights, and any
+    post-processing flip rates. Imputer statistics are not serialized, so
+    this is for inspection rather than reconstruction."""
+    lines = [f"mode {ens.mode}", f"bags {ens.n_bags}"]
+    for i, bag in enumerate(ens.bags):
+        lines.append(f"bag {i} imputer={bag.imputer.name}")
+        lines.append(model_to_text(bag.model).rstrip("\n"))
+        if bag.rates is not None:
+            for (s, p), f in sorted(bag.rates.flip.items()):
+                lines.append(f"flip s={s} base={p} {float(f)!r}")
+    return "\n".join(lines) + "\n"
+
+
+def table_to_dataset(table, denominator: int) -> Dataset:
+    """Expand a ``metrics.JointTable`` to an integer-count dataset when every
+    cell probability is a multiple of 1/denominator (for exercising plug-in
+    estimators)."""
+    counts = table.probs * denominator
+    rounded = np.rint(counts)
+    if not np.allclose(counts, rounded, atol=1e-9):
+        raise ValidationError("probabilities are not multiples of 1/denominator")
+    feats, sens, labels = [], [], []
+    for si, s in enumerate(table.groups):
+        for xi, v in enumerate(table.x_values):
+            for y in (0, 1):
+                c = int(rounded[si, xi, y])
+                feats.extend([np.nan if v is None else float(v)] * c)
+                sens.extend([s] * c)
+                labels.extend([y] * c)
+    return Dataset(np.array(feats).reshape(-1, 1), sens, labels, ("x",))

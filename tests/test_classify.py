@@ -1,11 +1,15 @@
 import logging
+import re
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 from hypothesis.extra import numpy as hnp
 
+from fairmiss import classify
 from fairmiss.classify import (
+    EqoddsProgram,
     Intervention,
     LinearModel,
     OptimizerSettings,
@@ -28,8 +32,13 @@ from fairmiss.optim import descend, logistic, make_objective
 
 from conftest import random_dataset
 from oracles import (
+    ensemble_to_text,
+    exact_best_accuracy,
+    exact_least_flip,
     log1p_exp,
     mixed_rate_table,
+    model_from_text,
+    model_to_text,
     reference_objective,
     sigmoid,
     train_logreg,
@@ -300,6 +309,105 @@ def predictor_dataset(rng, n=800, signal=1.6, flip_group_noise=0.0):
     return Dataset(np.zeros((n, 1)), s, y), scores
 
 
+CELLS = ((0, 0), (0, 1), (1, 0), (1, 1))
+
+
+@st.composite
+def eqodds_inputs(draw):
+    """Two groups' base rate table, cell probabilities and an epsilon: rates
+    counted from a cell, exactly 0 or 1, or any float in [0, 1]; groups that
+    are identical, or one whose base TPR equals its FPR or differs by 1e-9."""
+    sizes = draw(st.lists(st.integers(1, 500), min_size=4, max_size=4))
+    rates = [draw(st.integers(0, n).map(lambda k, n=n: k / n)
+                  | st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0)) for n in sizes]
+    shape = draw(st.sampled_from(["any", "identical", "tpr = fpr", "tpr = fpr + 1e-9"]))
+    if shape == "identical":
+        rates[2:], sizes[2:] = rates[:2], sizes[:2]
+    elif shape != "any":
+        g = draw(st.integers(0, 1))
+        fpr = rates[2 * g]
+        rates[2 * g + 1] = fpr if shape == "tpr = fpr" else (
+            fpr + 1e-9 if fpr + 1e-9 <= 1.0 else fpr - 1e-9)
+    epsilon = draw(st.sampled_from([0.0, 0.02, 0.1]) | st.floats(1.0, 1e6))
+    base = dict(zip(CELLS, rates))
+    p_sy = {cell: n / sum(sizes) for cell, n in zip(CELLS, sizes)}
+    return base, p_sy, epsilon
+
+
+def accuracy_and_mass(flip, base, p_sy):
+    """Training accuracy and flip mass of flip rates on a base rate table."""
+    mixed = mixed_rate_table(PostprocessRates((0, 1), flip), base)
+    acc = sum(p_sy[(s, 1)] * mixed[(s, 1)] + p_sy[(s, 0)] * (1.0 - mixed[(s, 0)])
+              for s in (0, 1))
+    return acc, sum(flip.values())
+
+
+def flips_of(v):
+    """Flip rates of v = (a_g0, b_g0, a_g1, b_g1), as postprocess_eqodds keys them."""
+    return {(0, 1): 1.0 - v[0], (0, 0): v[1], (1, 1): 1.0 - v[2], (1, 0): v[3]}
+
+
+@given(eqodds_inputs())
+def test_vertex_solve_is_the_exact_optimum_up_to_its_tolerance(case):
+    base, p_sy, epsilon = case
+    program = EqoddsProgram.from_rates((0, 1), base, p_sy)
+    flip = postprocess_eqodds(None, None, epsilon, program=program).flip
+    acc, mass = accuracy_and_mass(flip, base, p_sy)
+    mixed = mixed_rate_table(PostprocessRates((0, 1), flip), base)
+    assert all(0.0 <= f <= 1.0 for f in flip.values())
+    for y in (0, 1):
+        assert abs(mixed[(0, y)] - mixed[(1, y)]) <= epsilon + 1e-12
+
+    # Exact optima, in rational arithmetic. The solver may take a vertex that
+    # misses a row by its slack, and it places the cut to within rounding;
+    # where the optimum is sensitive to that (a tiny accuracy gain along the
+    # cut, nearly parallel gap rows), its answer moves by more than 1e-12. So
+    # its answer must lie in the program with the gap rows and the cut
+    # relaxed by twice the slack (``loose``), and flip no more than the
+    # optimum of the program with the cut raised by as much above the
+    # relaxed accuracy optimum's (``tight``), which its own program contains.
+    # Where the two optima agree, the flips must match them.
+    slack = Fraction(2 * classify._TOL)
+    best = exact_best_accuracy(program, epsilon)
+    best_loose = exact_best_accuracy(program, Fraction(epsilon) + slack)
+    loose = exact_least_flip(program, Fraction(epsilon) + slack, best - Fraction(1e-12) - slack)
+    tight = exact_least_flip(program, epsilon, best_loose - Fraction(1e-12) + slack)
+    assert float(best - Fraction(1e-12) - slack) <= acc <= float(best_loose) + 1e-15
+    least = min(m for m, _, _ in tight)
+    assert float(min(m for m, _, _ in loose)) - 1e-15 <= mass <= float(least) + 1e-12
+    answer = flips_of([float(x) for x in next(v for m, _, v in tight if m == least)])
+    near = [flips_of([float(x) for x in v]) for vertices in (tight, loose)
+            for m, _, v in vertices if m <= min(m for m, _, _ in vertices) + 1e-12]
+    if all(abs(f[k] - answer[k]) <= 1e-12 for f in near for k in answer):
+        assert all(abs(flip[k] - answer[k]) <= 1e-12 for k in answer)
+
+
+def test_solves_what_the_scipy_programs_called_infeasible():
+    # group 1's base TPR exceeds its FPR by 1e-9: scipy 1.17's HiGHS declared
+    # the least-flip program infeasible, so the intervention failed
+    base = {(0, 0): 0.0, (0, 1): 0.0, (1, 0): 0.0, (1, 1): 1e-09}
+    p_sy = {(0, 0): 2 / 410, (0, 1): 2 / 410, (1, 0): 204 / 410, (1, 1): 202 / 410}
+    program = EqoddsProgram.from_rates((0, 1), base, p_sy)
+    flip = postprocess_eqodds(None, None, 0.0, program=program).flip
+    best = exact_best_accuracy(program, 0.0)
+    least = min(m for m, _, _ in exact_least_flip(program, 0.0, best - Fraction(1e-12)))
+    acc, mass = accuracy_and_mass(flip, base, p_sy)
+    assert abs(acc - float(best)) <= 1e-12 and abs(mass - float(least)) <= 1e-12
+
+
+def test_postprocess_logs_its_solve(caplog):
+    sens = [0, 0, 0, 0, 1, 1, 1, 1]
+    labels = [0, 0, 1, 1, 0, 0, 1, 1]
+    scores = np.array([0.1, 0.9, 0.2, 0.8, 0.1, 0.1, 0.8, 0.8])
+    ds = Dataset(np.zeros((8, 1)), sens, labels)
+    with caplog.at_level(logging.DEBUG, logger="fairmiss"):
+        postprocess_eqodds(scores, ds, epsilon=0.0)
+    [line] = [r.getMessage() for r in caplog.records if r.name == "fairmiss"]
+    match = re.fullmatch(r"eqodds solve: epsilon 0, training accuracy 0\.750000 -> "
+                         r"(\d\.\d{6}), flip mass (\d\.\d{6}), (\d+) vertices examined", line)
+    assert match and float(match[1]) < 0.75 and float(match[2]) > 0 and int(match[3]) >= 2
+
+
 class TestPostprocess:
     def test_already_equalized_gives_identity(self):
         # deterministic 8-point dataset with identical group confusion rates
@@ -494,7 +602,7 @@ class TestFairBagging:
 class TestModelSerialization:
     def test_roundtrip(self, rng):
         model = LinearModel(rng.normal(size=3), 0.25, ("orig:a", "ind:a", "cross:a|miss:b"))
-        back = LinearModel.from_text(model.to_text())
+        back = model_from_text(model_to_text(model))
         assert np.array_equal(back.weights, model.weights)
         assert back.bias == model.bias and back.columns == model.columns
 
@@ -502,7 +610,7 @@ class TestModelSerialization:
         train = random_dataset(rng, n=60, d=2, missing_rate=0.2)
         ens = train_fair_bagging(draw_bags(train, 2, "mean", seed=1),
                                  Intervention("eqodds", epsilon=0.2))
-        text = ens.to_text()
+        text = ensemble_to_text(ens)
         assert text.startswith("mode score-average\nbags 2\n")
         assert text.count("bag ") == 2 and "flip s=" in text
 

@@ -280,6 +280,25 @@ def test_text_that_is_utf8_loads(tmp_path):
     assert ds.sensitive.tolist() == [1, 0]
 
 
+
+@pytest.mark.parametrize("text, line", [
+    (b"x1 = feature\ncaf\xe9 = ignore\n", 2),
+    (b"# r\xe9sum\xe9\r\nx1 = feature\n", 1),
+])
+def test_schema_that_is_not_utf8_raises_schema_error(tmp_path, text, line):
+    p = tmp_path / "s.txt"
+    p.write_bytes(text)
+    with pytest.raises(SchemaError) as info:
+        read_schema(p)
+    assert str(info.value) == f"{p}: line {line}: byte 0xe9 is not UTF-8 text"
+
+
+def test_schema_in_utf8_with_crlf_lines_reads(tmp_path):
+    p = tmp_path / "s.txt"
+    p.write_bytes("# résumé\r\na = feature\r\nb=feature\rs = sensitive\ny = label".encode())
+    assert read_schema(p) == SCHEMA
+
+
 class TestScaling:
     def test_minmax_example(self):
         ds = Dataset(np.array([[2.0], [4.0], [np.nan], [6.0]]), [0, 0, 1, 1], [0, 1, 0, 1])

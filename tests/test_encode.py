@@ -4,7 +4,6 @@ import pytest
 from fairmiss.data import Dataset
 from fairmiss.encode import (
     AffineEncoder,
-    ClusterPartition,
     cluster_missing_patterns,
     encode_indicators,
 )
@@ -13,7 +12,7 @@ from fairmiss.metrics import conditional_entropy, entropy
 from fairmiss.simulate import gen_synthetic
 
 from conftest import random_dataset
-from oracles import encode_affine
+from oracles import assign_row, encode_affine, partition_from_text, partition_to_text
 
 
 def ds_from(matrix, sens=None, labels=None):
@@ -107,15 +106,15 @@ class TestClustering:
         part = cluster_missing_patterns(ds, k_min=1, alpha=1.0, beta=0.0)
         assert part.n_clusters == 2
         assert part.splits[0].feature == 1
-        q_present = part.assign(np.array([False, False]))
-        q_missing = part.assign(np.array([False, True]))
+        q_present = assign_row(part, np.array([False, False]))
+        q_missing = assign_row(part, np.array([False, True]))
         assert {q_present, q_missing} == {0, 1}
 
     def test_complete_data_single_cluster(self, rng):
         ds = random_dataset(rng, n=50, d=3, missing_rate=0.0)
         part = cluster_missing_patterns(ds, k_min=1, alpha=1.0, beta=0.0)
         assert part.n_clusters == 1
-        assert part.assign(np.array([True, False, True])) == 0
+        assert assign_row(part, np.array([True, False, True])) == 0
 
     def test_bounded_representation_excludes_lopsided_split(self, rng):
         # feature 0 missing almost exclusively for group 1: the m0-split child
@@ -162,17 +161,17 @@ class TestClustering:
     def test_unseen_pattern_reaches_a_leaf(self, rng):
         ds = random_dataset(rng, n=60, d=4, missing_rate=0.25)
         part = cluster_missing_patterns(ds, k_min=1, alpha=1.0, beta=0.0)
-        q = part.assign(np.ones(4, dtype=bool))
+        q = assign_row(part, np.ones(4, dtype=bool))
         assert 0 <= q < part.n_clusters
 
     def test_serialization_roundtrip(self, rng):
         ds = random_dataset(rng, n=80, d=3, missing_rate=0.35)
         part = cluster_missing_patterns(ds, k_min=1, alpha=1.0, beta=0.0)
-        back = ClusterPartition.from_text(part.to_text())
+        back = partition_from_text(partition_to_text(part))
         assert back.n_clusters == part.n_clusters
         for _ in range(30):
             mask = rng.random(3) < 0.5
-            assert back.assign(mask) == part.assign(mask)
+            assert assign_row(back, mask) == assign_row(part, mask)
 
     @staticmethod
     def random_mask_dataset(rng, n, d):
@@ -184,14 +183,14 @@ class TestClustering:
         ds = random_dataset(rng, n=120, d=4, missing_rate=0.35)
         searched = cluster_missing_patterns(ds, k_min=1, alpha=1.0, beta=0.0)
         assert searched.n_clusters > 1
-        read = ClusterPartition.from_text(
+        read = partition_from_text(
             "d=4\n0 split 2 2 1\n1 leaf 0\n2 split 0 3 4\n3 leaf 2\n"
             "4 split 3 5 6\n5 leaf 1\n6 leaf 3\n"
         )
         for part in (searched, read):
             for n in (0, 1, 200):
                 other = self.random_mask_dataset(rng, n, 4)
-                expected = [part.assign(row) for row in other.mask]
+                expected = [assign_row(part, row) for row in other.mask]
                 got = part.assign_dataset(other)
                 assert got.dtype == np.int64
                 assert got.tolist() == expected

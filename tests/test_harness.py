@@ -548,6 +548,49 @@ dir = {tmp_path / "out"}
         assert err == f"error: {tmp_path / 'd.csv'}: row 3: byte 0xe9 is not UTF-8 text\n"
 
 
+    @pytest.mark.parametrize("command", ["run", "validate"])
+    def test_config_that_is_not_utf8_is_one_error_line(self, tmp_path, capsys, command):
+        p = tmp_path / "exp.cfg"
+        p.write_bytes(b"[data]\n# caf\xe9\nsource = synthetic\n")
+        assert cli.main([command, str(p)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {p}: line 2: byte 0xe9 is not UTF-8 text\n"
+        assert captured.out == ""
+
+    def test_run_reports_a_schema_that_is_not_utf8(self, tmp_path, capsys):
+        (tmp_path / "d.csv").write_text("x1,sensitive,label\n0.5,0,1\n")
+        (tmp_path / "s.txt").write_bytes(b"x1 = feature\ncaf\xe9 = ignore\n")
+        body = f"""
+[data]
+source = csv
+path = {tmp_path / "d.csv"}
+schema = {tmp_path / "s.txt"}
+
+[output]
+dir = {tmp_path / "out"}
+"""
+        assert cli.main(["run", str(write_config(tmp_path, body))]) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: {tmp_path / 's.txt'}: line 2: byte 0xe9 is not UTF-8 text\n"
+
+
+def test_load_config_names_the_line_of_a_byte_that_is_not_utf8(tmp_path):
+    body = BASIC.format(out=tmp_path / "o").encode()
+    p = tmp_path / "exp.cfg"
+    p.write_bytes(body + b"# caf\xe9\n")
+    line = body.count(b"\n") + 1
+    with pytest.raises(ConfigError, match=rf": line {line}: byte 0xe9 is not UTF-8 text$"):
+        load_config(p)
+    # the same config in UTF-8, with CRLF line ends, loads
+    p.write_bytes(body.replace(b"\n", b"\r\n") + "# café\r\n".encode())
+    assert load_config(p).method.name == "indicators"
+
+
+def test_load_config_of_a_missing_file_is_a_config_error(tmp_path):
+    with pytest.raises(ConfigError, match="cannot read config file"):
+        load_config(tmp_path / "absent.cfg")
+
+
 def test_clustering_alpha_below_one_over_the_groups_is_one_config_error(tmp_path):
     # two groups in the synthetic data: alpha = 0.4 < 1/2 fails before any fit
     body = BASIC.format(out=tmp_path / "a").replace(

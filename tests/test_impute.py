@@ -576,12 +576,15 @@ def scaled_fit_and_target(draw):
     if draw(st.booleans()):
         powers = draw(st.lists(st.floats(-46.0, -19.0), min_size=d, max_size=d))
         scale = 10.0 ** np.array(powers)
+        rescale = lambda x: x * scale
     else:
         guard = np.sqrt(np.finfo(np.float32).max / 8) / d
         big = np.nanmax(np.abs(np.vstack([train.features, target.features])))
-        scale = draw(st.floats(0.5, 4.0)) * guard / big if big > 0 else 1.0
-    return (train.with_features(train.features * scale),
-            target.with_features(target.features * scale), k)
+        top = draw(st.floats(0.5, 4.0)) * guard
+        # divided first: guard / big overflows when big is subnormal
+        rescale = (lambda x: x / big * top) if big > 0 else (lambda x: x)
+    return (train.with_features(rescale(train.features)),
+            target.with_features(rescale(target.features)), k)
 
 
 @given(scaled_fit_and_target())

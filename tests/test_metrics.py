@@ -1,6 +1,5 @@
 import numpy as np
 import pytest
-from scipy.optimize import linprog
 
 from fairmiss.data import Dataset
 from fairmiss.errors import ValidationError
@@ -18,6 +17,8 @@ from fairmiss.metrics import (
     pareto_frontier,
 )
 from fairmiss.simulate import MaskedPositives, masked_positives_table
+
+from oracles import table_to_dataset
 
 
 def eight_sample_dataset():
@@ -124,7 +125,7 @@ class TestEntropy:
     def test_plugin_mi_on_expanded_table(self):
         # alpha = 0.25 with equal priors expands exactly at denominator 16
         table = masked_positives_table(MaskedPositives((0.25, 0.25), (0.5, 0.5)))
-        ds = table.to_dataset(16)
+        ds = table_to_dataset(table, 16)
         assert ds.n_samples == 16
         assert mutual_info_my(ds) == pytest.approx(binary_entropy(0.25), abs=1e-12)
 
@@ -132,7 +133,7 @@ class TestEntropy:
         # zero-imputed value column plus mask determines the label exactly;
         # the imputed value alone does not (for masking rates in (0, 1/3))
         table = masked_positives_table(MaskedPositives((0.25, 0.25), (0.5, 0.5)))
-        ds = table.to_dataset(16)
+        ds = table_to_dataset(table, 16)
         x = ds.features[:, 0]
         m = ds.mask[:, 0].astype(float)
         xh = np.where(np.isnan(x), 1.0, x)  # impute missing to 1
@@ -227,28 +228,10 @@ class TestPareto:
 class TestPostprocessOracleAgreement:
     """The exact post-processor is checked against an independent LP solver."""
 
-    def lp_oracle(self, base, p_sy, epsilon):
-        # variables (a0, b0, a1, b1) as in classify.postprocess_eqodds
-        def row(s_i, y):
-            r = base[(s_i, y)]
-            out = np.zeros(4)
-            out[2 * s_i] = r
-            out[2 * s_i + 1] = 1 - r
-            return out
-
-        tpr0, tpr1, fpr0, fpr1 = row(0, 1), row(1, 1), row(0, 0), row(1, 0)
-        c = -(p_sy[(0, 1)] * tpr0 + p_sy[(1, 1)] * tpr1
-              - p_sy[(0, 0)] * fpr0 - p_sy[(1, 0)] * fpr1)
-        a_ub = np.array([tpr0 - tpr1, tpr1 - tpr0, fpr0 - fpr1, fpr1 - fpr0])
-        res = linprog(c, A_ub=a_ub, b_ub=[epsilon] * 4, bounds=[(0, 1)] * 4,
-                      method="highs")
-        assert res.success
-        return -res.fun
-
     def test_vertex_enumeration_matches_lp(self, rng):
         from fairmiss.classify import postprocess_eqodds
 
-        from oracles import mixed_rate_table
+        from oracles import mixed_rate_table, reference_postprocess_eqodds
 
         for trial in range(25):
             n = 400
@@ -268,10 +251,13 @@ class TestPostprocessOracleAgreement:
                     idx = (sens == s) & (labels == y)
                     base[(s, y)] = float(np.mean(pred[idx]))
                     p_sy[(s, y)] = float(np.mean(idx))
-            mixed = mixed_rate_table(rates, base)
-            achieved = (
-                p_sy[(0, 1)] * mixed[(0, 1)] + p_sy[(1, 1)] * mixed[(1, 1)]
-                + p_sy[(0, 0)] * (1 - mixed[(0, 0)]) + p_sy[(1, 0)] * (1 - mixed[(1, 0)])
-            )
-            expected = self.lp_oracle(base, p_sy, eps) + p_sy[(0, 0)] + p_sy[(1, 0)]
+
+            def accuracy_of(rates):
+                mixed = mixed_rate_table(rates, base)
+                return (p_sy[(0, 1)] * mixed[(0, 1)] + p_sy[(1, 1)] * mixed[(1, 1)]
+                        + p_sy[(0, 0)] * (1 - mixed[(0, 0)])
+                        + p_sy[(1, 0)] * (1 - mixed[(1, 0)]))
+
+            achieved = accuracy_of(rates)
+            expected = accuracy_of(reference_postprocess_eqodds(scores, ds, eps))
             assert achieved == pytest.approx(expected, abs=1e-9)
