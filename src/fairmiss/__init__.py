@@ -10,7 +10,6 @@ from .classify import (
     FairEnsemble,
     Intervention,
     LinearModel,
-    OptimizerSettings,
     PostprocessRates,
     apply_postprocess,
     draw_bags,
@@ -57,7 +56,6 @@ from .impute import (
     make_imputer,
 )
 from .metrics import (
-    GroupRates,
     JointTable,
     TradeoffPoint,
     accuracy,

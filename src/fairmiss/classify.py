@@ -4,16 +4,18 @@ ensemble for data with missing values.
 The in-processing intervention adds a smooth score-disparity penalty to the
 logistic loss; the post-processing intervention solves the small randomized
 equalized-odds program exactly, by enumerating the vertices of its two linear
-programs. The bagging ensemble resamples within (group, label) cells, imputes
-and indicator-encodes each bag separately, and aggregates by a uniformly
-random pick or by score averaging.
+programs. Every trained model is a ``LinearPredictor``: a LinearModel and,
+for eqodds, its flip rates. The bagging ensemble resamples within (group,
+label) cells, imputes and indicator-encodes each bag separately, trains one
+LinearPredictor per bag, and aggregates by a uniformly random pick or by
+score averaging. Predictors read encoded rows only; the caller encodes.
 """
 
 from __future__ import annotations
 
 import itertools
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -22,11 +24,12 @@ from .data import Dataset, fair_resample
 from .encode import EncodedDataset, encode_indicators
 from .errors import ValidationError
 from .impute import Imputer, make_imputer
-from .optim import OptimizerSettings, descend, logistic, make_objective
+from .optim import LAM, descend, logistic, make_objective
 
 # conditioning labels whose group score gaps each penalty constraint penalizes
 PENALTY_LABELS = {"mean-equalized-odds": (0, 1), "fnr-difference": (1,)}
 ENSEMBLE_MODES = ("random-pick", "score-average")
+THRESHOLD = 0.5  # a score at or above it predicts 1
 
 log = logging.getLogger("fairmiss")
 
@@ -38,7 +41,6 @@ class LinearModel:
     weights: np.ndarray
     bias: float
     columns: tuple
-    threshold: float = 0.5
 
     def __post_init__(self):
         w = np.asarray(self.weights, dtype=np.float64)
@@ -60,7 +62,7 @@ class LinearModel:
         return logistic((m * self.weights).sum(axis=1) + self.bias)[0]
 
     def predict(self, matrix: np.ndarray) -> np.ndarray:
-        return (self.scores(matrix) >= self.threshold).astype(np.int64)
+        return (self.scores(matrix) >= THRESHOLD).astype(np.int64)
 
 
 def _check_training_data(enc: EncodedDataset) -> None:
@@ -70,15 +72,14 @@ def _check_training_data(enc: EncodedDataset) -> None:
         raise ValidationError("training data must contain both labels")
 
 
-def _train(enc: EncodedDataset, tau: float, constraint: str,
-           settings: OptimizerSettings) -> LinearModel:
+def _train(enc: EncodedDataset, tau: float, constraint: str) -> LinearModel:
     _check_training_data(enc)
     if tau > 0 and len(enc.group_set) < 2:
         raise ValidationError("disparity penalty requires at least two groups")
     w0 = np.zeros(enc.matrix.shape[1] + 1)
-    obj = make_objective(enc.matrix, enc.labels, settings.lam, tau, enc.cells(),
+    obj = make_objective(enc.matrix, enc.labels, LAM, tau, enc.cells(),
                          PENALTY_LABELS[constraint])
-    w, _, _ = descend(obj, w0, settings.tol, settings.max_iters)
+    w, _, _ = descend(obj, w0)
     return LinearModel(w[:-1], float(w[-1]), enc.columns)
 
 
@@ -148,7 +149,8 @@ class EqoddsProgram:
 
 
 def eqodds_program(scores, ds) -> EqoddsProgram:
-    """Validate the scores and build the program of their 0.5 threshold."""
+    """Validate the scores and build the program of their base predictions
+    (scores at or above THRESHOLD predict 1)."""
     scores = np.asarray(scores, dtype=np.float64)
     if scores.shape != ds.labels.shape:
         raise ValidationError("score length must equal dataset size")
@@ -157,7 +159,7 @@ def eqodds_program(scores, ds) -> EqoddsProgram:
         raise ValidationError("equalized-odds post-processing supports exactly 2 groups")
     if scores.min() < 0.0 or scores.max() > 1.0:
         raise ValidationError("scores must lie in [0, 1]")
-    base = metrics.rate_table((scores >= 0.5).astype(np.int64), ds)
+    base = metrics.group_rates((scores >= THRESHOLD).astype(np.int64), ds)
     n = ds.labels.shape[0]
     p_sy = {cell: idx.size / n for cell, idx in ds.cells()}
     return EqoddsProgram.from_rates(groups, base, p_sy)
@@ -201,8 +203,8 @@ def postprocess_eqodds(scores, ds, epsilon: float, *,
                        program: EqoddsProgram = None) -> PostprocessRates:
     """Exact accuracy-optimal randomized equalized-odds repair for two groups.
 
-    The base prediction thresholds the given scores at 0.5; the output mixes
-    each (group, base prediction) with probabilities v that maximize
+    The base prediction thresholds the given scores at THRESHOLD; the output
+    mixes each (group, base prediction) with probabilities v that maximize
     accuracy on the fitting data over the polytope |FPR gap| <= epsilon,
     |FNR gap| <= epsilon, 0 <= v <= 1. Then, among points within 1e-12 of
     that accuracy, it takes the one flipping the least mass, so an already
@@ -218,8 +220,7 @@ def postprocess_eqodds(scores, ds, epsilon: float, *,
     already, as ``TrainingSet`` does for a grid of epsilons; ``scores`` and
     ``ds`` are then not read.
     """
-    if epsilon < 0:
-        raise ValidationError("epsilon must be non-negative")
+    metrics.check_epsilon(epsilon)
     if program is None:
         program = eqodds_program(scores, ds)
     rows, gain = program.rows, program.gain
@@ -257,6 +258,31 @@ def apply_postprocess(rates: PostprocessRates, base_predictions, sensitive,
     return np.where(u < rates.flip_probs(sensitive, pred), 1 - pred, pred)
 
 
+@dataclass(frozen=True)
+class LinearPredictor:
+    """A trained model: one LinearModel over an encoding and, for eqodds, its
+    flip rates."""
+
+    model: LinearModel
+    rates: PostprocessRates = None
+
+    def scores(self, enc: EncodedDataset) -> np.ndarray:
+        """Pr(output = 1) of each encoded row."""
+        s = self.model.scores(enc.matrix)
+        if self.rates is None:
+            return s
+        base = (s >= THRESHOLD).astype(np.int64)
+        flip = self.rates.flip_probs(enc.sensitive, base)
+        return np.where(base == 1, 1.0 - flip, flip)
+
+    def predict(self, enc: EncodedDataset, seed: int) -> np.ndarray:
+        """The labels of the encoded rows; eqodds flips draw with ``seed``."""
+        preds = self.model.predict(enc.matrix)
+        if self.rates is not None:
+            preds = apply_postprocess(self.rates, preds, enc.sensitive, seed)
+        return preds
+
+
 # ---------------------------------------------------------------------------
 # fair bagging ensemble
 # ---------------------------------------------------------------------------
@@ -271,7 +297,6 @@ class Intervention:
     tau: float = 0.0
     constraint: str = "mean-equalized-odds"
     epsilon: float = 0.1
-    settings: OptimizerSettings = field(default_factory=OptimizerSettings)
 
     def __post_init__(self):
         if self.kind not in ("none", "penalty", "eqodds"):
@@ -280,8 +305,7 @@ class Intervention:
             raise ValidationError(f"unknown penalty constraint {self.constraint!r}")
         if not (np.isfinite(self.tau) and self.tau >= 0):
             raise ValidationError(f"penalty weight tau must be finite and >= 0, got {self.tau}")
-        if not (np.isfinite(self.epsilon) and self.epsilon >= 0):
-            raise ValidationError(f"epsilon must be finite and >= 0, got {self.epsilon}")
+        metrics.check_epsilon(self.epsilon)
 
 
 def train_intervention(enc: EncodedDataset, interv: Intervention):
@@ -297,7 +321,7 @@ def train_intervention(enc: EncodedDataset, interv: Intervention):
     if interv.kind == "eqodds":
         return TrainingSet(enc).train(interv)
     tau = interv.tau if interv.kind == "penalty" else 0.0
-    return _train(enc, tau, interv.constraint, interv.settings), None
+    return _train(enc, tau, interv.constraint), None
 
 
 class TrainingSet:
@@ -305,49 +329,29 @@ class TrainingSet:
 
     ``train`` fits none and the penalty anew at each call. eqodds
     post-processes the plain model at every epsilon; that model and its
-    epsilon-free ``EqoddsProgram`` are built at the first eqodds call and kept
-    (one per optimizer settings), so a grid of epsilons trains the model and
-    tallies its rates once.
+    epsilon-free ``EqoddsProgram`` are built at the first eqodds call and kept,
+    so a grid of epsilons trains the model and tallies its rates once.
     """
 
     def __init__(self, enc: EncodedDataset):
         self.enc = enc
-        self._plain = {}  # OptimizerSettings -> (plain LinearModel, its EqoddsProgram)
+        self._plain = None  # (plain LinearModel, its EqoddsProgram)
 
     def train(self, interv: Intervention):
         """(LinearModel, PostprocessRates or None), as ``train_intervention``."""
         if interv.kind != "eqodds":
             return train_intervention(self.enc, interv)
-        if interv.settings not in self._plain:
-            plain = Intervention(settings=interv.settings)
-            model = train_intervention(self.enc, plain)[0]
-            program = eqodds_program(model.scores(self.enc.matrix), self.enc)
-            self._plain[interv.settings] = model, program
-        model, program = self._plain[interv.settings]
+        if self._plain is None:
+            model = train_intervention(self.enc, Intervention())[0]
+            self._plain = model, eqodds_program(model.scores(self.enc.matrix), self.enc)
+        model, program = self._plain
         return model, postprocess_eqodds(None, None, interv.epsilon, program=program)
 
 
 @dataclass(frozen=True)
-class BagModel:
-    imputer: object
-    model: LinearModel
-    rates: PostprocessRates = None
-
-    def encode(self, ds: Dataset) -> EncodedDataset:
-        return encode_indicators(ds, imputer=self.imputer)
-
-    def scores(self, enc: EncodedDataset) -> np.ndarray:
-        """Pr(output = 1) of each row of this bag's encoding."""
-        s = self.model.scores(enc.matrix)
-        if self.rates is None:
-            return s
-        base = (s >= self.model.threshold).astype(np.int64)
-        flip = self.rates.flip_probs(enc.sensitive, base)
-        return np.where(base == 1, 1.0 - flip, flip)
-
-
-@dataclass(frozen=True)
 class FairEnsemble:
+    """One LinearPredictor per bag and the mode that aggregates them."""
+
     bags: tuple
     mode: str = "score-average"
 
@@ -360,18 +364,7 @@ class FairEnsemble:
             raise ValidationError("ensemble members must share one column set")
         object.__setattr__(self, "bags", tuple(self.bags))
 
-    @property
-    def n_bags(self) -> int:
-        return len(self.bags)
-
-    def encode(self, ds: Dataset) -> tuple:
-        """Every bag's encoding of ``ds``, the input of ``predict_encoded``."""
-        return tuple(bag.encode(ds) for bag in self.bags)
-
-    def predict(self, ds: Dataset, seed: int) -> np.ndarray:
-        return self.predict_encoded(self.encode(ds), seed)
-
-    def predict_encoded(self, encodings: tuple, seed: int) -> np.ndarray:
+    def predict(self, encodings: tuple, seed: int) -> np.ndarray:
         return predict_dataset(self, encodings, seed)
 
 
@@ -416,7 +409,7 @@ def train_fair_bagging(bags: tuple, intervention: Intervention,
     """Cell-preserving bootstrap ensemble with per-bag imputation: the
     intervention trained on each of ``draw_bags``' bags."""
     return FairEnsemble(
-        tuple(BagModel(bag.imputer, *bag.training.train(intervention)) for bag in bags), mode
+        tuple(LinearPredictor(*bag.training.train(intervention)) for bag in bags), mode
     )
 
 
@@ -426,16 +419,17 @@ def ensemble_scores(ens: FairEnsemble, encodings: tuple) -> np.ndarray:
 
 
 def predict_dataset(ens: FairEnsemble, encodings: tuple, seed: int) -> np.ndarray:
-    """Predict every row from its per-bag encodings (``FairEnsemble.encode``):
+    """Predict every row from its per-bag encodings (bag b's ``Bag.encode``):
     random-pick draws one bag per row (then that bag's possibly randomized
     label); score-average thresholds the mean score."""
-    if len(encodings) != ens.n_bags:
-        raise ValidationError(f"{ens.n_bags} bags need as many encodings, got {len(encodings)}")
+    n_bags = len(ens.bags)
+    if len(encodings) != n_bags:
+        raise ValidationError(f"{n_bags} bags need as many encodings, got {len(encodings)}")
     if ens.mode == "score-average":
-        return (ensemble_scores(ens, encodings) >= 0.5).astype(np.int64)
+        return (ensemble_scores(ens, encodings) >= THRESHOLD).astype(np.int64)
     n = encodings[0].n_samples
     rng = np.random.default_rng(seed)
-    picks = rng.integers(0, ens.n_bags, size=n)
+    picks = rng.integers(0, n_bags, size=n)
     out = np.empty(n, dtype=np.int64)
     u = rng.random(n)
     for b, (bag, enc) in enumerate(zip(ens.bags, encodings)):
@@ -444,7 +438,7 @@ def predict_dataset(ens: FairEnsemble, encodings: tuple, seed: int) -> np.ndarra
             continue
         scores = bag.scores(enc.subset(np.flatnonzero(sel)))
         if bag.rates is None:
-            out[sel] = (scores >= bag.model.threshold).astype(np.int64)
+            out[sel] = (scores >= THRESHOLD).astype(np.int64)
         else:
             out[sel] = (u[sel] < scores).astype(np.int64)
     return out

@@ -15,7 +15,7 @@ import numpy as np
 from .data import Dataset
 from .errors import NotFittedError, ValidationError
 from .impute import Imputer, ZeroImputer
-from .optim import OptimizerSettings, descend, logistic, make_objective
+from .optim import LAM, descend, logistic, make_objective
 
 
 @dataclass(frozen=True)
@@ -216,7 +216,7 @@ def cluster_missing_patterns(
     the split is kept only when that sum is strictly below the cluster's own
     minimized loss. The loss is the summed logistic loss plus
     (lam/2)||w||^2 of a linear model on zero-imputed features, minimized as
-    the mean objective with lam/n under the default OptimizerSettings; with
+    the mean objective with ``optim.LAM``/n; with
     ``val_fraction`` > 0 a stratified share of the rows is held out once and
     the unregularized summed loss is evaluated on it instead.
     """
@@ -247,17 +247,13 @@ def cluster_missing_patterns(
     else:
         fit_flags = np.ones(train.n_samples, dtype=bool)
 
-    settings = OptimizerSettings()
-
     def cluster_loss(idx: np.ndarray) -> float:
         fit_rows = idx[fit_flags[idx]]
         if fit_rows.size == 0:
             return np.inf
         n = fit_rows.size
-        obj = make_objective(x[fit_rows], y[fit_rows], settings.lam / n)
-        w, mean_loss, _ = descend(
-            obj, np.zeros(x.shape[1] + 1), settings.tol, settings.max_iters
-        )
+        obj = make_objective(x[fit_rows], y[fit_rows], LAM / n)
+        w, mean_loss, _ = descend(obj, np.zeros(x.shape[1] + 1))
         if val_fraction > 0.0:
             val_rows = idx[~fit_flags[idx]]
             if val_rows.size == 0:

@@ -12,20 +12,25 @@ the method name:
 - ``fit_repeat``, once per repeat, fits what no grid point changes on the
   training split: the scaler, and then for impute-then-classify, indicators
   and affine the imputer or encoder, and for fairmissbag each bag's resample
-  and imputer (``classify.draw_bags``). It encodes the training and test
-  splits once (per bag for fairmissbag), and every grid point shares them.
+  and imputer (``classify.draw_bags``). It is the only code that encodes
+  rows: it encodes the training and test splits once (per bag for
+  fairmissbag, zero-imputed for clustering), and every grid point shares
+  those encodings.
 - ``fit_pipeline``, once per grid point, trains the intervention into one
-  predictor with ``predict(ds, seed)`` and ``predict_encoded``:
-  - impute-then-classify, indicators and affine give a ``LinearPredictor``:
-    the encoding, the intervention's LinearModel and, for eqodds, its flip
-    rates, drawn with the given seed.
-  - fairmissbag gives the ``classify.FairEnsemble``.
+  predictor whose ``predict(input, seed)`` reads a split as ``fit_repeat``
+  encoded it:
+  - impute-then-classify, indicators and affine give a
+    ``classify.LinearPredictor``: the intervention's LinearModel and, for
+    eqodds, its flip rates, drawn with the given seed.
+  - fairmissbag gives the ``classify.FairEnsemble``, one LinearPredictor per
+    bag.
   - clustering gives a ``ClusterRouter``: the missing-pattern partition plus
     one leaf predictor per cluster, leaf q drawing with seed + q. A leaf
-    holds a zero-imputed LinearPredictor, or, when its training rows carry a
-    single label, a ``ConstantPredictor`` of that label (no model can be
-    trained there, so neither the penalty nor eqodds applies to that leaf).
-    The partition is searched at each grid point.
+    holds a LinearPredictor trained on its rows of the zero-imputed training
+    encoding, or, when those rows carry a single label, a
+    ``ConstantPredictor`` of that label (no model can be trained there, so
+    neither the penalty nor eqodds applies to that leaf). The partition is
+    searched at each grid point.
   eqodds post-processes one plain model per encoding and repeat
   (``classify.TrainingSet``), so each epsilon costs only its vertex solve.
 
@@ -44,7 +49,7 @@ import numpy as np
 
 from . import classify, data, encode, metrics, simulate
 from .errors import ConfigError, FairmissError, ValidationError
-from .impute import ZeroImputer, make_imputer
+from .impute import make_imputer
 
 log = logging.getLogger("fairmiss")
 
@@ -59,10 +64,8 @@ PARETO_COLUMNS = (
     "method", "grid_id", "params",
     "test_accuracy_mean", "test_accuracy_stderr", "meo_mean", "meo_stderr",
 )
-TABLE_COLUMNS = (
-    "method", "grid_id", "params", "repeat",
-    "f_eps_original", "f_eps_imputed_best", "gap", "mi_bits",
-)
+TABLE_METRICS = ("f_eps_original", "f_eps_imputed_best", "gap", "mi_bits")
+TABLE_COLUMNS = ("method", "grid_id", "params", "repeat") + TABLE_METRICS
 
 
 def _fmt(x) -> str:
@@ -253,6 +256,8 @@ def validate_config(cfg: ExperimentConfig) -> None:
     try:
         make_imputer(cfg.method.imputer)
         grid = grid_points(cfg.intervention)
+        if cfg.data.source == "theorem1":
+            _masked_positives(cfg.data)
     except ValidationError as exc:
         raise ConfigError(str(exc)) from None
     if not grid:
@@ -291,32 +296,13 @@ def grid_points(icfg: InterventionConfig) -> list:
 
 
 @dataclass(frozen=True)
-class LinearPredictor:
-    """An encoding of the rows, one LinearModel over it, and the optional
-    eqodds flip rates. ``encoder`` maps a Dataset to its EncodedDataset."""
-
-    encoder: object
-    model: classify.LinearModel
-    rates: classify.PostprocessRates = None
-
-    def predict(self, ds: data.Dataset, seed: int) -> np.ndarray:
-        return self.predict_encoded(self.encoder(ds), seed)
-
-    def predict_encoded(self, enc: encode.EncodedDataset, seed: int) -> np.ndarray:
-        preds = self.model.predict(enc.matrix)
-        if self.rates is not None:
-            preds = classify.apply_postprocess(self.rates, preds, enc.sensitive, seed)
-        return preds
-
-
-@dataclass(frozen=True)
 class ConstantPredictor:
     """Predicts one label everywhere: the model of a label-pure cluster."""
 
     label: int
 
-    def predict(self, ds: data.Dataset, seed: int) -> np.ndarray:
-        return np.full(ds.n_samples, self.label, dtype=np.int64)
+    def predict(self, enc: encode.EncodedDataset, seed: int) -> np.ndarray:
+        return np.full(enc.n_samples, self.label, dtype=np.int64)
 
 
 @dataclass(frozen=True)
@@ -332,25 +318,24 @@ class ClusterRouter:
     partition: encode.ClusterPartition
     leaves: tuple
 
-    def predict(self, ds: data.Dataset, seed: int) -> np.ndarray:
+    def predict(self, split: tuple, seed: int) -> np.ndarray:
+        """``split`` is (a scaled split, whose mask routes its rows, and that
+        split's zero-imputed encoding, which the leaves read)."""
+        ds, enc = split
         assignments = self.partition.assign_dataset(ds)
         preds = np.empty(ds.n_samples, dtype=np.int64)
         for q, leaf in enumerate(self.leaves):
             rows = np.flatnonzero(assignments == q)
             if rows.size:
-                preds[rows] = leaf.predict(ds.subset(rows), seed + q)
+                preds[rows] = leaf.predict(enc.subset(rows), seed + q)
         return preds
 
-    # a router reads the rows themselves; each leaf encodes its own
-    predict_encoded = predict
 
-
-def _fit_leaf(leaf: data.Dataset, interv: classify.Intervention):
-    labels = np.unique(leaf.labels)
+def _fit_leaf(enc: encode.EncodedDataset, interv: classify.Intervention):
+    labels = np.unique(enc.labels)
     if labels.size == 1:
         return ConstantPredictor(int(labels[0]))
-    encoder = lambda ds: encode.encode_plain(ds, ZeroImputer())
-    return LinearPredictor(encoder, *classify.train_intervention(encoder(leaf), interv))
+    return classify.LinearPredictor(*classify.train_intervention(enc, interv))
 
 
 @dataclass
@@ -362,10 +347,9 @@ class RepeatFit:
     scaler: data.FeatureScaler
     train: data.Dataset   # both splits scaled
     test: data.Dataset
-    train_input: object   # each split as the predictors' predict_encoded reads it
+    train_input: object   # each split as the predictors' predict reads it
     test_input: object
-    encoder: object = None                  # impute-then-classify, indicators, affine
-    training: classify.TrainingSet = None   # ... and their encoded training split
+    training: classify.TrainingSet = None   # impute-then-classify, indicators, affine
     bags: tuple = ()                        # fairmissbag: classify.Bag per bag
 
 
@@ -375,7 +359,8 @@ def fit_repeat(train: data.Dataset, test: data.Dataset, cfg: ExperimentConfig,
     train, test = scaler.transform(train), scaler.transform(test)
     name = cfg.method.name
     if name == "clustering":
-        return RepeatFit(scaler, train, test, train, test)
+        return RepeatFit(scaler, train, test, (train, encode.encode_plain(train)),
+                         (test, encode.encode_plain(test)))
     if name == "fairmissbag":
         bags = classify.draw_bags(train, cfg.method.bags, cfg.method.imputer, seed)
         return RepeatFit(scaler, train, test, tuple(bag.train_encoded for bag in bags),
@@ -390,7 +375,7 @@ def fit_repeat(train: data.Dataset, test: data.Dataset, cfg: ExperimentConfig,
     else:
         raise ConfigError(f"unknown method {name!r}")
     enc = encoder(train)
-    return RepeatFit(scaler, train, test, enc, encoder(test), encoder=encoder,
+    return RepeatFit(scaler, train, test, enc, encoder(test),
                      training=classify.TrainingSet(enc))
 
 
@@ -398,7 +383,7 @@ def fit_repeat(train: data.Dataset, test: data.Dataset, cfg: ExperimentConfig,
 class FittedPipeline:
     """One grid point's predictor, trained on the repeat's training split."""
 
-    predictor: object  # predict_encoded(input, seed) -> labels
+    predictor: object  # predict(input, seed) -> labels
     train_accuracy: float
 
 
@@ -407,7 +392,7 @@ def fit_pipeline(rep: RepeatFit, cfg: ExperimentConfig, gp: GridPoint,
     interv = gp.intervention
     name = cfg.method.name
     if name == "clustering":
-        train = rep.train
+        train, train_enc = rep.train_input
         part = encode.cluster_missing_patterns(
             train,
             cfg.method.k_min,
@@ -418,20 +403,20 @@ def fit_pipeline(rep: RepeatFit, cfg: ExperimentConfig, gp: GridPoint,
         )
         assignments = part.assign_dataset(train)
         leaves = tuple(
-            _fit_leaf(train.subset(np.flatnonzero(assignments == q)), interv)
+            _fit_leaf(train_enc.subset(np.flatnonzero(assignments == q)), interv)
             for q in range(part.n_clusters)
         )
         predictor = ClusterRouter(part, leaves)
     elif name == "fairmissbag":
         predictor = classify.train_fair_bagging(rep.bags, interv, cfg.method.mode)
     else:
-        predictor = LinearPredictor(rep.encoder, *rep.training.train(interv))
-    preds = predictor.predict_encoded(rep.train_input, seed)
+        predictor = classify.LinearPredictor(*rep.training.train(interv))
+    preds = predictor.predict(rep.train_input, seed)
     return FittedPipeline(predictor, metrics.accuracy(preds, rep.train))
 
 
 def evaluate_pipeline(fp: FittedPipeline, rep: RepeatFit, seed: int) -> dict:
-    preds = fp.predictor.predict_encoded(rep.test_input, seed)
+    preds = fp.predictor.predict(rep.test_input, seed)
     rates = metrics.group_rates(preds, rep.test)
     return {
         "train_accuracy": fp.train_accuracy,
@@ -474,11 +459,15 @@ def _load_source(cfg: ExperimentConfig):
         return data.load_csv(d.path, schema, d.sensitive_values or None)
     if d.source == "synthetic":
         return simulate.gen_synthetic(cfg.sweep.seed)
-    alpha1 = d.alpha0 if d.alpha1 is None else d.alpha1
-    dist = simulate.MaskedPositives((d.alpha0, alpha1), (d.q0, 1.0 - d.q0))
+    dist = _masked_positives(d)
     if d.samples > 0:
         return simulate.sample_masked_positives(dist, d.samples, cfg.sweep.seed)
     return dist
+
+
+def _masked_positives(d: DataConfig) -> simulate.MaskedPositives:
+    alpha1 = d.alpha0 if d.alpha1 is None else d.alpha1
+    return simulate.MaskedPositives((d.alpha0, alpha1), (d.q0, 1.0 - d.q0))
 
 
 def exact_table_analysis(dist: simulate.MaskedPositives, epsilons) -> list:
@@ -538,13 +527,7 @@ def run_experiment(cfg: ExperimentConfig) -> RunResult:
     if isinstance(source, simulate.MaskedPositives):
         eps = cfg.intervention.epsilon if cfg.intervention.name == "eqodds" else (0.0,)
         rows = exact_table_analysis(source, eps)
-        aggregated = {
-            r["grid_id"]: {
-                m: (r[m], 0.0)
-                for m in ("f_eps_original", "f_eps_imputed_best", "gap", "mi_bits")
-            }
-            for r in rows
-        }
+        aggregated = {r["grid_id"]: {m: (r[m], 0.0) for m in TABLE_METRICS} for r in rows}
         result = RunResult("exact-table", grid, rows, aggregated, [], [], table_mode=True)
         _write_outputs(cfg, result)
         return result
@@ -627,67 +610,42 @@ def _pareto_gids(grid, aggregated) -> list:
     return [gp.gid for gp in grid if gp.gid in kept]
 
 
+def _write_csv(path: Path, header: tuple, rows) -> None:
+    """One header line, then one line per row of already formatted fields."""
+    lines = [",".join(header)] + [",".join(row) for row in rows]
+    path.write_text("\n".join(lines) + "\n")
+
+
 def _write_outputs(cfg: ExperimentConfig, result: RunResult) -> None:
     out = Path(cfg.output.dir)
     out.mkdir(parents=True, exist_ok=True)
     by_gid = {gp.gid: gp for gp in result.grid}
 
     if result.table_mode:
-        lines = [",".join(TABLE_COLUMNS)]
-        for rec in result.raw:
-            lines.append(
-                ",".join(
-                    [
-                        "exact-table", rec["grid_id"], rec["params"], "0",
-                        _fmt(rec["f_eps_original"]), _fmt(rec["f_eps_imputed_best"]),
-                        _fmt(rec["gap"]), _fmt(rec["mi_bits"]),
-                    ]
-                )
-            )
-        (out / "raw.csv").write_text("\n".join(lines) + "\n")
-        lines = [",".join(SUMMARY_COLUMNS)]
-        for rec in result.raw:
-            for m in ("f_eps_original", "f_eps_imputed_best", "gap", "mi_bits"):
-                lines.append(
-                    ",".join(
-                        ["exact-table", rec["grid_id"], rec["params"], m, _fmt(rec[m]), "0"]
-                    )
-                )
-        (out / "summary.csv").write_text("\n".join(lines) + "\n")
-        (out / "pareto.csv").write_text(",".join(PARETO_COLUMNS) + "\n")
+        _write_csv(out / "raw.csv", TABLE_COLUMNS, (
+            ["exact-table", rec["grid_id"], rec["params"], "0"]
+            + [_fmt(rec[m]) for m in TABLE_METRICS]
+            for rec in result.raw
+        ))
+        _write_csv(out / "summary.csv", SUMMARY_COLUMNS, (
+            ["exact-table", rec["grid_id"], rec["params"], m, _fmt(rec[m]), "0"]
+            for rec in result.raw for m in TABLE_METRICS
+        ))
+        _write_csv(out / "pareto.csv", PARETO_COLUMNS, ())
         return
 
-    lines = [",".join(RAW_COLUMNS)]
-    for rec in sorted(result.raw, key=lambda r: (r["grid_id"], r["repeat"])):
-        lines.append(
-            ",".join(
-                [result.method, rec["grid_id"], rec["params"], str(rec["repeat"])]
-                + [_fmt(rec[m]) for m in METRIC_NAMES]
-            )
-        )
-    (out / "raw.csv").write_text("\n".join(lines) + "\n")
-
-    lines = [",".join(SUMMARY_COLUMNS)]
-    for gid in sorted(result.aggregated.keys()):
-        for m in METRIC_NAMES:
-            mean, stderr = result.aggregated[gid][m]
-            lines.append(
-                ",".join(
-                    [result.method, gid, by_gid[gid].label, m, _fmt(mean), _fmt(stderr)]
-                )
-            )
-    (out / "summary.csv").write_text("\n".join(lines) + "\n")
-
-    lines = [",".join(PARETO_COLUMNS)]
-    for gid in result.pareto:
-        agg = result.aggregated[gid]
-        lines.append(
-            ",".join(
-                [
-                    result.method, gid, by_gid[gid].label,
-                    _fmt(agg["test_accuracy"][0]), _fmt(agg["test_accuracy"][1]),
-                    _fmt(agg["meo"][0]), _fmt(agg["meo"][1]),
-                ]
-            )
-        )
-    (out / "pareto.csv").write_text("\n".join(lines) + "\n")
+    _write_csv(out / "raw.csv", RAW_COLUMNS, (
+        [result.method, rec["grid_id"], rec["params"], str(rec["repeat"])]
+        + [_fmt(rec[m]) for m in METRIC_NAMES]
+        for rec in sorted(result.raw, key=lambda r: (r["grid_id"], r["repeat"]))
+    ))
+    _write_csv(out / "summary.csv", SUMMARY_COLUMNS, (
+        [result.method, gid, by_gid[gid].label, m, *map(_fmt, result.aggregated[gid][m])]
+        for gid in sorted(result.aggregated) for m in METRIC_NAMES
+    ))
+    _write_csv(out / "pareto.csv", PARETO_COLUMNS, (
+        [result.method, gid, by_gid[gid].label,
+         *map(_fmt, result.aggregated[gid]["test_accuracy"]),
+         *map(_fmt, result.aggregated[gid]["meo"])]
+        for gid in result.pareto
+    ))

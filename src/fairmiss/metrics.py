@@ -15,19 +15,7 @@ import numpy as np
 from .data import Dataset
 from .errors import SolverError, ValidationError
 
-DISPARITY_KINDS = ("fnr-diff", "fpr-diff", "meo", "eqodds-max")
-
-
-@dataclass(frozen=True)
-class GroupRates:
-    """Per-group confusion rates plus per-(s, y) support counts."""
-
-    groups: tuple
-    fpr: dict
-    fnr: dict
-    tpr: dict
-    tnr: dict
-    support: dict
+DISPARITY_KINDS = ("fnr-diff", "fpr-diff", "meo")
 
 
 def accuracy(predictions, ds: Dataset) -> float:
@@ -37,7 +25,7 @@ def accuracy(predictions, ds: Dataset) -> float:
     return float(np.mean(pred == ds.labels))
 
 
-def rate_table(predictions, ds: Dataset) -> dict:
+def group_rates(predictions, ds: Dataset) -> dict:
     """(s, y) -> empirical Pr(prediction = 1 | s, y), in ``ds.cells()``
     order; errors on empty cells."""
     pred = np.asarray(predictions).astype(np.int64)
@@ -51,43 +39,34 @@ def rate_table(predictions, ds: Dataset) -> dict:
     return table
 
 
-def group_rates(predictions, ds: Dataset) -> GroupRates:
-    fpr, fnr, tpr, tnr = {}, {}, {}, {}
-    for (s, y), rate1 in rate_table(predictions, ds).items():
-        if y == 1:
-            tpr[s] = rate1
-            fnr[s] = 1.0 - rate1
-        else:
-            fpr[s] = rate1
-            tnr[s] = 1.0 - rate1
-    support = {cell: len(idx) for cell, idx in ds.cells()}
-    return GroupRates(ds.group_set, fpr, fnr, tpr, tnr, support)
-
-
-def _max_gap(values: dict) -> float:
-    vals = list(values.values())
+def _max_gap(vals: list) -> float:
     return max(abs(a - b) for a in vals for b in vals)
 
 
-def disparity(rates: GroupRates, kind: str) -> float:
-    """Group disparity of a rate table.
+def disparity(rates: dict, kind: str) -> float:
+    """Group disparity of a ``group_rates`` table.
 
-    fnr-diff / fpr-diff: largest pairwise gap of that rate; meo: their mean;
-    eqodds-max: largest gap over both prediction values and both labels.
+    fnr-diff / fpr-diff: largest pairwise gap of that rate (FNR = 1 - the
+    rate of the y = 1 cell, FPR = the rate of the y = 0 cell); meo: their
+    mean.
     """
     if kind not in DISPARITY_KINDS:
         raise ValidationError(f"unknown disparity kind {kind!r}")
-    if len(rates.groups) < 2:
+    if len({s for s, _ in rates}) < 2:
         raise ValidationError("disparity requires at least two groups")
-    fnr_gap = _max_gap(rates.fnr)
-    fpr_gap = _max_gap(rates.fpr)
+    fnr_gap = _max_gap([1.0 - r for (_, y), r in rates.items() if y == 1])
+    fpr_gap = _max_gap([r for (_, y), r in rates.items() if y == 0])
     if kind == "fnr-diff":
         return fnr_gap
     if kind == "fpr-diff":
         return fpr_gap
-    if kind == "meo":
-        return 0.5 * (fnr_gap + fpr_gap)
-    return max(fnr_gap, fpr_gap, _max_gap(rates.tpr), _max_gap(rates.tnr))
+    return 0.5 * (fnr_gap + fpr_gap)
+
+
+def check_epsilon(epsilon: float) -> None:
+    """The equalized-odds tolerance rule: finite and >= 0."""
+    if not (np.isfinite(epsilon) and epsilon >= 0):
+        raise ValidationError(f"epsilon must be finite and >= 0, got {epsilon}")
 
 
 # ---------------------------------------------------------------------------
@@ -187,9 +166,10 @@ class JointTable:
         p = np.asarray(self.probs, dtype=np.float64)
         if p.shape != (len(self.groups), len(self.x_values), 2):
             raise ValidationError("probs must have shape (|S|, |X|, 2)")
-        if (p < -1e-12).any():
-            raise ValidationError("joint table has a negative cell")
-        if abs(p.sum() - 1.0) > 1e-9:
+        # written so that NaN fails each check
+        if not (p >= -1e-12).all():
+            raise ValidationError("joint table has a negative or NaN cell")
+        if not abs(p.sum() - 1.0) <= 1e-9:
             raise ValidationError(f"joint table sums to {p.sum()}, expected 1")
         p = np.clip(p, 0.0, None)
         p.setflags(write=False)
@@ -258,8 +238,7 @@ def best_fair_accuracy(table: JointTable, epsilon: float):
 
     if len(table.x_values) > 16:
         raise ValidationError("feature domain too large for the exact oracle")
-    if epsilon < 0:
-        raise ValidationError("epsilon must be non-negative")
+    check_epsilon(epsilon)
     n = len(table.x_values)
     p_xy1 = table.probs[:, :, 1].sum(axis=0)
     p_xy0 = table.probs[:, :, 0].sum(axis=0)

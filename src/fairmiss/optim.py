@@ -15,7 +15,6 @@ cap; stopping short of ``tol`` logs a WARNING on the ``fairmiss`` logger.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -27,16 +26,11 @@ log = logging.getLogger("fairmiss")
 # gradient test (``tol``) decides convergence, and its memory of past steps
 FTOL = 1e-15
 MAXCOR = 20
-
-
-@dataclass(frozen=True)
-class OptimizerSettings:
-    """``tol`` bounds the max-norm of the projected gradient at a stop
-    (L-BFGS-B's ``gtol``); ``max_iters`` caps solver iterations."""
-
-    lam: float = 1e-4
-    tol: float = 1e-6
-    max_iters: int = 5000
+# the trainers' L2 weight, the max-norm of the projected gradient at a stop
+# (L-BFGS-B's ``gtol``) and the iteration cap
+LAM = 1e-4
+TOL = 1e-6
+MAX_ITERS = 5000
 
 
 def logistic(z: np.ndarray):
@@ -107,7 +101,8 @@ def make_objective(x, y, lam: float, tau: float = 0.0, cells=(), labels=(0, 1)):
     return value_and_grad
 
 
-def descend(value_and_grad, w0: np.ndarray, tol: float, max_iters: int):
+def descend(value_and_grad, w0: np.ndarray, tol: float = TOL,
+            max_iters: int = MAX_ITERS):
     """Minimize a smooth convex function with L-BFGS-B from ``w0``.
 
     ``value_and_grad(w) -> (f, g)``. Returns (w, f, iterations). It stops when

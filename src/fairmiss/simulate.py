@@ -186,11 +186,12 @@ class MaskedPositives:
         q = tuple(float(v) for v in self.priors)
         if len(a) != len(q) or not a:
             raise ValidationError("alphas and priors must have equal, nonzero length")
-        if any(v < 0.0 or v >= 1.0 for v in a):
+        # each check is written so that NaN fails it
+        if not all(0.0 <= v < 1.0 for v in a):
             raise ValidationError("each per-group rate must lie in [0, 1)")
-        if any(v <= 0.0 for v in q) or abs(sum(q) - 1.0) > 1e-9:
+        if not (all(v > 0.0 for v in q) and abs(sum(q) - 1.0) <= 1e-9):
             raise ValidationError("priors must be positive and sum to 1")
-        if sum(ai * qi for ai, qi in zip(a, q)) >= 1.0 / 3.0:
+        if not sum(ai * qi for ai, qi in zip(a, q)) < 1.0 / 3.0:
             raise ValidationError(
                 "mixture masking rate must be below 1/3 for the accuracy-gap "
                 "construction to apply"

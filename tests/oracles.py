@@ -15,7 +15,6 @@ from fairmiss.classify import (
     EqoddsProgram,
     Intervention,
     LinearModel,
-    OptimizerSettings,
     PostprocessRates,
     train_intervention,
 )
@@ -71,7 +70,7 @@ def reference_postprocess_eqodds(scores, ds, epsilon: float) -> PostprocessRates
         raise ValidationError("equalized-odds post-processing supports exactly 2 groups")
     if scores.min() < 0.0 or scores.max() > 1.0:
         raise ValidationError("scores must lie in [0, 1]")
-    base = metrics.rate_table((scores >= 0.5).astype(np.int64), ds)
+    base = metrics.group_rates((scores >= 0.5).astype(np.int64), ds)
     n = ds.labels.shape[0]
     p_sy = {cell: idx.size / n for cell, idx in ds.cells()}
     return reference_eqodds_rates(groups, base, p_sy, epsilon)
@@ -330,11 +329,10 @@ def _read_row(reader, path, line_no):
 # shorthands that only tests use
 # ---------------------------------------------------------------------------
 
-def train_logreg(enc: EncodedDataset, settings: OptimizerSettings = None) -> LinearModel:
+def train_logreg(enc: EncodedDataset) -> LinearModel:
     """Fit the plain L2-regularized logistic model (deterministic L-BFGS-B
     from zero weights)."""
-    interv = Intervention("none", settings=settings or OptimizerSettings())
-    return train_intervention(enc, interv)[0]
+    return train_intervention(enc, Intervention("none"))[0]
 
 
 def encode_affine(ds: Dataset) -> EncodedDataset:
@@ -406,34 +404,33 @@ def partition_from_text(text: str) -> ClusterPartition:
 
 
 def model_to_text(model: LinearModel) -> str:
-    lines = [f"bias {float(model.bias)!r}", f"threshold {float(model.threshold)!r}"]
+    lines = [f"bias {float(model.bias)!r}"]
     lines += [f"{tag} {float(w)!r}" for tag, w in zip(model.columns, model.weights)]
     return "\n".join(lines) + "\n"
 
 
 def model_from_text(text: str) -> LinearModel:
-    bias, threshold, tags, weights = 0.0, 0.5, [], []
+    bias, tags, weights = 0.0, [], []
     for ln in text.splitlines():
         if not ln.strip():
             continue
         key, val = ln.rsplit(None, 1)
         if key == "bias":
             bias = float(val)
-        elif key == "threshold":
-            threshold = float(val)
         else:
             tags.append(key)
             weights.append(float(val))
-    return LinearModel(np.array(weights), bias, tuple(tags), threshold)
+    return LinearModel(np.array(weights), bias, tuple(tags))
 
 
-def ensemble_to_text(ens) -> str:
-    """Audit dump: mode, then each bag's imputer name, weights, and any
+def ensemble_to_text(ens, bags) -> str:
+    """Audit dump: mode, then each bag's imputer name (from ``bags``, the
+    ``classify.draw_bags`` bags it was trained on), weights, and any
     post-processing flip rates. Imputer statistics are not serialized, so
     this is for inspection rather than reconstruction."""
-    lines = [f"mode {ens.mode}", f"bags {ens.n_bags}"]
-    for i, bag in enumerate(ens.bags):
-        lines.append(f"bag {i} imputer={bag.imputer.name}")
+    lines = [f"mode {ens.mode}", f"bags {len(ens.bags)}"]
+    for i, (bag, drawn) in enumerate(zip(ens.bags, bags)):
+        lines.append(f"bag {i} imputer={drawn.imputer.name}")
         lines.append(model_to_text(bag.model).rstrip("\n"))
         if bag.rates is not None:
             for (s, p), f in sorted(bag.rates.flip.items()):

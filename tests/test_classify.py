@@ -12,7 +12,7 @@ from fairmiss.classify import (
     EqoddsProgram,
     Intervention,
     LinearModel,
-    OptimizerSettings,
+    LinearPredictor,
     PostprocessRates,
     PENALTY_LABELS,
     apply_postprocess,
@@ -27,7 +27,7 @@ from fairmiss.data import Dataset, fair_resample
 from fairmiss.encode import EncodedDataset, encode_indicators
 from fairmiss.errors import ValidationError
 from fairmiss.impute import make_imputer
-from fairmiss.metrics import accuracy, rate_table
+from fairmiss.metrics import accuracy, group_rates
 from fairmiss.optim import descend, logistic, make_objective
 
 from conftest import random_dataset
@@ -84,9 +84,11 @@ class TestTrainLogreg:
 
     def test_zero_iterations_returns_zero_weights(self, rng):
         enc = random_encoded(rng)
-        model = train_logreg(enc, OptimizerSettings(max_iters=0))
-        assert np.all(model.weights == 0.0) and model.bias == 0.0
-        # constant score 0.5 predicts 1 everywhere at the default threshold
+        w, _, iters = descend(make_objective(enc.matrix, enc.labels, 1e-4), np.zeros(4),
+                              max_iters=0)
+        assert np.all(w == 0.0) and iters == 0
+        model = LinearModel(w[:-1], float(w[-1]), enc.columns)
+        # constant score 0.5 predicts 1 everywhere at the threshold
         assert model.predict(enc.matrix).all()
 
     def test_single_label_errors(self, rng):
@@ -108,7 +110,7 @@ class TestTrainLogreg:
     def test_iteration_cap_logs_one_warning(self, rng, caplog):
         enc = random_encoded(rng)
         with caplog.at_level(logging.WARNING, logger="fairmiss"):
-            train_logreg(enc, OptimizerSettings(max_iters=1))
+            descend(make_objective(enc.matrix, enc.labels, 1e-4), np.zeros(4), max_iters=1)
         assert len(caplog.records) == 1
         rec = caplog.records[0]
         assert rec.levelno == logging.WARNING and rec.name == "fairmiss"
@@ -243,7 +245,7 @@ class TestPenalty:
         assert plain.bias == pen.bias
 
     def test_sweep_trend_when_group_is_a_feature(self, rng):
-        from fairmiss.metrics import disparity, group_rates
+        from fairmiss.metrics import disparity
 
         n = 1200
         s = rng.integers(0, 2, n)
@@ -439,6 +441,12 @@ class TestPostprocess:
         with pytest.raises(ValidationError, match="length"):
             postprocess_eqodds(scores[:-1], ds, 0.1)
 
+    @pytest.mark.parametrize("epsilon", [-0.1, np.nan, np.inf])
+    def test_epsilon_must_be_finite_and_non_negative(self, rng, epsilon):
+        ds, scores = predictor_dataset(rng, n=40)
+        with pytest.raises(ValidationError, match="epsilon must be finite and >= 0"):
+            postprocess_eqodds(scores, ds, epsilon)
+
     def test_constructed_gap_is_repaired_exactly(self, rng):
         # plant a 0.4 FPR gap, then require exact equality
         n = 2000
@@ -449,7 +457,7 @@ class TestPostprocess:
         pred[fp_flip] = 1
         scores = pred.astype(float)
         ds = Dataset(np.zeros((n, 1)), s, y)
-        base = rate_table(pred, ds)
+        base = group_rates(pred, ds)
         assert abs(base[(1, 0)] - base[(0, 0)]) > 0.3
         rates = postprocess_eqodds(scores, ds, epsilon=0.0)
         mixed = mixed_rate_table(rates, base)
@@ -463,7 +471,7 @@ class TestPostprocess:
                 continue
             eps = float(rng.choice([0.0, 0.02, 0.1, 0.3]))
             rates = postprocess_eqodds(scores, ds, eps)
-            base = rate_table((scores >= 0.5).astype(int), ds)
+            base = group_rates((scores >= 0.5).astype(int), ds)
             mixed = mixed_rate_table(rates, base)
             for yy in (0, 1):
                 assert abs(mixed[(0, yy)] - mixed[(1, yy)]) <= eps + 1e-9
@@ -472,8 +480,8 @@ class TestPostprocess:
         ds, scores = predictor_dataset(rng, n=20000, flip_group_noise=1.2)
         rates = postprocess_eqodds(scores, ds, epsilon=0.0)
         preds = apply_postprocess(rates, (scores >= 0.5).astype(int), ds.sensitive, seed=5)
-        got = rate_table(preds, ds)
-        want = mixed_rate_table(rates, rate_table((scores >= 0.5).astype(int), ds))
+        got = group_rates(preds, ds)
+        want = mixed_rate_table(rates, group_rates((scores >= 0.5).astype(int), ds))
         for k in want:
             assert got[k] == pytest.approx(want[k], abs=0.03)
 
@@ -530,16 +538,22 @@ class TestUniformMixture:
             assert mix_viol <= eps + 1e-12
 
 
+def encode_bags(bags, ds) -> tuple:
+    """Every bag's encoding of ``ds``, as the ensemble's predictions read it."""
+    return tuple(bag.encode(ds) for bag in bags)
+
+
 class TestFairBagging:
     def test_single_bag_matches_manual_pipeline(self, rng):
         train = random_dataset(rng, n=60, d=3, missing_rate=0.2)
         test = random_dataset(rng, n=20, d=3, missing_rate=0.2, ensure_cells=False)
-        ens = train_fair_bagging(draw_bags(train, 1, "mean", seed=7), Intervention("none"))
+        bags = draw_bags(train, 1, "mean", seed=7)
+        ens = train_fair_bagging(bags, Intervention("none"))
         bag = train.subset(fair_resample(train, 7 + 1))
         imputer = make_imputer("mean").fit(bag)
         model = train_logreg(encode_indicators(bag, imputer=imputer))
         manual = model.predict(encode_indicators(test, imputer=imputer).matrix)
-        got = predict_dataset(ens, ens.encode(test), seed=0)
+        got = predict_dataset(ens, encode_bags(bags, test), seed=0)
         assert np.array_equal(got, manual)
 
     def test_bags_differ(self, rng):
@@ -550,8 +564,7 @@ class TestFairBagging:
 
     def test_complete_data_keeps_zero_indicator_columns(self, rng):
         train = random_dataset(rng, n=50, d=2, missing_rate=0.0)
-        ens = train_fair_bagging(draw_bags(train, 3, "mean", seed=1), Intervention("none"))
-        for bag in ens.bags:
+        for bag in draw_bags(train, 3, "mean", seed=1):
             enc = encode_indicators(train, imputer=bag.imputer)
             assert (enc.matrix[:, 2:] == 0).all()
 
@@ -560,23 +573,21 @@ class TestFairBagging:
         for score in (0.2, 0.4, 0.6):
             logit = float(np.log(score / (1 - score)))
             models.append(LinearModel(np.zeros(2), logit, ("orig:x1", "ind:x1")))
-        from fairmiss.classify import BagModel, FairEnsemble
-        from fairmiss.impute import ZeroImputer
+        from fairmiss.classify import FairEnsemble
 
-        ens = FairEnsemble(tuple(BagModel(ZeroImputer(), m) for m in models))
-        ds = Dataset(np.array([[1.0]]), [0], [0])
-        assert ensemble_scores(ens, ens.encode(ds))[0] == pytest.approx(0.4)
+        ens = FairEnsemble(tuple(LinearPredictor(m) for m in models))
+        enc = encode_indicators(Dataset(np.array([[1.0]]), [0], [0]))
+        assert ensemble_scores(ens, (enc,) * 3)[0] == pytest.approx(0.4)
 
     def test_random_pick_matches_uniform_mixture(self, rng):
         train = random_dataset(rng, n=60, d=2, missing_rate=0.2)
-        ens = train_fair_bagging(
-            draw_bags(train, 3, "zero", seed=2), Intervention("none"), mode="random-pick"
-        )
+        bags = draw_bags(train, 3, "zero", seed=2)
+        ens = train_fair_bagging(bags, Intervention("none"), mode="random-pick")
         test = random_dataset(rng, n=2000, d=2, missing_rate=0.2, ensure_cells=False)
-        picks = predict_dataset(ens, ens.encode(test), seed=9)
+        picks = predict_dataset(ens, encode_bags(bags, test), seed=9)
         per_model = np.array([
-            bag.model.predict(encode_indicators(test, imputer=bag.imputer).matrix)
-            for bag in ens.bags
+            member.model.predict(encode_indicators(test, imputer=bag.imputer).matrix)
+            for member, bag in zip(ens.bags, bags)
         ])
         expected_rate = per_model.mean()
         assert picks.mean() == pytest.approx(expected_rate, abs=0.04)
@@ -584,18 +595,18 @@ class TestFairBagging:
     def test_prediction_determinism(self, rng):
         train = random_dataset(rng, n=60, d=2, missing_rate=0.2)
         test = random_dataset(rng, n=30, d=2, missing_rate=0.2, ensure_cells=False)
-        a = train_fair_bagging(draw_bags(train, 4, "mean", seed=5), Intervention("none"),
-                               mode="random-pick")
-        b = train_fair_bagging(draw_bags(train, 4, "mean", seed=5), Intervention("none"),
-                               mode="random-pick")
-        assert np.array_equal(a.predict(test, 11), b.predict(test, 11))
+        bags_a, bags_b = draw_bags(train, 4, "mean", seed=5), draw_bags(train, 4, "mean", seed=5)
+        a = train_fair_bagging(bags_a, Intervention("none"), mode="random-pick")
+        b = train_fair_bagging(bags_b, Intervention("none"), mode="random-pick")
+        assert np.array_equal(a.predict(encode_bags(bags_a, test), 11),
+                              b.predict(encode_bags(bags_b, test), 11))
 
     def test_bagging_with_postprocess_intervention(self, rng):
         train = random_dataset(rng, n=120, d=2, missing_rate=0.2)
-        ens = train_fair_bagging(draw_bags(train, 2, "mean", seed=4),
-                                 Intervention("eqodds", epsilon=0.1))
+        bags = draw_bags(train, 2, "mean", seed=4)
+        ens = train_fair_bagging(bags, Intervention("eqodds", epsilon=0.1))
         assert all(bag.rates is not None for bag in ens.bags)
-        scores = ensemble_scores(ens, ens.encode(train))
+        scores = ensemble_scores(ens, encode_bags(bags, train))
         assert scores.shape == (120,) and (0 <= scores).all() and (scores <= 1).all()
 
 
@@ -608,17 +619,17 @@ class TestModelSerialization:
 
     def test_ensemble_audit_dump(self, rng):
         train = random_dataset(rng, n=60, d=2, missing_rate=0.2)
-        ens = train_fair_bagging(draw_bags(train, 2, "mean", seed=1),
-                                 Intervention("eqodds", epsilon=0.2))
-        text = ensemble_to_text(ens)
+        bags = draw_bags(train, 2, "mean", seed=1)
+        ens = train_fair_bagging(bags, Intervention("eqodds", epsilon=0.2))
+        text = ensemble_to_text(ens, bags)
         assert text.startswith("mode score-average\nbags 2\n")
         assert text.count("bag ") == 2 and "flip s=" in text
 
 
 def test_single_sample_random_pick_ignores_seed_for_one_bag(rng):
     train = random_dataset(rng, n=50, d=2, missing_rate=0.2)
-    ens = train_fair_bagging(draw_bags(train, 1, "zero", seed=2), Intervention("none"),
-                             mode="random-pick")
-    first = train.subset([0])
-    preds = {int(predict_dataset(ens, ens.encode(first), seed)[0]) for seed in range(5)}
+    bags = draw_bags(train, 1, "zero", seed=2)
+    ens = train_fair_bagging(bags, Intervention("none"), mode="random-pick")
+    first = encode_bags(bags, train.subset([0]))
+    preds = {int(predict_dataset(ens, first, seed)[0]) for seed in range(5)}
     assert len(preds) == 1

@@ -125,6 +125,10 @@ class TestConfig:
             ("method", "alpha = 0.4\nbeta = 0.5", "need 0 <= beta <= alpha <= 1"),
             ("method", "alpha = 1.5", "need 0 <= beta <= alpha <= 1"),
             ("method", "beta = -0.1", "need 0 <= beta <= alpha <= 1"),
+            ("data", "source = theorem1\nalpha0 = 0.9", "mixture masking rate must be below 1/3"),
+            ("data", "source = theorem1\nalpha0 = nan", r"per-group rate must lie in \[0, 1\)"),
+            ("data", "source = theorem1\nalpha1 = nan", r"per-group rate must lie in \[0, 1\)"),
+            ("data", "source = theorem1\nq0 = nan", "priors must be positive and sum to 1"),
         ],
     )
     def test_malformed_setting_is_a_config_error(self, tmp_path, capsys, section, body, match):
@@ -505,6 +509,22 @@ class TestCli:
         assert cli.main(["theorem1", "--alpha", "0.25", "--q0", "0.5"]) == 0
         out = capsys.readouterr().out
         assert "gap" in out and "0.250000" in out
+
+    @pytest.mark.parametrize("args, error", [
+        (["--alpha", "nan"], "each per-group rate must lie in [0, 1)"),
+        (["--alpha", "0.25", "--alpha1", "nan"], "each per-group rate must lie in [0, 1)"),
+        (["--alpha", "0.25", "--q0", "nan"], "priors must be positive and sum to 1"),
+        (["--alpha", "0.25", "--epsilon", "nan"], "epsilon must be finite and >= 0, got nan"),
+        (["--alpha", "0.25", "--epsilon", "inf"], "epsilon must be finite and >= 0, got inf"),
+    ])
+    def test_theorem1_command_rejects_non_finite_input(self, capsys, args, error):
+        assert cli.main(["theorem1", *args]) == 1
+        assert capsys.readouterr().err == f"error: {error}\n"
+
+    def test_run_rejects_a_nan_theorem1_rate(self, tmp_path, capsys):
+        body = f"[data]\nsource = theorem1\nalpha0 = nan\n\n[output]\ndir = {tmp_path / 'r'}\n"
+        assert cli.main(["run", str(write_config(tmp_path, body))]) == 1
+        assert capsys.readouterr().err == "error: each per-group rate must lie in [0, 1)\n"
 
     def test_synthetic_command_roundtrips(self, tmp_path, capsys):
         out_csv = tmp_path / "synth.csv"

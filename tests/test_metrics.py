@@ -33,25 +33,22 @@ class TestRates:
         ds = eight_sample_dataset()
         rates = group_rates(ds.labels, ds)
         assert accuracy(ds.labels, ds) == 1.0
-        assert all(v == 0.0 for v in rates.fnr.values())
-        assert all(v == 0.0 for v in rates.fpr.values())
+        assert rates == {(0, 0): 0.0, (0, 1): 1.0, (1, 0): 0.0, (1, 1): 1.0}
 
     def test_all_wrong(self):
         ds = eight_sample_dataset()
         preds = 1 - ds.labels
         rates = group_rates(preds, ds)
         assert accuracy(preds, ds) == 0.0
-        assert all(v == 1.0 for v in rates.fnr.values())
-        assert all(v == 1.0 for v in rates.fpr.values())
+        assert rates == {(0, 0): 1.0, (0, 1): 0.0, (1, 0): 1.0, (1, 1): 0.0}
 
     def test_one_error_per_cell(self):
         ds = eight_sample_dataset()
         preds = ds.labels.copy()
         preds[[0, 2, 4, 6]] = 1 - preds[[0, 2, 4, 6]]  # first sample of each cell
         rates = group_rates(preds, ds)
-        for s in (0, 1):
-            assert rates.fnr[s] == 0.5 and rates.fpr[s] == 0.5
-        assert all(c == 2 for c in rates.support.values())
+        assert list(rates) == [cell for cell, _ in ds.cells()]
+        assert all(v == 0.5 for v in rates.values())
 
     def test_empty_cell_errors(self):
         ds = Dataset(np.zeros((3, 1)), [0, 0, 1], [0, 1, 1])
@@ -61,16 +58,8 @@ class TestRates:
 
 class TestDisparity:
     def make(self, fnr0, fnr1, fpr0, fpr1):
-        from fairmiss.metrics import GroupRates
-
-        return GroupRates(
-            (0, 1),
-            {0: fpr0, 1: fpr1},
-            {0: fnr0, 1: fnr1},
-            {0: 1 - fnr0, 1: 1 - fnr1},
-            {0: 1 - fpr0, 1: 1 - fpr1},
-            {},
-        )
+        """The (s, y) -> Pr(prediction = 1) table with these error rates."""
+        return {(0, 0): fpr0, (0, 1): 1 - fnr0, (1, 0): fpr1, (1, 1): 1 - fnr1}
 
     def test_meo_formula(self):
         rates = self.make(0.2, 0.3, 0.1, 0.4)
@@ -78,19 +67,16 @@ class TestDisparity:
 
     def test_identical_rates_zero(self):
         rates = self.make(0.2, 0.2, 0.1, 0.1)
-        for kind in ("fnr-diff", "fpr-diff", "meo", "eqodds-max"):
+        for kind in ("fnr-diff", "fpr-diff", "meo"):
             assert disparity(rates, kind) == 0.0
 
-    def test_eqodds_max_is_max_of_gaps(self):
-        rates = self.make(0.2, 0.3, 0.1, 0.4)
-        assert disparity(rates, "eqodds-max") == pytest.approx(
-            max(disparity(rates, "fnr-diff"), disparity(rates, "fpr-diff"))
-        )
+    def test_eqodds_max_is_not_a_kind(self):
+        # max(fnr-diff, fpr-diff) is not a kind of its own
+        with pytest.raises(ValidationError, match="unknown disparity kind"):
+            disparity(self.make(0.2, 0.3, 0.1, 0.4), "eqodds-max")
 
     def test_single_group_errors(self):
-        from fairmiss.metrics import GroupRates
-
-        rates = GroupRates((0,), {0: 0.1}, {0: 0.1}, {0: 0.9}, {0: 0.9}, {})
+        rates = {(0, 0): 0.1, (0, 1): 0.9}
         with pytest.raises(ValidationError):
             disparity(rates, "meo")
 
@@ -182,6 +168,18 @@ class TestExactOracle:
         table = JointTable((0,), tuple(float(i) for i in range(17)), p)
         with pytest.raises(ValidationError):
             best_fair_accuracy(table, 0.1)
+
+    @pytest.mark.parametrize("epsilon", [-0.1, np.nan, np.inf])
+    def test_epsilon_must_be_finite_and_non_negative(self, epsilon):
+        table = masked_positives_table(MaskedPositives((0.25, 0.25), (0.5, 0.5)))
+        with pytest.raises(ValidationError, match="epsilon must be finite and >= 0"):
+            best_fair_accuracy(table, epsilon)
+
+    def test_nan_cells_are_rejected(self):
+        p = np.full((2, 3, 2), 1.0 / 12)
+        p[0, 0, 0] = np.nan
+        with pytest.raises(ValidationError, match="negative or NaN cell"):
+            JointTable((0, 1), (0.0, 1.0, None), p)
 
 
 class TestPareto:

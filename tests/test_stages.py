@@ -5,7 +5,7 @@ point, and counts of the work the per-repeat stage shares."""
 import numpy as np
 import pytest
 
-from fairmiss import classify
+from fairmiss import classify, encode
 from fairmiss.data import (
     Dataset,
     FeatureScaler,
@@ -17,14 +17,7 @@ from fairmiss.data import (
 )
 from fairmiss.encode import AffineEncoder, cluster_missing_patterns, encode_indicators, encode_plain
 from fairmiss.errors import FairmissError
-from fairmiss.harness import (
-    ClusterRouter,
-    LinearPredictor,
-    _fit_leaf,
-    grid_points,
-    load_config,
-    run_experiment,
-)
+from fairmiss.harness import grid_points, load_config, run_experiment
 from fairmiss.impute import Imputer, make_imputer
 from fairmiss.metrics import accuracy, disparity, group_rates
 from fairmiss.simulate import gen_synthetic, inject_missing
@@ -57,11 +50,47 @@ entry3 = x4, label, 0.1, 0.3
 """
 
 
+def _linear_predict(model, rates, enc, seed):
+    preds = model.predict(enc.matrix)
+    if rates is not None:
+        preds = classify.apply_postprocess(rates, preds, enc.sensitive, seed)
+    return preds
+
+
+def _reference_clustering(train, cfg, interv, seed):
+    """The partition and one model per leaf (a label-pure leaf predicts its
+    label), each leaf encoded anew; leaf q draws with seed + q."""
+    part = cluster_missing_patterns(
+        train, cfg.method.k_min, cfg.method.alpha, cfg.method.beta,
+        val_fraction=cfg.method.val_fraction, seed=seed,
+    )
+    assignments = part.assign_dataset(train)
+    leaves = []
+    for q in range(part.n_clusters):
+        leaf = train.subset(np.flatnonzero(assignments == q))
+        labels = np.unique(leaf.labels)
+        leaves.append(int(labels[0]) if labels.size == 1
+                      else classify.train_intervention(encode_plain(leaf), interv))
+
+    def predict(ds, s):
+        routed = part.assign_dataset(ds)
+        preds = np.empty(ds.n_samples, dtype=np.int64)
+        for q, leaf in enumerate(leaves):
+            rows = np.flatnonzero(routed == q)
+            if rows.size and isinstance(leaf, int):
+                preds[rows] = leaf
+            elif rows.size:
+                preds[rows] = _linear_predict(*leaf, encode_plain(ds.subset(rows)), s + q)
+        return preds
+
+    return predict
+
+
 def _bag_scores(imputer, model, rates, ds):
     s = model.scores(encode_indicators(ds, imputer=imputer).matrix)
     if rates is None:
         return s
-    base = (s >= model.threshold).astype(np.int64)
+    base = (s >= 0.5).astype(np.int64)
     flip = rates.flip_probs(ds.sensitive, base)
     return np.where(base == 1, 1.0 - flip, flip)
 
@@ -77,7 +106,7 @@ def _reference_bagging(bags, mode, ds, seed):
         sel = picks == b
         if sel.any():
             scores = _bag_scores(imputer, model, rates, ds.subset(np.flatnonzero(sel)))
-            out[sel] = scores >= model.threshold if rates is None else u[sel] < scores
+            out[sel] = scores >= 0.5 if rates is None else u[sel] < scores
     return out
 
 
@@ -89,15 +118,7 @@ def reference_pipeline(train, test, cfg, gp, seed, eval_seed) -> dict:
     interv = gp.intervention
     name = cfg.method.name
     if name == "clustering":
-        part = cluster_missing_patterns(
-            train, cfg.method.k_min, cfg.method.alpha, cfg.method.beta,
-            val_fraction=cfg.method.val_fraction, seed=seed,
-        )
-        assignments = part.assign_dataset(train)
-        predict = ClusterRouter(part, tuple(
-            _fit_leaf(train.subset(np.flatnonzero(assignments == q)), interv)
-            for q in range(part.n_clusters)
-        )).predict
+        predict = _reference_clustering(train, cfg, interv, seed)
     elif name == "fairmissbag":
         bags = []
         for b in range(1, cfg.method.bags + 1):
@@ -114,9 +135,8 @@ def reference_pipeline(train, test, cfg, gp, seed, eval_seed) -> dict:
             encoder = encode_indicators
         else:
             encoder = AffineEncoder().fit(train).transform
-        predict = LinearPredictor(
-            encoder, *classify.train_intervention(encoder(train), interv)
-        ).predict
+        model, flips = classify.train_intervention(encoder(train), interv)
+        predict = lambda ds, s: _linear_predict(model, flips, encoder(ds), s)  # noqa: E731
     train_preds = predict(train, seed)
     preds = predict(test, eval_seed)
     rates = group_rates(preds, test)
@@ -258,3 +278,16 @@ def test_eqodds_trains_one_plain_model_per_bag_per_repeat(tmp_path, sources, mon
     assert len(trained) == models * 2
     assert all(interv.kind == "none" for _, interv in trained)
     assert len(solved) == models * 2 * 4
+
+
+@pytest.mark.parametrize("method, intervention", [
+    ("name = clustering\nk_min = 1", "name = penalty\ntau = 0.1, 10"),
+    ("name = clustering\nk_min = 20", "name = none"),
+    ("name = clustering\nk_min = 20", "name = eqodds\nepsilon = 0, 0.02, 0.05, 0.1"),
+])
+def test_clustering_encodes_each_split_once_per_repeat(tmp_path, sources, monkeypatch,
+                                                       method, intervention):
+    calls = count_calls(monkeypatch, encode, "encode_plain")
+    cfg = load(tmp_path, sources["synth"], method, intervention)
+    assert run_experiment(cfg).raw
+    assert len(calls) == 2 * 2  # training and test split, 2 repeats
