@@ -322,8 +322,13 @@ class ClusterRouter:
         """``split`` is (a scaled split, whose mask routes its rows, and that
         split's zero-imputed encoding, which the leaves read)."""
         ds, enc = split
-        assignments = self.partition.assign_dataset(ds)
-        preds = np.empty(ds.n_samples, dtype=np.int64)
+        return self.route(self.partition.assign_dataset(ds), enc, seed)
+
+    def route(self, assignments: np.ndarray, enc: encode.EncodedDataset,
+              seed: int) -> np.ndarray:
+        """Predictions of rows already assigned to their clusters, read from
+        their encoding ``enc``."""
+        preds = np.empty(enc.n_samples, dtype=np.int64)
         for q, leaf in enumerate(self.leaves):
             rows = np.flatnonzero(assignments == q)
             if rows.size:
@@ -407,11 +412,14 @@ def fit_pipeline(rep: RepeatFit, cfg: ExperimentConfig, gp: GridPoint,
             for q in range(part.n_clusters)
         )
         predictor = ClusterRouter(part, leaves)
-    elif name == "fairmissbag":
-        predictor = classify.train_fair_bagging(rep.bags, interv, cfg.method.mode)
+        # the training rows are routed once, for the leaves and their accuracy
+        preds = predictor.route(assignments, train_enc, seed)
     else:
-        predictor = classify.LinearPredictor(*rep.training.train(interv))
-    preds = predictor.predict(rep.train_input, seed)
+        if name == "fairmissbag":
+            predictor = classify.train_fair_bagging(rep.bags, interv, cfg.method.mode)
+        else:
+            predictor = classify.LinearPredictor(*rep.training.train(interv))
+        preds = predictor.predict(rep.train_input, seed)
     return FittedPipeline(predictor, metrics.accuracy(preds, rep.train))
 
 

@@ -10,6 +10,16 @@ without bounds, started from the caller's point (zero everywhere in this
 package), so a fit is a deterministic function of its data. It stops when
 the max-norm of the projected gradient drops to ``tol`` or at the iteration
 cap; stopping short of ``tol`` logs a WARNING on the ``fairmiss`` logger.
+
+``descend`` calls scipy's compiled L-BFGS-B step, the private
+``scipy.optimize._lbfgsb.setulb``, in the loop that
+``minimize(method="L-BFGS-B")`` runs, with its arguments, work arrays and
+stops. The routine's stopping points define every fit, so it stays; what
+goes is minimize's wrapper, which builds a ``ScalarFunction`` per fit and
+passes every evaluation through its caching layers: a fit of a few
+evaluations took about twice as long through ``minimize``. The routine is
+private, so ``tests/test_optim.py`` checks that both loops stop at the same
+point with the same bits.
 """
 
 from __future__ import annotations
@@ -26,6 +36,11 @@ log = logging.getLogger("fairmiss")
 # gradient test (``tol``) decides convergence, and its memory of past steps
 FTOL = 1e-15
 MAXCOR = 20
+# at most MAXLS evaluations per line search; an iteration that ends with
+# more than MAXFUN evaluations in all stops the fit (minimize's defaults)
+MAXLS = 20
+MAXFUN = 15000
+EPS = 2.0 ** -52  # float64's machine epsilon: setulb takes FTOL in units of it
 # the trainers' L2 weight, the max-norm of the projected gradient at a stop
 # (L-BFGS-B's ``gtol``) and the iteration cap
 LAM = 1e-4
@@ -105,26 +120,68 @@ def descend(value_and_grad, w0: np.ndarray, tol: float = TOL,
             max_iters: int = MAX_ITERS):
     """Minimize a smooth convex function with L-BFGS-B from ``w0``.
 
-    ``value_and_grad(w) -> (f, g)``. Returns (w, f, iterations). It stops when
-    the max-norm of the projected gradient is at most ``tol`` or after
-    ``max_iters`` iterations; ``max_iters = 0`` returns ``w0`` unchanged. A
-    stop without convergence (the cap, or a failed line search) logs one
-    WARNING with the iteration count and the final gradient norm.
+    ``value_and_grad(w) -> (f, g)`` returns a float and a new float64 array,
+    and must not modify ``w``. Returns (w, f, iterations). It stops when the
+    max-norm of the projected gradient is at most ``tol``, after
+    ``max_iters`` iterations, or once an iteration ends with more than
+    ``MAXFUN`` evaluations; ``max_iters = 0`` returns ``w0`` unchanged. A stop
+    without convergence (a cap, or a failed line search) logs one WARNING
+    with the iteration count, the final gradient norm and the stop reason.
+
+    The loop is ``scipy.optimize.minimize(method="L-BFGS-B")``'s own, minus
+    its wrapper: the same ``setulb`` arguments and work arrays, the same
+    stops, and an evaluation counted, as minimize's ``ScalarFunction`` counts
+    it, only when the point differs from the last one evaluated. So every fit
+    stops where minimize stops, with the same bits.
     """
-    from scipy.optimize import minimize  # scipy.optimize is slow to import
+    # scipy.optimize is slow to import; setulb is private, with this
+    # signature since scipy 1.15
+    from scipy.optimize._lbfgsb import setulb
+    from scipy.optimize._lbfgsb_py import status_messages, task_messages
 
     w = w0.astype(np.float64)
     if max_iters <= 0:
         f, _ = value_and_grad(w)
         return w, f, 0
-    res = minimize(
-        value_and_grad, w, jac=True, method="L-BFGS-B",
-        options={"maxiter": max_iters, "gtol": tol, "ftol": FTOL, "maxcor": MAXCOR},
-    )
-    if not res.success:
+    n, m = w.size, MAXCOR
+    nbd = np.zeros(n, np.int32)  # no bounds: the bound arrays are never read
+    bound = np.zeros(n)
+    f = np.array(0.0)
+    g = np.zeros(n)
+    wa = np.zeros(2 * m * n + 5 * n + 11 * m * m + 8 * m)
+    iwa = np.zeros(3 * n, np.int32)
+    task = np.zeros(2, np.int32)
+    ln_task = np.zeros(2, np.int32)
+    lsave = np.zeros(4, np.int32)
+    isave = np.zeros(44, np.int32)
+    dsave = np.zeros(29)
+    last_x = last_f = last_g = None
+    n_evals = iterations = 0
+    while True:
+        # setulb may write g, so it gets a copy and the last evaluation stays
+        # as it was returned
+        g = g.astype(np.float64)
+        setulb(m, w, bound, bound, nbd, f, g, FTOL / EPS, tol, wa, iwa, task,
+               lsave, isave, dsave, MAXLS, ln_task)
+        if task[0] == 3:  # FG: f and g at w
+            if last_x is None or not (w == last_x).all():
+                last_f, last_g = value_and_grad(w)
+                last_x = w.copy()
+                n_evals += 1
+            f, g = last_f, last_g
+        elif task[0] == 1:  # NEW_X: an iteration ended
+            iterations += 1
+            if iterations >= max_iters:
+                task[:] = 5, 504  # STOP: the iteration cap
+            elif n_evals > MAXFUN:
+                task[:] = 5, 502  # STOP: the evaluation cap
+        else:
+            break
+    if task[0] != 4:  # CONVERGENCE
         log.warning(
             "L-BFGS-B stopped without converging after %d iterations "
-            "(gradient max-norm %.3g, tol %g): %s",
-            res.nit, float(np.max(np.abs(res.jac))), tol, res.message,
+            "(gradient max-norm %.3g, tol %g): %s: %s",
+            iterations, float(np.max(np.abs(g))), tol,
+            status_messages[task[0]], task_messages[task[1]],
         )
-    return res.x, float(res.fun), int(res.nit)
+    return w, float(f), iterations

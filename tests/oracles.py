@@ -8,7 +8,7 @@ import math
 from fractions import Fraction
 
 import numpy as np
-from scipy.optimize import linprog
+from scipy.optimize import linprog, minimize
 
 from fairmiss import metrics
 from fairmiss.classify import (
@@ -22,7 +22,7 @@ from fairmiss.data import Dataset, _check_schema
 from fairmiss.encode import AffineEncoder, ClusterPartition, EncodedDataset, LeafRecord, TreeNode
 from fairmiss.errors import CsvParseError, SchemaError, SolverError, ValidationError
 from fairmiss.harness import _fmt
-from fairmiss.optim import _contrast
+from fairmiss.optim import FTOL, MAXCOR, MAX_ITERS, TOL, _contrast
 from fairmiss.simulate import MissingnessSpec
 
 
@@ -231,6 +231,26 @@ def reference_objective(x, y, lam: float, tau: float = 0.0, cells=(), labels=(0,
         return loss, x_aug.T @ residual + lam * reg
 
     return value_and_grad
+
+
+# ---------------------------------------------------------------------------
+# L-BFGS-B through ``scipy.optimize.minimize``, as ``optim.descend`` ran it
+# before it drove scipy's ``setulb`` routine itself
+# ---------------------------------------------------------------------------
+
+def reference_descend(value_and_grad, w0: np.ndarray, tol: float = TOL,
+                      max_iters: int = MAX_ITERS):
+    """(w, f, iterations) of ``minimize(method="L-BFGS-B")`` from ``w0``
+    with the package's solver settings; ``max_iters = 0`` returns ``w0``."""
+    w = w0.astype(np.float64)
+    if max_iters <= 0:
+        f, _ = value_and_grad(w)
+        return w, f, 0
+    res = minimize(
+        value_and_grad, w, jac=True, method="L-BFGS-B",
+        options={"maxiter": max_iters, "gtol": tol, "ftol": FTOL, "maxcor": MAXCOR},
+    )
+    return res.x, float(res.fun), int(res.nit)
 
 
 # ---------------------------------------------------------------------------

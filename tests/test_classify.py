@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 from hypothesis.extra import numpy as hnp
 
 from fairmiss import classify
@@ -350,6 +350,10 @@ def flips_of(v):
 
 
 @given(eqodds_inputs())
+# a gap row of norm 2e-12: relaxing it by the slack lifts the exact accuracy
+# optimum by 4e-6, past any cut the exact program at epsilon can reach
+@example(({(0, 0): 0.0, (0, 1): 0.0, (1, 0): 0.0, (1, 1): 2.13202917769205e-12},
+          {(0, 0): 0.2, (0, 1): 0.2, (1, 0): 0.2, (1, 1): 0.4}, 0.0))
 def test_vertex_solve_is_the_exact_optimum_up_to_its_tolerance(case):
     base, p_sy, epsilon = case
     program = EqoddsProgram.from_rates((0, 1), base, p_sy)
@@ -368,12 +372,17 @@ def test_vertex_solve_is_the_exact_optimum_up_to_its_tolerance(case):
     # relaxed by twice the slack (``loose``), and flip no more than the
     # optimum of the program with the cut raised by as much above the
     # relaxed accuracy optimum's (``tight``), which its own program contains.
+    # Held at epsilon, a gap row of tiny norm can leave no point that
+    # accurate; the solver's program then holds only points that use its row
+    # slack, and ``tight`` takes the gap rows of ``loose``.
     # Where the two optima agree, the flips must match them.
     slack = Fraction(2 * classify._TOL)
     best = exact_best_accuracy(program, epsilon)
     best_loose = exact_best_accuracy(program, Fraction(epsilon) + slack)
     loose = exact_least_flip(program, Fraction(epsilon) + slack, best - Fraction(1e-12) - slack)
-    tight = exact_least_flip(program, epsilon, best_loose - Fraction(1e-12) + slack)
+    cut = best_loose - Fraction(1e-12) + slack
+    tight = (exact_least_flip(program, epsilon, cut)
+             or exact_least_flip(program, Fraction(epsilon) + slack, cut))
     assert float(best - Fraction(1e-12) - slack) <= acc <= float(best_loose) + 1e-15
     least = min(m for m, _, _ in tight)
     assert float(min(m for m, _, _ in loose)) - 1e-15 <= mass <= float(least) + 1e-12

@@ -291,3 +291,18 @@ def test_clustering_encodes_each_split_once_per_repeat(tmp_path, sources, monkey
     cfg = load(tmp_path, sources["synth"], method, intervention)
     assert run_experiment(cfg).raw
     assert len(calls) == 2 * 2  # training and test split, 2 repeats
+
+
+@pytest.mark.parametrize("intervention", ["name = penalty\ntau = 0.1, 10", "name = none"])
+def test_clustering_routes_each_split_once_per_grid_point(tmp_path, sources, monkeypatch,
+                                                          intervention):
+    calls = count_calls(monkeypatch, encode.ClusterPartition, "assign_dataset")
+    cfg = load(tmp_path, sources["synth"], "name = clustering\nk_min = 20", intervention)
+    assert run_experiment(cfg).succeeded
+    sizes = [ds.n_samples for _, ds in calls]
+    # per grid point of each of 2 repeats: the training split (for its leaves
+    # and its accuracy), then the test split
+    assert len(sizes) == 2 * 2 * len(grid_points(cfg.intervention))
+    assert sizes[0::2] == [sizes[0]] * (len(sizes) // 2)
+    assert sizes[1::2] == [sizes[1]] * (len(sizes) // 2)
+    assert sizes[0] > sizes[1]
