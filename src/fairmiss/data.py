@@ -11,6 +11,7 @@ import csv
 import itertools
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -64,8 +65,9 @@ class Dataset:
     def dimension(self) -> int:
         return self.features.shape[1]
 
-    @property
+    @cached_property
     def group_set(self) -> tuple:
+        """The sorted group ids, computed once: the arrays are read-only."""
         return tuple(np.unique(self.sensitive).tolist())
 
     @property

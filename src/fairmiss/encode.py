@@ -39,8 +39,12 @@ class EncodedDataset:
             raise ValidationError("column tags must match matrix width")
         if len(set(self.columns)) != len(self.columns):
             raise ValidationError("column tags must be unique")
-        m.setflags(write=False)
+        s, y = np.asarray(self.sensitive), np.asarray(self.labels)
+        for arr in (m, s, y):
+            arr.setflags(write=False)
         object.__setattr__(self, "matrix", m)
+        object.__setattr__(self, "sensitive", s)
+        object.__setattr__(self, "labels", y)
         object.__setattr__(self, "columns", tuple(self.columns))
 
     @property
@@ -52,7 +56,7 @@ class EncodedDataset:
         return EncodedDataset(self.matrix[idx], self.sensitive[idx], self.labels[idx],
                               self.columns)
 
-    # the Dataset definitions, over the carried-through s and y
+    # the Dataset definitions, over the carried-through (read-only) s and y
     group_set = Dataset.group_set
     cells = Dataset.cells
 

@@ -101,14 +101,16 @@ class MeanImputer(Imputer):
         return np.broadcast_to(self.means_, ds.features.shape)
 
 
-# Entries in one block of KNNImputer's screen: a block of query rows counts
-# (its rows + its missing cells) x distinct training rows, and the screen
-# holds about two float32 arrays of that many entries at once (256 KB each).
-# A block only screens, so larger blocks save a fixed number of numpy calls
-# per block but leave the cache. The exact stage's float64 distances go in
-# chunks of a quarter as many (pair, coordinate) entries, the same bytes as
-# half a block.
+# Twice the entries of one block of KNNImputer's screen. A block holds cells of
+# one feature, one float32 entry per (cell, distinct training row observing the
+# feature), or one cell where it alone needs more; the screen holds about four
+# such arrays at once (128 KB each). A block only screens, so larger blocks save
+# a fixed number of numpy calls per block but leave the cache. The exact stage's
+# float64 distances go in chunks of a quarter as many (pair, coordinate) entries.
 _KNN_BLOCK_ENTRIES = 1 << 16
+# donors in one segment of the screen, whose threshold is the k-th smallest of
+# a cell's segment minima
+_KNN_SEGMENT = 8
 
 
 class KNNImputer(Imputer):
@@ -120,22 +122,20 @@ class KNNImputer(Imputer):
     training rows with j observed; ties break on training-row index, and a
     cell with no reachable donor falls back to the training mean.
 
-    The search screens blocks of query rows against the byte-distinct
-    training rows: a bootstrap bag repeats about a third of its rows, and
-    a row with several missing cells is screened once. The screen runs in
-    float32, on half the bytes of float64. One matrix product per block
-    gives every masked squared distance, and an explicit rounding bound,
-    which covers the float32 inputs, the product form and the float64
-    search's own rounding, widens each into an interval that holds the
-    exact search's. A missing cell keeps the distinct rows observing its
-    feature whose lower end does not exceed the k-th smallest upper end
-    among them. Over distinct rows that threshold is no tighter than over
-    all training rows, so the shortlist holds all k nearest donors, ties
-    included. Where the values are too large for float32, the screen keeps
-    every distinct row sharing a coordinate with the query row instead.
-    Each block holds at most about ``_KNN_BLOCK_ENTRIES`` float32 entries of
-    (query rows + missing cells) x distinct rows, or one query row where
-    that row alone needs more, and does nothing but screen.
+    The search screens the byte-distinct training rows (a bootstrap bag
+    repeats about a third of its rows) in float32, one feature at a time:
+    blocks of a feature's missing cells against the distinct rows observing
+    it. One matrix product per block gives every masked squared distance,
+    and an explicit rounding bound, which covers the float32 inputs, the
+    product form and the float64 search's own rounding, widens each into an
+    interval that holds the exact search's. A cell keeps the donors whose
+    lower end does not exceed the k-th smallest of its segment minima of
+    the upper ends, ``_KNN_SEGMENT`` donors to a segment. That threshold is
+    no tighter than the k-th smallest upper end over distinct rows, itself
+    no tighter than over all training rows, so the shortlist holds all k
+    nearest donors, ties included. Where the values are too large for
+    float32, the screen keeps every distinct row sharing a coordinate with
+    the query row instead.
 
     One exact stage then takes every block's shortlist at once. It computes
     each shortlisted (cell, distinct row) distance once, with the arithmetic
@@ -236,9 +236,6 @@ class KNNImputer(Imputer):
         t_zero = np.where(t_obs, distinct, 0.0)
         q_obs = ~ds.mask[query]
         q_zero = np.where(q_obs, ds.features[query], 0.0)
-        # where a distinct row lacks a cell's feature, it is no donor for the cell
-        observes = t_obs.T.copy()
-        lacks = ~observes
         # The bound. Take u = eps32 / 2, and eta = the smallest normal float32,
         # which bounds the error of one float32 rounding below the normal
         # range, gradual or flushed to zero. For a pair sharing coordinates S,
@@ -276,61 +273,63 @@ class KNNImputer(Imputer):
             # no value is cast: s = 0 and an infinite slack make lo 0 where
             # used > 0, so every distinct row sharing a coordinate passes
             q_slack, t_slack = np.zeros(query.size), np.full(m, np.inf)
-            q_zero = np.zeros(q_zero.shape, np.float32)
-            t_zero = np.zeros(t_zero.shape, np.float32)
+            q_zero, t_zero = np.zeros_like(q_zero, np.float32), np.zeros_like(t_zero, np.float32)
         q_slack, t_slack = q_slack.astype(np.float32), t_slack.astype(np.float32)
-        # [q^2, q_obs, -2q] @ right sums q^2 + t^2 - 2qt over shared coordinates
-        right = np.vstack([t_obs.T, (t_zero * t_zero).T, t_zero.T])
+        # [q^2, q_obs, -2q] @ right[:3d] sums q^2 + t^2 - 2qt over shared
+        # coordinates; right[3d] is the distinct rows' slack
+        right = np.vstack([t_obs.T, (t_zero * t_zero).T, t_zero.T, t_slack])
         left = np.hstack([q_zero * q_zero, q_obs, -2 * q_zero])
-        # query row i owns cells first[i]:first[i + 1]
-        n_cells = d - q_obs.sum(axis=1)
-        first = np.concatenate([[0], np.cumsum(n_cells)])
-        # blocks of whole rows; a row costs (1 + its missing cells) entries
-        # per distinct row
-        block = (np.cumsum(1 + n_cells) - 1) // max(1, _KNN_BLOCK_ENTRIES // m)
-        edges = np.concatenate([[0], np.flatnonzero(np.diff(block)) + 1, [query.size]])
-        pairs = []
-        for a, b in zip(edges[:-1], edges[1:]):
-            # [lo, hi] holds the squared distance of each (query row, distinct
-            # row) pair, scaled as the exact search scales it. lo is NaN
-            # exactly where used is 0 (0 / 0), so those never pass; hi is
-            # +inf there (fmin turns NaN into +inf).
-            with np.errstate(divide="ignore", invalid="ignore"):
-                s = left[a:b] @ right
-                slack = q_slack[a:b, None] + t_slack
-                lo = s - slack
-                s += slack
-                del slack
-                used = left[a:b, d:2 * d] @ right[:d]
-                lo = _scale(np.fmax(lo, 0.0, out=lo), d, used)
-                hi = np.fmin(_scale(s, d, used), np.inf, out=s)
-            del used
-
-            # A cell's threshold is the k-th smallest hi over the distinct rows
-            # observing its feature (+inf with fewer than k of them). The
-            # exact search compares rounded square roots, and a donor whose
-            # root ties the threshold's can still win on index, so the cell
-            # keeps every donor with lo below the square of the next double
-            # after sqrt(threshold), rounded up. That widening runs in float64
-            # on the exactly converted threshold; rounding the result up to a
-            # float32 then passes exactly the float32 lo it passes.
-            r, col = cell_row[first[a]:first[b]] - a, cell_col[first[a]:first[b]]
-            top = hi[r]
-            np.putmask(top, lacks[col], np.inf)
-            if k <= m:
-                top.partition(k - 1, axis=1)
-                top = top[:, k - 1].astype(np.float64)
-            else:
-                top = np.full(r.size, np.inf)
-            top = np.nextafter(np.square(np.nextafter(np.sqrt(top), np.inf)), np.inf)
-            top32 = top.astype(np.float32)
-            top32 = np.where(top32 < top, np.nextafter(top32, np.float32(np.inf)), top32)
-            near = lo[r] <= top32[:, None]
-            near &= observes[col]
-            pairs.append(np.flatnonzero(near) + first[a] * m)
-            # the pairs wait for the exact stage; the block's intervals need not
-            del lo, hi, near
-        return np.concatenate(pairs)
+        # Each feature's cells are screened against the distinct rows observing
+        # it, padded with zero columns to whole segments: a pad shares no
+        # coordinate with any row, so it never passes and its hi is +inf.
+        pairs = [np.empty(0, np.int64)]
+        for j in np.unique(cell_col):
+            cells, donors = np.flatnonzero(cell_col == j), np.flatnonzero(t_obs[:, j])
+            segments = -(-donors.size // _KNN_SEGMENT)
+            width = segments * _KNN_SEGMENT
+            cols = np.zeros((3 * d + 1, width), np.float32)
+            cols[:, :donors.size] = right[:, donors]
+            step = max(1, _KNN_BLOCK_ENTRIES // (2 * width))
+            for a in range(0, cells.size, step):
+                block = cells[a:a + step]
+                rows = left[cell_row[block]]
+                # [lo, hi] holds the squared distance of each (cell, donor)
+                # pair, scaled as the exact search scales it. lo is NaN
+                # exactly where used is 0 (0 / 0), so those never pass; hi is
+                # +inf there (fmin turns NaN into +inf).
+                with np.errstate(divide="ignore", invalid="ignore"):
+                    s = rows @ cols[:3 * d]
+                    slack = q_slack[cell_row[block], None] + cols[3 * d]
+                    lo = s - slack
+                    s += slack
+                    del slack
+                    used = rows[:, d:2 * d] @ cols[:d]
+                    lo = _scale(np.fmax(lo, 0.0, out=lo), d, used)
+                    hi = np.fmin(_scale(s, d, used), np.inf, out=s)
+                del used
+                # A cell's threshold is the k-th smallest of its segment minima,
+                # donor i in segment i % segments (+inf with fewer than k
+                # segments): k donors observing the feature have hi at most
+                # that. The exact search compares rounded square roots, and a
+                # donor whose root ties the threshold's can still win on index,
+                # so the cell keeps every donor with lo below the square of the
+                # next double after sqrt(threshold), rounded up. That widening
+                # runs in float64 on the exactly converted threshold; rounding
+                # the result up to a float32 then passes exactly the float32 lo
+                # it passes.
+                if k <= segments:
+                    top = hi.reshape(block.size, _KNN_SEGMENT, segments).min(axis=1)
+                    top.partition(k - 1, axis=1)
+                    top = top[:, k - 1].astype(np.float64)
+                else:
+                    top = np.full(block.size, np.inf)
+                top = np.nextafter(np.square(np.nextafter(np.sqrt(top), np.inf)), np.inf)
+                top32 = top.astype(np.float32)
+                top32 = np.where(top32 < top, np.nextafter(top32, np.float32(np.inf)), top32)
+                cell, col = np.divmod(np.flatnonzero(lo <= top32[:, None]), width)
+                pairs.append(block[cell] * m + donors[col])
+                del lo, hi  # before the next block's intervals are made
+        return np.sort(np.concatenate(pairs))
 
 
 def _scale(sq: np.ndarray, d: int, used: np.ndarray) -> np.ndarray:

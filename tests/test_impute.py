@@ -143,7 +143,9 @@ def assert_fill_matches_reference(imp: KNNImputer, ds: Dataset) -> None:
 def assert_shortlist_holds_the_nearest(imp: KNNImputer, ds: Dataset) -> int:
     """The screen's invariant: every cell's shortlist holds the distinct rows
     of its k nearest donors and of every donor tying the k-th, by the exact
-    search's distances. Returns the number of cells with such a tie."""
+    search's distances, and only distinct rows that observe the cell's
+    feature and share a coordinate with its row (so no padding column
+    leaks). Returns the number of cells with such a tie."""
     query = np.flatnonzero(ds.mask.any(axis=1))
     cell_row, cell_col = np.nonzero(ds.mask[query])
     with warnings.catch_warnings():
@@ -151,6 +153,11 @@ def assert_shortlist_holds_the_nearest(imp: KNNImputer, ds: Dataset) -> int:
         got = imp._shortlist(ds, query, cell_row, cell_col)
     assert (np.diff(got) > 0).all()
     m = len(imp.distinct_)
+    cell, row = np.divmod(got, m)
+    assert ((0 <= cell) & (cell < cell_row.size)).all()
+    observed = ~np.isnan(imp.distinct_[row])
+    assert observed[np.arange(row.size), cell_col[cell]].all()
+    assert (observed & ~np.isnan(ds.features[query[cell_row[cell]]])).any(axis=1).all()
     shortlisted = set(got.tolist())
     distinct_of = np.empty(len(imp.train_), int)
     distinct_of[imp.members_] = np.repeat(np.arange(m), imp.counts_)
@@ -201,24 +208,112 @@ class TestKnnMatchesRowByRowSearch:
 
     @pytest.mark.parametrize("k", [1, 5, N_TRAIN])
     @pytest.mark.parametrize("rows", ["0", "1", "block", "block+1"])
-    def test_block_edges(self, rng, rows, k):
-        # one missing cell per query row, so each row costs 2 entries per
-        # distinct training row, and the training rows are all distinct
+    def test_block_edges(self, rng, monkeypatch, rows, k):
+        # every query row misses feature 0 alone, so each is one cell of that
+        # feature, with one entry per distinct row observing it, padded to
+        # whole segments; the training rows are all distinct
         train = random_dataset(rng, n=self.N_TRAIN, d=self.D, missing_rate=0.3)
         imp = KNNImputer(k=k).fit(train)
         assert len(imp.distinct_) == self.N_TRAIN
-        block = impute._KNN_BLOCK_ENTRIES // self.N_TRAIN // 2
+        segments = -(-np.count_nonzero(~train.mask[:, 0]) // impute._KNN_SEGMENT)
+        block = impute._KNN_BLOCK_ENTRIES // (2 * segments * impute._KNN_SEGMENT)
         m = {"0": 0, "1": 1, "block": block, "block+1": block + 1}[rows]
-        assert_fill_matches_reference(imp, one_hole_per_row(rng, m, self.D))
+        queries = rng.normal(size=(m, self.D))
+        queries[:, 0] = np.nan
+        scaled = []
+
+        def spy(sq, d, used):
+            scaled.append(sq.shape)
+            return impute_scale(sq, d, used)
+
+        monkeypatch.setattr(impute, "_scale", spy)
+        assert_fill_matches_reference(imp, ds_from(queries))
+        # _scale runs twice per block, on (cells, padded donors) intervals
+        assert len(scaled) == 2 * -(-m // block)
+        assert all(shape[1] == segments * impute._KNN_SEGMENT for shape in scaled)
 
     @pytest.mark.parametrize("k", [1, 5, N_TRAIN])
     def test_rows_larger_than_a_block(self, rng, monkeypatch, k):
-        # a block holds 3 entries per distinct row: rows with two or more
-        # missing cells overflow it and make blocks of their own
-        monkeypatch.setattr(impute, "_KNN_BLOCK_ENTRIES", 3 * self.N_TRAIN)
+        # a block holds N_TRAIN / 2 entries, fewer than one cell has donor
+        # columns, so every cell makes a block of its own
+        monkeypatch.setattr(impute, "_KNN_BLOCK_ENTRIES", self.N_TRAIN)
         train = random_dataset(rng, n=self.N_TRAIN, d=self.D, missing_rate=0.3)
         queries = random_dataset(rng, n=50, d=self.D, missing_rate=0.6, ensure_cells=False)
         assert_fill_matches_reference(KNNImputer(k=k).fit(train), queries)
+
+    @staticmethod
+    def feature_0_donors(rng, donors, d=3):
+        """Distinct training rows of which the first ``donors`` observe
+        feature 0, and queries missing feature 0 alone."""
+        x = rng.normal(size=(donors + 10, d))
+        x[donors:, 0] = np.nan
+        queries = rng.normal(size=(30, d))
+        queries[:, 0] = np.nan
+        queries[rng.random(queries.shape) < 0.2] = np.nan
+        return ds_from(x), ds_from(queries)
+
+    @pytest.mark.parametrize("donors, k", [(3, 2), (7, 2), (20, 4), (24, 4)])
+    def test_feature_with_fewer_than_k_segments(self, rng, donors, k):
+        # ceil(donors / 8) < k segments: the threshold is +inf, so a cell keeps
+        # every donor sharing a coordinate with its row
+        train, queries = self.feature_0_donors(rng, donors)
+        imp = KNNImputer(k=k).fit(train)
+        assert -(-donors // impute._KNN_SEGMENT) < k
+        assert_fill_matches_reference(imp, queries)
+        assert_shortlist_holds_the_nearest(imp, queries)
+        query = np.flatnonzero(queries.mask.any(axis=1))
+        cell_row, cell_col = np.nonzero(queries.mask[query])
+        got = imp._shortlist(queries, query, cell_row, cell_col)
+        cells = np.flatnonzero(cell_col == 0)
+        shares = (~np.isnan(queries.features[query[cell_row[cells]]])[:, None, :]
+                  & ~np.isnan(imp.distinct_)[None]).any(axis=2)
+        shares &= ~np.isnan(imp.distinct_[:, 0])
+        assert np.isin(got // len(imp.distinct_), cells).sum() == shares.sum()
+
+    @pytest.mark.parametrize("donors", [9, 29, 31, 33])
+    @pytest.mark.parametrize("k", [1, 3, 4, 5])
+    def test_donor_count_not_a_multiple_of_the_segment(self, rng, donors, k):
+        # the donor columns end in 1 to 7 padding columns, which never pass
+        train, queries = self.feature_0_donors(rng, donors)
+        imp = KNNImputer(k=k).fit(train)
+        assert donors % impute._KNN_SEGMENT
+        assert_fill_matches_reference(imp, queries)
+        assert_shortlist_holds_the_nearest(imp, queries)
+
+    def test_k_nearest_donors_in_one_segment(self):
+        # 24 donors of feature 0, so 3 segments, donor i in segment i % 3.
+        # The distinct rows sort on feature 0's bytes alone (all different),
+        # so the 3 donors nearest the queries can be put at positions 0, 3
+        # and 6: segment 0 holds all of them, and the threshold is the third
+        # segment's minimum, far beyond them
+        x0 = np.arange(24) + 0.5
+        order = np.argsort(x0.view(np.dtype((np.void, 8))), kind="stable")
+        x1 = np.empty(24)
+        x1[order] = 10.0 + np.arange(24)
+        x1[order[[0, 3, 6]]] = [0.0, 0.1, 0.2]
+        imp = KNNImputer(k=3).fit(ds_from(np.column_stack([x0, x1])))
+        assert imp.distinct_[[0, 3, 6], 1].tolist() == [0.0, 0.1, 0.2]
+        queries = ds_from([[np.nan, 0.05], [np.nan, -1.0], [np.nan, 12.5]])
+        assert_fill_matches_reference(imp, queries)
+        assert assert_shortlist_holds_the_nearest(imp, queries) == 0
+        filled = imp.transform(queries).features[:, 0]
+        assert filled[0] == filled[1] == np.mean(imp.distinct_[[0, 3, 6], 0])
+
+    def test_bootstrap_bag_at_mnar_scale(self):
+        # a 3000-row bootstrap bag with 5 of its 8 features masked and 200
+        # query rows, at the real block size: many blocks per feature
+        rng = np.random.default_rng(20240611)
+        x = rng.normal(size=(3000, 8))
+        x[:, 3:][rng.random((3000, 5)) < 0.3] = np.nan
+        bag = ds_from(x).subset(rng.integers(0, 3000, size=3000))
+        imp = KNNImputer(k=5).fit(bag)
+        queries = rng.normal(size=(200, 8))
+        queries[:, 3:][rng.random((200, 5)) < 0.3] = np.nan
+        queries = ds_from(queries)
+        segments = -(-(~np.isnan(imp.distinct_)).sum(axis=0) // impute._KNN_SEGMENT)
+        block = impute._KNN_BLOCK_ENTRIES // (2 * segments * impute._KNN_SEGMENT)
+        assert (queries.mask.sum(axis=0)[3:] > 2 * block[3:]).all()
+        assert_fill_matches_reference(imp, queries)
 
     @pytest.mark.parametrize("k", [1, 5, 60])
     def test_bootstrap_bag_on_a_coarse_grid_breaks_ties_by_index(self, rng, k):
@@ -277,7 +372,7 @@ class TestKnnMatchesRowByRowSearch:
         queries = Dataset(queries, np.zeros(60, int), np.zeros(60, int))
         assert tied_cells_interleaving_distinct_rows(imp, queries) >= 10
 
-        # blocks of at most three query rows; _scale runs twice per block
+        # blocks of a few cells; _scale runs twice per block
         monkeypatch.setattr(impute, "_KNN_BLOCK_ENTRIES", 4 * len(imp.distinct_))
         scaled = []
 
@@ -392,7 +487,7 @@ class TestKnnMatchesRowByRowSearch:
     @pytest.mark.parametrize("k", [1, 3, 8])
     def test_shortlist_holds_every_nearest_donor_and_its_ties(self, rng, monkeypatch, k):
         # a bootstrap bag on a coarse grid: duplicated rows, and many donors
-        # tying a cell's k-th distance; blocks of a few query rows each
+        # tying a cell's k-th distance; blocks of a few cells each
         x = rng.integers(-1, 2, size=(40, 5)).astype(float)
         x[rng.random(x.shape) < 0.3] = np.nan
         x[0] = 0.0
