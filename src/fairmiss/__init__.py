@@ -14,6 +14,7 @@ from .classify import (
     apply_postprocess,
     draw_bags,
     ensemble_scores,
+    eqodds_program,
     postprocess_eqodds,
     predict_dataset,
     train_fair_bagging,

@@ -4,18 +4,18 @@ ensemble for data with missing values.
 The in-processing intervention adds a smooth score-disparity penalty to the
 logistic loss; the post-processing intervention solves the small randomized
 equalized-odds program exactly, by enumerating the vertices of its two linear
-programs. Every trained model is a ``LinearPredictor``: a LinearModel and,
-for eqodds, its flip rates. The bagging ensemble resamples within (group,
+programs. Every trained model is a ``LinearModel``: logistic weights and,
+for eqodds, their flip rates. The bagging ensemble resamples within (group,
 label) cells, imputes and indicator-encodes each bag separately, trains one
-LinearPredictor per bag, and aggregates by a uniformly random pick or by
-score averaging. Predictors read encoded rows only; the caller encodes.
+LinearModel per bag, and aggregates by a uniformly random pick or by score
+averaging. Predictors read encoded rows only; the caller encodes.
 """
 
 from __future__ import annotations
 
 import itertools
 import logging
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -36,11 +36,13 @@ log = logging.getLogger("fairmiss")
 
 @dataclass(frozen=True)
 class LinearModel:
-    """Logistic-score linear classifier over an encoded column set."""
+    """A trained model: a logistic-score linear classifier over an encoded
+    column set and, for eqodds, its flip rates. It reads encoded rows only."""
 
     weights: np.ndarray
     bias: float
     columns: tuple
+    rates: PostprocessRates = None
 
     def __post_init__(self):
         w = np.asarray(self.weights, dtype=np.float64)
@@ -50,19 +52,30 @@ class LinearModel:
         object.__setattr__(self, "weights", w)
         object.__setattr__(self, "columns", tuple(self.columns))
 
-    def scores(self, matrix: np.ndarray) -> np.ndarray:
-        m = np.asarray(matrix, dtype=np.float64)
-        if m.ndim == 1:
-            m = m[None, :]
-        if m.shape[1] != self.weights.shape[0]:
+    def _base(self, enc: EncodedDataset) -> np.ndarray:
+        """The logistic score of each row, before any flip."""
+        if enc.matrix.shape[1] != self.weights.shape[0]:
             raise ValidationError("matrix width does not match the model")
         # summed row by row, so a row's score does not depend on the other
         # rows scored with it; a BLAS matrix-vector product rounds each row
         # by the batch's shape
-        return logistic((m * self.weights).sum(axis=1) + self.bias)[0]
+        return logistic((enc.matrix * self.weights).sum(axis=1) + self.bias)[0]
 
-    def predict(self, matrix: np.ndarray) -> np.ndarray:
-        return (self.scores(matrix) >= THRESHOLD).astype(np.int64)
+    def scores(self, enc: EncodedDataset) -> np.ndarray:
+        """Pr(output = 1) of each encoded row."""
+        s = self._base(enc)
+        if self.rates is None:
+            return s
+        base = (s >= THRESHOLD).astype(np.int64)
+        flip = self.rates.flip_probs(enc.sensitive, base)
+        return np.where(base == 1, 1.0 - flip, flip)
+
+    def predict(self, enc: EncodedDataset, seed: int) -> np.ndarray:
+        """The labels of the encoded rows; eqodds flips draw with ``seed``."""
+        preds = (self._base(enc) >= THRESHOLD).astype(np.int64)
+        if self.rates is not None:
+            preds = apply_postprocess(self.rates, preds, enc.sensitive, seed)
+        return preds
 
 
 def _check_training_data(enc: EncodedDataset) -> None:
@@ -199,16 +212,16 @@ def _vertices(rows, rhs, bases) -> np.ndarray:
         return np.clip(v[(v @ rows.T <= rhs + _TOL).all(axis=1)], 0.0, 1.0)
 
 
-def postprocess_eqodds(scores, ds, epsilon: float, *,
-                       program: EqoddsProgram = None) -> PostprocessRates:
+def postprocess_eqodds(program: EqoddsProgram, epsilon: float) -> PostprocessRates:
     """Exact accuracy-optimal randomized equalized-odds repair for two groups.
 
-    The base prediction thresholds the given scores at THRESHOLD; the output
-    mixes each (group, base prediction) with probabilities v that maximize
-    accuracy on the fitting data over the polytope |FPR gap| <= epsilon,
-    |FNR gap| <= epsilon, 0 <= v <= 1. Then, among points within 1e-12 of
-    that accuracy, it takes the one flipping the least mass, so an already
-    fair base predictor stays untouched.
+    ``program`` is ``eqodds_program(scores, ds)``: the base prediction
+    thresholds the scores at THRESHOLD. The output mixes each (group, base
+    prediction) with probabilities v that maximize accuracy on the fitting
+    data over the polytope |FPR gap| <= epsilon, |FNR gap| <= epsilon,
+    0 <= v <= 1. Then, among points within 1e-12 of that accuracy, it takes
+    the one flipping the least mass, so an already fair base predictor stays
+    untouched.
 
     Both linear programs are solved by enumerating their vertices: every
     basis of 4 constraint rows that can be nonsingular is solved at once, and
@@ -216,13 +229,8 @@ def postprocess_eqodds(scores, ds, epsilon: float, *,
     adds the cut "accuracy >= best - 1e-12" as one more row. Ties in flip
     mass (within 1e-13) go to the more accurate vertex, then to the first
     basis in the fixed enumeration order.
-    ``program`` is ``eqodds_program(scores, ds)`` when the caller has it
-    already, as ``TrainingSet`` does for a grid of epsilons; ``scores`` and
-    ``ds`` are then not read.
     """
     metrics.check_epsilon(epsilon)
-    if program is None:
-        program = eqodds_program(scores, ds)
     rows, gain = program.rows, program.gain
     # every gap lies in [-1, 1], so an epsilon above 1 constrains nothing;
     # capping it keeps the vertex arithmetic finite
@@ -258,31 +266,6 @@ def apply_postprocess(rates: PostprocessRates, base_predictions, sensitive,
     return np.where(u < rates.flip_probs(sensitive, pred), 1 - pred, pred)
 
 
-@dataclass(frozen=True)
-class LinearPredictor:
-    """A trained model: one LinearModel over an encoding and, for eqodds, its
-    flip rates."""
-
-    model: LinearModel
-    rates: PostprocessRates = None
-
-    def scores(self, enc: EncodedDataset) -> np.ndarray:
-        """Pr(output = 1) of each encoded row."""
-        s = self.model.scores(enc.matrix)
-        if self.rates is None:
-            return s
-        base = (s >= THRESHOLD).astype(np.int64)
-        flip = self.rates.flip_probs(enc.sensitive, base)
-        return np.where(base == 1, 1.0 - flip, flip)
-
-    def predict(self, enc: EncodedDataset, seed: int) -> np.ndarray:
-        """The labels of the encoded rows; eqodds flips draw with ``seed``."""
-        preds = self.model.predict(enc.matrix)
-        if self.rates is not None:
-            preds = apply_postprocess(self.rates, preds, enc.sensitive, seed)
-        return preds
-
-
 # ---------------------------------------------------------------------------
 # fair bagging ensemble
 # ---------------------------------------------------------------------------
@@ -308,9 +291,8 @@ class Intervention:
         metrics.check_epsilon(self.epsilon)
 
 
-def train_intervention(enc: EncodedDataset, interv: Intervention):
-    """Fit the intervention's logistic model; returns (LinearModel,
-    PostprocessRates or None).
+def train_intervention(enc: EncodedDataset, interv: Intervention) -> LinearModel:
+    """Fit the intervention's logistic model, with its flip rates for eqodds.
 
     The penalty is tau times the squared gap of per-group mean sigmoid scores
     within each conditioning label (both labels for mean-equalized-odds, the
@@ -321,7 +303,7 @@ def train_intervention(enc: EncodedDataset, interv: Intervention):
     if interv.kind == "eqodds":
         return TrainingSet(enc).train(interv)
     tau = interv.tau if interv.kind == "penalty" else 0.0
-    return _train(enc, tau, interv.constraint), None
+    return _train(enc, tau, interv.constraint)
 
 
 class TrainingSet:
@@ -337,20 +319,20 @@ class TrainingSet:
         self.enc = enc
         self._plain = None  # (plain LinearModel, its EqoddsProgram)
 
-    def train(self, interv: Intervention):
-        """(LinearModel, PostprocessRates or None), as ``train_intervention``."""
+    def train(self, interv: Intervention) -> LinearModel:
+        """The LinearModel of ``train_intervention``."""
         if interv.kind != "eqodds":
             return train_intervention(self.enc, interv)
         if self._plain is None:
-            model = train_intervention(self.enc, Intervention())[0]
-            self._plain = model, eqodds_program(model.scores(self.enc.matrix), self.enc)
+            model = train_intervention(self.enc, Intervention())
+            self._plain = model, eqodds_program(model.scores(self.enc), self.enc)
         model, program = self._plain
-        return model, postprocess_eqodds(None, None, interv.epsilon, program=program)
+        return replace(model, rates=postprocess_eqodds(program, interv.epsilon))
 
 
 @dataclass(frozen=True)
 class FairEnsemble:
-    """One LinearPredictor per bag and the mode that aggregates them."""
+    """One LinearModel per bag and the mode that aggregates them."""
 
     bags: tuple
     mode: str = "score-average"
@@ -360,7 +342,7 @@ class FairEnsemble:
             raise ValidationError("ensemble needs at least one model")
         if self.mode not in ENSEMBLE_MODES:
             raise ValidationError(f"unknown ensemble mode {self.mode!r}")
-        if len({bag.model.columns for bag in self.bags}) > 1:
+        if len({bag.columns for bag in self.bags}) > 1:
             raise ValidationError("ensemble members must share one column set")
         object.__setattr__(self, "bags", tuple(self.bags))
 
@@ -408,9 +390,7 @@ def train_fair_bagging(bags: tuple, intervention: Intervention,
                        mode: str = "score-average") -> FairEnsemble:
     """Cell-preserving bootstrap ensemble with per-bag imputation: the
     intervention trained on each of ``draw_bags``' bags."""
-    return FairEnsemble(
-        tuple(LinearPredictor(*bag.training.train(intervention)) for bag in bags), mode
-    )
+    return FairEnsemble(tuple(bag.training.train(intervention) for bag in bags), mode)
 
 
 def ensemble_scores(ens: FairEnsemble, encodings: tuple) -> np.ndarray:

@@ -75,12 +75,15 @@ def _cmd_theorem1(args) -> int:
 
 def _cmd_synthetic(args) -> int:
     ds = simulate.gen_synthetic(args.seed)
-    data.write_csv(ds, args.out)
-    if args.schema:
-        lines = [f"{name} = feature" for name in ds.feature_names]
-        lines += ["sensitive = sensitive", "label = label"]
-        with open(args.schema, "w") as fh:
-            fh.write("\n".join(lines) + "\n")
+    try:
+        data.write_csv(ds, args.out)
+        if args.schema:
+            lines = [f"{name} = feature" for name in ds.feature_names]
+            lines += ["sensitive = sensitive", "label = label"]
+            with open(args.schema, "w") as fh:
+                fh.write("\n".join(lines) + "\n")
+    except OSError as exc:
+        raise FairmissError(f"cannot write {exc.filename}: {exc.strerror}") from None
     print(f"wrote {ds.n_samples} rows to {args.out}")
     return 0
 

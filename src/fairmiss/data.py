@@ -77,16 +77,14 @@ class Dataset:
 
     def subset(self, indices) -> "Dataset":
         idx = np.asarray(indices, dtype=np.int64)
-        return Dataset(
-            self.features[idx].copy(),
-            self.sensitive[idx].copy(),
-            self.labels[idx].copy(),
-            self.feature_names,
-        )
+        # fancy indexing returns new arrays
+        return Dataset(self.features[idx], self.sensitive[idx], self.labels[idx],
+                       self.feature_names)
 
     def with_features(self, features: np.ndarray) -> "Dataset":
-        """Same rows and metadata, new feature matrix."""
-        return Dataset(features, self.sensitive.copy(), self.labels.copy(), self.feature_names)
+        """Same rows and metadata, new feature matrix; the read-only groups
+        and labels are shared."""
+        return Dataset(features, self.sensitive, self.labels, self.feature_names)
 
     def cells(self) -> list:
         """Per-(s, y) row indices, sorted by (s, y). Includes empty cells."""
@@ -391,14 +389,11 @@ def stratified_split_indices(ds: Dataset, test_fraction: float, seed: int):
             counts[c] -= 1
         k += 1
 
-    test_idx = []
-    for c, ((_, _), idx) in enumerate(cells):
-        rng = np.random.default_rng(seed + c)
-        perm = rng.permutation(len(idx))
-        test_idx.extend(idx[perm[: counts[c]]].tolist())
-    test_set = set(test_idx)
-    train_idx = [i for i in range(ds.n_samples) if i not in test_set]
-    return np.array(sorted(train_idx), dtype=np.int64), np.array(sorted(test_idx), dtype=np.int64)
+    test = np.zeros(ds.n_samples, dtype=bool)
+    for c, (_, idx) in enumerate(cells):
+        perm = np.random.default_rng(seed + c).permutation(len(idx))
+        test[idx[perm[: counts[c]]]] = True
+    return np.flatnonzero(~test), np.flatnonzero(test)
 
 
 def split_train_test(ds: Dataset, test_fraction: float, seed: int):

@@ -19,14 +19,13 @@ the method name:
 - ``fit_pipeline``, once per grid point, trains the intervention into one
   predictor whose ``predict(input, seed)`` reads a split as ``fit_repeat``
   encoded it:
-  - impute-then-classify, indicators and affine give a
-    ``classify.LinearPredictor``: the intervention's LinearModel and, for
-    eqodds, its flip rates, drawn with the given seed.
-  - fairmissbag gives the ``classify.FairEnsemble``, one LinearPredictor per
+  - impute-then-classify, indicators and affine give the intervention's
+    ``classify.LinearModel``, whose eqodds flips draw with the given seed.
+  - fairmissbag gives the ``classify.FairEnsemble``, one LinearModel per
     bag.
   - clustering gives a ``ClusterRouter``: the missing-pattern partition plus
     one leaf predictor per cluster, leaf q drawing with seed + q. A leaf
-    holds a LinearPredictor trained on its rows of the zero-imputed training
+    is a LinearModel trained on its rows of the zero-imputed training
     encoding, or, when those rows carry a single label, a
     ``ConstantPredictor`` of that label (no model can be trained there, so
     neither the penalty nor eqodds applies to that leaf). The partition is
@@ -234,10 +233,11 @@ def validate_config(cfg: ExperimentConfig) -> None:
     if cfg.data.source not in ("csv", "synthetic", "theorem1"):
         raise ConfigError(f"unknown data source {cfg.data.source!r}")
     if cfg.data.source == "csv":
-        if not cfg.data.path or not Path(cfg.data.path).exists():
-            raise ConfigError(f"csv path {cfg.data.path!r} does not exist")
-        if not cfg.data.schema or not Path(cfg.data.schema).exists():
-            raise ConfigError(f"schema path {cfg.data.schema!r} does not exist")
+        for role, path in (("csv", cfg.data.path), ("schema", cfg.data.schema)):
+            if not path or not Path(path).exists():
+                raise ConfigError(f"{role} path {path!r} does not exist")
+            if not Path(path).is_file():
+                raise ConfigError(f"{role} path {path!r} is not a regular file")
     if cfg.method.name not in METHODS:
         raise ConfigError(f"unknown method {cfg.method.name!r}")
     if cfg.method.mode not in classify.ENSEMBLE_MODES:
@@ -340,7 +340,7 @@ def _fit_leaf(enc: encode.EncodedDataset, interv: classify.Intervention):
     labels = np.unique(enc.labels)
     if labels.size == 1:
         return ConstantPredictor(int(labels[0]))
-    return classify.LinearPredictor(*classify.train_intervention(enc, interv))
+    return classify.train_intervention(enc, interv)
 
 
 @dataclass
@@ -418,7 +418,7 @@ def fit_pipeline(rep: RepeatFit, cfg: ExperimentConfig, gp: GridPoint,
         if name == "fairmissbag":
             predictor = classify.train_fair_bagging(rep.bags, interv, cfg.method.mode)
         else:
-            predictor = classify.LinearPredictor(*rep.training.train(interv))
+            predictor = rep.training.train(interv)
         preds = predictor.predict(rep.train_input, seed)
     return FittedPipeline(predictor, metrics.accuracy(preds, rep.train))
 
@@ -537,7 +537,7 @@ def run_experiment(cfg: ExperimentConfig) -> RunResult:
         rows = exact_table_analysis(source, eps)
         aggregated = {r["grid_id"]: {m: (r[m], 0.0) for m in TABLE_METRICS} for r in rows}
         result = RunResult("exact-table", grid, rows, aggregated, [], [], table_mode=True)
-        _write_outputs(cfg, result)
+        _write_outputs(_output_dir(cfg), result)
         return result
 
     ds = source
@@ -552,6 +552,7 @@ def run_experiment(cfg: ExperimentConfig) -> RunResult:
     if cfg.data.balance:
         ds = data.balance_cells(ds, cfg.sweep.seed)
 
+    out = _output_dir(cfg)  # before the sweep, which may run long
     raw, failures = [], []
     per_repeat = []
 
@@ -596,7 +597,7 @@ def run_experiment(cfg: ExperimentConfig) -> RunResult:
     aggregated = sweep_and_aggregate(per_repeat)
     pareto_gids = _pareto_gids(grid, aggregated)
     result = RunResult(cfg.method.name, grid, raw, aggregated, pareto_gids, failures)
-    _write_outputs(cfg, result)
+    _write_outputs(out, result)
     return result
 
 
@@ -624,9 +625,17 @@ def _write_csv(path: Path, header: tuple, rows) -> None:
     path.write_text("\n".join(lines) + "\n")
 
 
-def _write_outputs(cfg: ExperimentConfig, result: RunResult) -> None:
+def _output_dir(cfg: ExperimentConfig) -> Path:
     out = Path(cfg.output.dir)
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot create output directory {cfg.output.dir!r}: "
+                          f"{exc.strerror}") from None
+    return out
+
+
+def _write_outputs(out: Path, result: RunResult) -> None:
     by_gid = {gp.gid: gp for gp in result.grid}
 
     if result.table_mode:

@@ -18,7 +18,7 @@ from fairmiss.classify import (
     PostprocessRates,
     train_intervention,
 )
-from fairmiss.data import Dataset, _check_schema
+from fairmiss.data import Dataset, _check_schema, _round_half_up
 from fairmiss.encode import AffineEncoder, ClusterPartition, EncodedDataset, LeafRecord, TreeNode
 from fairmiss.errors import CsvParseError, SchemaError, SolverError, ValidationError
 from fairmiss.harness import _fmt
@@ -254,6 +254,51 @@ def reference_descend(value_and_grad, w0: np.ndarray, tol: float = TOL,
 
 
 # ---------------------------------------------------------------------------
+# the stratified split's index sets from a Python set, as
+# ``data.stratified_split_indices`` built them before it used a mask
+# ---------------------------------------------------------------------------
+
+def reference_split_indices(ds: Dataset, test_fraction: float, seed: int):
+    """``data.stratified_split_indices``, its train rows found by testing each
+    row index against a set of the test rows."""
+    if not 0.0 < test_fraction < 1.0:
+        raise ValidationError("test_fraction must lie strictly between 0 and 1")
+    if ds.n_samples == 0:
+        raise ValidationError("cannot split an empty dataset")
+    cells = [(cell, idx) for cell, idx in ds.cells() if len(idx)]
+    for (s, y), idx in cells:
+        if len(idx) < 2:
+            raise ValidationError(
+                f"cell (s={s}, y={y}) has fewer than 2 samples, cannot split"
+            )
+    target = min(max(_round_half_up(ds.n_samples * test_fraction), 1), ds.n_samples - 1)
+    quotas = [len(idx) * test_fraction for _, idx in cells]
+    counts = [min(max(int(np.floor(q)), 1), len(idx) - 1) for q, (_, idx) in zip(quotas, cells)]
+    order = sorted(range(len(cells)), key=lambda c: (-(quotas[c] - np.floor(quotas[c])), c))
+    k = 0
+    while sum(counts) < target and k < 2 * len(cells):
+        c = order[k % len(cells)]
+        if counts[c] < len(cells[c][1]) - 1:
+            counts[c] += 1
+        k += 1
+    k = 0
+    while sum(counts) > target and k < 2 * len(cells):
+        c = order[-1 - (k % len(cells))]
+        if counts[c] > 1:
+            counts[c] -= 1
+        k += 1
+
+    test_idx = []
+    for c, ((_, _), idx) in enumerate(cells):
+        rng = np.random.default_rng(seed + c)
+        perm = rng.permutation(len(idx))
+        test_idx.extend(idx[perm[: counts[c]]].tolist())
+    test_set = set(test_idx)
+    train_idx = [i for i in range(ds.n_samples) if i not in test_set]
+    return np.array(sorted(train_idx), dtype=np.int64), np.array(sorted(test_idx), dtype=np.int64)
+
+
+# ---------------------------------------------------------------------------
 # CSV ingestion one token at a time, as ``data.load_csv`` did before it
 # became columnar
 # ---------------------------------------------------------------------------
@@ -352,7 +397,7 @@ def _read_row(reader, path, line_no):
 def train_logreg(enc: EncodedDataset) -> LinearModel:
     """Fit the plain L2-regularized logistic model (deterministic L-BFGS-B
     from zero weights)."""
-    return train_intervention(enc, Intervention("none"))[0]
+    return train_intervention(enc, Intervention("none"))
 
 
 def encode_affine(ds: Dataset) -> EncodedDataset:
@@ -451,7 +496,7 @@ def ensemble_to_text(ens, bags) -> str:
     lines = [f"mode {ens.mode}", f"bags {len(ens.bags)}"]
     for i, (bag, drawn) in enumerate(zip(ens.bags, bags)):
         lines.append(f"bag {i} imputer={drawn.imputer.name}")
-        lines.append(model_to_text(bag.model).rstrip("\n"))
+        lines.append(model_to_text(bag).rstrip("\n"))
         if bag.rates is not None:
             for (s, p), f in sorted(bag.rates.flip.items()):
                 lines.append(f"flip s={s} base={p} {float(f)!r}")

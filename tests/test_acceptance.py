@@ -84,10 +84,10 @@ def _clustered_penalty_run(seed, tau):
     preds = np.empty(test.n_samples, dtype=np.int64)
     for q in range(part.n_clusters):
         enc_tr = encode_plain(train.subset(np.flatnonzero(assign_tr == q)), ZeroImputer())
-        model = train_intervention(enc_tr, Intervention("penalty", tau=tau))[0]
+        model = train_intervention(enc_tr, Intervention("penalty", tau=tau))
         rows = np.flatnonzero(assign_te == q)
         enc_te = encode_plain(test.subset(rows), ZeroImputer())
-        preds[rows] = model.predict(enc_te.matrix)
+        preds[rows] = model.predict(enc_te, 0)
     rates = metrics.group_rates(preds, test)
     return metrics.accuracy(preds, test), metrics.disparity(rates, "meo")
 
@@ -98,11 +98,8 @@ def _baseline_eqodds_run(seed, eps):
     scaler = data.FeatureScaler().fit(train)
     train, test = scaler.transform(train), scaler.transform(test)
     enc_tr = encode_plain(train, ZeroImputer())
-    model, rates = classify.train_intervention(enc_tr, Intervention("eqodds", epsilon=eps))
-    enc_te = encode_plain(test, ZeroImputer())
-    preds = classify.apply_postprocess(
-        rates, model.predict(enc_te.matrix), test.sensitive, seed + 977
-    )
+    model = classify.train_intervention(enc_tr, Intervention("eqodds", epsilon=eps))
+    preds = model.predict(encode_plain(test, ZeroImputer()), seed + 977)
     grates = metrics.group_rates(preds, test)
     return metrics.accuracy(preds, test), metrics.disparity(grates, "meo")
 
@@ -158,13 +155,13 @@ def test_criterion_3_mnar_indicator_advantage():
             train, test = scaler.transform(train), scaler.transform(test)
 
             model = train_logreg(encode_indicators(train))
-            preds = model.predict(encode_indicators(test).matrix)
+            preds = model.predict(encode_indicators(test), 0)
             rates = metrics.group_rates(preds, test)
             ind.append((metrics.accuracy(preds, test),
                         metrics.disparity(rates, "meo")))
 
             model = train_logreg(encode_plain(train, ZeroImputer()))
-            preds = model.predict(encode_plain(test, ZeroImputer()).matrix)
+            preds = model.predict(encode_plain(test, ZeroImputer()), 0)
             rates = metrics.group_rates(preds, test)
             base.append((metrics.accuracy(preds, test),
                          metrics.disparity(rates, "meo")))
@@ -300,7 +297,7 @@ def test_criterion_7_mechanical_invariants():
                 ("orig:a", "orig:b"),
             )
             plain = train_logreg(enc)
-            pen = train_intervention(enc, Intervention("penalty", tau=0.0))[0]
+            pen = train_intervention(enc, Intervention("penalty", tau=0.0))
             assert np.array_equal(plain.weights, pen.weights)
             assert plain.bias == pen.bias
 

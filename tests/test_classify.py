@@ -1,5 +1,6 @@
 import logging
 import re
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -12,12 +13,12 @@ from fairmiss.classify import (
     EqoddsProgram,
     Intervention,
     LinearModel,
-    LinearPredictor,
     PostprocessRates,
     PENALTY_LABELS,
     apply_postprocess,
     draw_bags,
     ensemble_scores,
+    eqodds_program,
     postprocess_eqodds,
     predict_dataset,
     train_fair_bagging,
@@ -66,13 +67,52 @@ def model_and_rows(draw):
     model = LinearModel(weights, draw(values), tuple(f"orig:x{j + 1}" for j in range(d)))
     # a subset drawn with repeats, as a bag or a cluster leaf draws its rows
     rows = np.array(draw(st.lists(st.integers(0, n - 1), max_size=2 * n)), dtype=np.int64)
-    return model, matrix, rows
+    return model, encoded(matrix, np.zeros(n, int), np.zeros(n, int)), rows
 
 
 @given(model_and_rows())
 def test_scores_of_a_subset_are_those_rows_of_the_whole(case):
-    model, matrix, rows = case
-    assert model.scores(matrix[rows]).tobytes() == model.scores(matrix)[rows].tobytes()
+    model, enc, rows = case
+    assert model.scores(enc.subset(rows)).tobytes() == model.scores(enc)[rows].tobytes()
+
+
+def group_shifted_encoded(rng, n=400):
+    """One feature whose scores sit higher in group 1 at either label, so the
+    plain model's false positive rates differ between the groups."""
+    s = rng.integers(0, 2, n)
+    y = rng.integers(0, 2, n)
+    return encoded(((2 * y - 1) + s + rng.normal(0, 1, n))[:, None], s, y)
+
+
+class TestLinearModel:
+    def test_eqodds_grid_shares_one_plain_model(self, rng):
+        training = classify.TrainingSet(group_shifted_encoded(rng))
+        models = [training.train(Intervention("eqodds", epsilon=eps)) for eps in (0.0, 1.0)]
+        plain = training.train(Intervention("none"))
+        assert plain.rates is None
+        for m in models:
+            assert m.weights.tobytes() == plain.weights.tobytes() and m.bias == plain.bias
+        assert models[0].rates.flip != models[1].rates.flip
+        assert all(f == 0.0 for f in models[1].rates.flip.values())
+
+    def test_predict_with_rates_flips_the_plain_labels(self, rng):
+        enc = group_shifted_encoded(rng)
+        model = train_intervention(enc, Intervention("eqodds", epsilon=0.0))
+        plain = replace(model, rates=None)
+        assert any(f > 0.0 for f in model.rates.flip.values())
+        for seed in (0, 7):
+            want = apply_postprocess(model.rates, plain.predict(enc, seed), enc.sensitive, seed)
+            assert np.array_equal(model.predict(enc, seed), want)
+        base = plain.predict(enc, 0)
+        flip = model.rates.flip_probs(enc.sensitive, base)
+        assert np.array_equal(model.scores(enc), np.where(base == 1, 1.0 - flip, flip))
+
+    def test_width_mismatch_errors(self, rng):
+        model = LinearModel(np.zeros(2), 0.0, ("orig:x1", "orig:x2"))
+        enc = random_encoded(rng, n=5, d=3)
+        for read in (model.scores, lambda e: model.predict(e, 0)):
+            with pytest.raises(ValidationError, match="width"):
+                read(enc)
 
 
 class TestTrainLogreg:
@@ -80,7 +120,7 @@ class TestTrainLogreg:
         y = rng.integers(0, 2, 200)
         enc = encoded(y[:, None].astype(float), rng.integers(0, 2, 200), y)
         model = train_logreg(enc)
-        assert np.mean(model.predict(enc.matrix) == y) >= 0.99
+        assert np.mean(model.predict(enc, 0) == y) >= 0.99
 
     def test_zero_iterations_returns_zero_weights(self, rng):
         enc = random_encoded(rng)
@@ -89,7 +129,7 @@ class TestTrainLogreg:
         assert np.all(w == 0.0) and iters == 0
         model = LinearModel(w[:-1], float(w[-1]), enc.columns)
         # constant score 0.5 predicts 1 everywhere at the threshold
-        assert model.predict(enc.matrix).all()
+        assert model.predict(enc, 0).all()
 
     def test_single_label_errors(self, rng):
         enc = encoded(rng.normal(size=(10, 2)), rng.integers(0, 2, 10), np.ones(10))
@@ -240,7 +280,7 @@ class TestPenalty:
     def test_tau_zero_identical_to_plain(self, rng):
         enc = random_encoded(rng)
         plain = train_logreg(enc)
-        pen = train_intervention(enc, Intervention("penalty", tau=0.0))[0]
+        pen = train_intervention(enc, Intervention("penalty", tau=0.0))
         assert np.array_equal(plain.weights, pen.weights)
         assert plain.bias == pen.bias
 
@@ -256,8 +296,8 @@ class TestPenalty:
         taus = [0.01, 0.1, 1.0, 10.0, 100.0]
         meos, accs = [], []
         for tau in taus:
-            model = train_intervention(enc, Intervention("penalty", tau=tau))[0]
-            preds = model.predict(enc.matrix)
+            model = train_intervention(enc, Intervention("penalty", tau=tau))
+            preds = model.predict(enc, 0)
             meos.append(disparity(group_rates(preds, ds), "meo"))
             accs.append(accuracy(preds, ds))
         for lo, hi in zip(meos[1:], meos):
@@ -278,7 +318,7 @@ class TestPenalty:
         ss = np.concatenate([np.zeros(n, int), np.ones(n, int)])
         enc = encoded(xx, ss, yy)
         plain = train_logreg(enc)
-        pen = train_intervention(enc, Intervention("penalty", tau=5.0))[0]
+        pen = train_intervention(enc, Intervention("penalty", tau=5.0))
         assert np.linalg.norm(pen.weights - plain.weights) <= 1e-3
         f = make_objective(enc.matrix, enc.labels, 1e-4, 5.0, enc.cells())
         _, grad = f(np.concatenate([pen.weights, [pen.bias]]))
@@ -291,7 +331,7 @@ class TestPenalty:
         s = np.repeat([0, 1], n // 2)
         y = np.where(s == 1, 1, np.arange(n) % 2)
         enc = encoded(rng.normal(size=(n, 2)), s, y)
-        model = train_intervention(enc, Intervention("penalty", 1.0, "fnr-difference"))[0]
+        model = train_intervention(enc, Intervention("penalty", 1.0, "fnr-difference"))
         assert np.isfinite(model.weights).all()
         with pytest.raises(ValidationError, match=r"empty cell \(s=1, y=0\)"):
             train_intervention(enc, Intervention("penalty", 1.0, "mean-equalized-odds"))
@@ -357,7 +397,7 @@ def flips_of(v):
 def test_vertex_solve_is_the_exact_optimum_up_to_its_tolerance(case):
     base, p_sy, epsilon = case
     program = EqoddsProgram.from_rates((0, 1), base, p_sy)
-    flip = postprocess_eqodds(None, None, epsilon, program=program).flip
+    flip = postprocess_eqodds(program, epsilon).flip
     acc, mass = accuracy_and_mass(flip, base, p_sy)
     mixed = mixed_rate_table(PostprocessRates((0, 1), flip), base)
     assert all(0.0 <= f <= 1.0 for f in flip.values())
@@ -399,7 +439,7 @@ def test_solves_what_the_scipy_programs_called_infeasible():
     base = {(0, 0): 0.0, (0, 1): 0.0, (1, 0): 0.0, (1, 1): 1e-09}
     p_sy = {(0, 0): 2 / 410, (0, 1): 2 / 410, (1, 0): 204 / 410, (1, 1): 202 / 410}
     program = EqoddsProgram.from_rates((0, 1), base, p_sy)
-    flip = postprocess_eqodds(None, None, 0.0, program=program).flip
+    flip = postprocess_eqodds(program, 0.0).flip
     best = exact_best_accuracy(program, 0.0)
     least = min(m for m, _, _ in exact_least_flip(program, 0.0, best - Fraction(1e-12)))
     acc, mass = accuracy_and_mass(flip, base, p_sy)
@@ -412,7 +452,7 @@ def test_postprocess_logs_its_solve(caplog):
     scores = np.array([0.1, 0.9, 0.2, 0.8, 0.1, 0.1, 0.8, 0.8])
     ds = Dataset(np.zeros((8, 1)), sens, labels)
     with caplog.at_level(logging.DEBUG, logger="fairmiss"):
-        postprocess_eqodds(scores, ds, epsilon=0.0)
+        postprocess_eqodds(eqodds_program(scores, ds), 0.0)
     [line] = [r.getMessage() for r in caplog.records if r.name == "fairmiss"]
     match = re.fullmatch(r"eqodds solve: epsilon 0, training accuracy 0\.750000 -> "
                          r"(\d\.\d{6}), flip mass (\d\.\d{6}), (\d+) vertices examined", line)
@@ -426,12 +466,12 @@ class TestPostprocess:
         labels = [0, 0, 1, 1, 0, 0, 1, 1]
         scores = np.array([0.1, 0.9, 0.2, 0.8] * 2)  # FPR=0.5, FNR=0.5 per group
         ds = Dataset(np.zeros((8, 1)), sens, labels)
-        rates = postprocess_eqodds(scores, ds, epsilon=0.0)
+        rates = postprocess_eqodds(eqodds_program(scores, ds), 0.0)
         assert all(v == pytest.approx(0.0, abs=1e-9) for v in rates.flip.values())
 
     def test_vacuous_epsilon_keeps_informative_predictor(self, rng):
         ds, scores = predictor_dataset(rng)
-        rates = postprocess_eqodds(scores, ds, epsilon=1.0)
+        rates = postprocess_eqodds(eqodds_program(scores, ds), 1.0)
         assert all(v == pytest.approx(0.0, abs=1e-9) for v in rates.flip.values())
 
     def test_equally_accurate_flip_loses_to_no_flip(self):
@@ -442,19 +482,19 @@ class TestPostprocess:
         base = np.array([1, 1, 0, 0, 1, 1, 1, 1, 0, 1, 0, 0])
         scores = np.where(base == 1, 0.9, 0.1)
         ds = Dataset(np.zeros((12, 1)), sens, labels)
-        rates = postprocess_eqodds(scores, ds, epsilon=0.5)
+        rates = postprocess_eqodds(eqodds_program(scores, ds), 0.5)
         assert all(v == pytest.approx(0.0, abs=1e-9) for v in rates.flip.values())
 
     def test_score_length_mismatch_errors(self, rng):
         ds, scores = predictor_dataset(rng, n=40)
         with pytest.raises(ValidationError, match="length"):
-            postprocess_eqodds(scores[:-1], ds, 0.1)
+            postprocess_eqodds(eqodds_program(scores[:-1], ds), 0.1)
 
     @pytest.mark.parametrize("epsilon", [-0.1, np.nan, np.inf])
     def test_epsilon_must_be_finite_and_non_negative(self, rng, epsilon):
         ds, scores = predictor_dataset(rng, n=40)
         with pytest.raises(ValidationError, match="epsilon must be finite and >= 0"):
-            postprocess_eqodds(scores, ds, epsilon)
+            postprocess_eqodds(eqodds_program(scores, ds), epsilon)
 
     def test_constructed_gap_is_repaired_exactly(self, rng):
         # plant a 0.4 FPR gap, then require exact equality
@@ -468,7 +508,7 @@ class TestPostprocess:
         ds = Dataset(np.zeros((n, 1)), s, y)
         base = group_rates(pred, ds)
         assert abs(base[(1, 0)] - base[(0, 0)]) > 0.3
-        rates = postprocess_eqodds(scores, ds, epsilon=0.0)
+        rates = postprocess_eqodds(eqodds_program(scores, ds), 0.0)
         mixed = mixed_rate_table(rates, base)
         assert abs(mixed[(0, 0)] - mixed[(1, 0)]) <= 1e-9
         assert abs(mixed[(0, 1)] - mixed[(1, 1)]) <= 1e-9
@@ -479,7 +519,7 @@ class TestPostprocess:
             if min(len(i) for _, i in ds.cells()) == 0:
                 continue
             eps = float(rng.choice([0.0, 0.02, 0.1, 0.3]))
-            rates = postprocess_eqodds(scores, ds, eps)
+            rates = postprocess_eqodds(eqodds_program(scores, ds), eps)
             base = group_rates((scores >= 0.5).astype(int), ds)
             mixed = mixed_rate_table(rates, base)
             for yy in (0, 1):
@@ -487,7 +527,7 @@ class TestPostprocess:
 
     def test_apply_postprocess_hits_expected_rates(self, rng):
         ds, scores = predictor_dataset(rng, n=20000, flip_group_noise=1.2)
-        rates = postprocess_eqodds(scores, ds, epsilon=0.0)
+        rates = postprocess_eqodds(eqodds_program(scores, ds), 0.0)
         preds = apply_postprocess(rates, (scores >= 0.5).astype(int), ds.sensitive, seed=5)
         got = group_rates(preds, ds)
         want = mixed_rate_table(rates, group_rates((scores >= 0.5).astype(int), ds))
@@ -497,7 +537,7 @@ class TestPostprocess:
     def test_more_than_two_groups_rejected(self, rng):
         ds = Dataset(np.zeros((6, 1)), [0, 1, 2, 0, 1, 2], [0, 0, 0, 1, 1, 1])
         with pytest.raises(ValidationError):
-            postprocess_eqodds(np.full(6, 0.5), ds, 0.1)
+            postprocess_eqodds(eqodds_program(np.full(6, 0.5), ds), 0.1)
 
     def test_flip_probs_match_per_row_lookup(self, rng):
         rates = PostprocessRates((3, 7), {(3, 0): 0.125, (3, 1): 0.25,
@@ -561,14 +601,14 @@ class TestFairBagging:
         bag = train.subset(fair_resample(train, 7 + 1))
         imputer = make_imputer("mean").fit(bag)
         model = train_logreg(encode_indicators(bag, imputer=imputer))
-        manual = model.predict(encode_indicators(test, imputer=imputer).matrix)
+        manual = model.predict(encode_indicators(test, imputer=imputer), 0)
         got = predict_dataset(ens, encode_bags(bags, test), seed=0)
         assert np.array_equal(got, manual)
 
     def test_bags_differ(self, rng):
         train = random_dataset(rng, n=80, d=3, missing_rate=0.2)
         ens = train_fair_bagging(draw_bags(train, 10, "mean", seed=3), Intervention("none"))
-        weight_sets = {tuple(np.round(b.model.weights, 10)) for b in ens.bags}
+        weight_sets = {tuple(np.round(b.weights, 10)) for b in ens.bags}
         assert len(weight_sets) > 1
 
     def test_complete_data_keeps_zero_indicator_columns(self, rng):
@@ -584,7 +624,7 @@ class TestFairBagging:
             models.append(LinearModel(np.zeros(2), logit, ("orig:x1", "ind:x1")))
         from fairmiss.classify import FairEnsemble
 
-        ens = FairEnsemble(tuple(LinearPredictor(m) for m in models))
+        ens = FairEnsemble(tuple(models))
         enc = encode_indicators(Dataset(np.array([[1.0]]), [0], [0]))
         assert ensemble_scores(ens, (enc,) * 3)[0] == pytest.approx(0.4)
 
@@ -595,7 +635,7 @@ class TestFairBagging:
         test = random_dataset(rng, n=2000, d=2, missing_rate=0.2, ensure_cells=False)
         picks = predict_dataset(ens, encode_bags(bags, test), seed=9)
         per_model = np.array([
-            member.model.predict(encode_indicators(test, imputer=bag.imputer).matrix)
+            member.predict(encode_indicators(test, imputer=bag.imputer), 0)
             for member, bag in zip(ens.bags, bags)
         ])
         expected_rate = per_model.mean()

@@ -22,7 +22,7 @@ from fairmiss.data import (
 from fairmiss.errors import CsvParseError, SchemaError, ValidationError
 
 from conftest import random_dataset
-from oracles import load_csv_rows
+from oracles import load_csv_rows, reference_split_indices
 
 
 def write(tmp_path, name, text):
@@ -400,6 +400,35 @@ class TestSplit:
         ds = Dataset(np.zeros((3, 1)), [0, 0, 1], [0, 1, 1])
         with pytest.raises(ValidationError, match=r"s=0, y=0"):
             split_train_test(ds, 0.3, seed=0)
+
+
+@st.composite
+def split_case(draw):
+    """A dataset of 1-3 groups whose (group, label) cells hold 0-30 rows
+    each, in a drawn row order, and a test fraction and seed to split it."""
+    groups = draw(st.integers(1, 3))
+    sizes = draw(st.lists(st.integers(0, 30), min_size=2 * groups, max_size=2 * groups))
+    cell_of_row = [c for c, size in enumerate(sizes) for _ in range(size)]
+    cell_of_row = np.array(draw(st.permutations(cell_of_row)), dtype=np.int64)
+    ds = Dataset(np.zeros((cell_of_row.size, 1)), cell_of_row // 2, cell_of_row % 2)
+    fraction = draw(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True))
+    return ds, fraction, draw(st.integers(0, 2**32))
+
+
+@given(split_case())
+def test_split_indices_are_those_of_the_set_loop(case):
+    outcomes = []
+    for split in (data.stratified_split_indices, reference_split_indices):
+        try:
+            outcomes.append(split(*case))
+        except ValidationError as exc:
+            outcomes.append(str(exc))
+    new, old = outcomes
+    if isinstance(old, str):
+        assert new == old
+    else:
+        for a, b in zip(new, old):
+            assert a.dtype == b.dtype and np.array_equal(a, b)
 
 
 class TestFairResample:

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import fairmiss
-from fairmiss import cli
+from fairmiss import cli, harness
 from fairmiss.data import load_csv, read_schema, write_csv
 from fairmiss.errors import ConfigError
 from fairmiss.harness import (
@@ -151,6 +151,12 @@ class TestConfig:
             intervention=InterventionConfig(name="penalty", constraint="meo"),
             sweep=SweepConfig(repeats=10),
         )
+
+    def test_readme_library_example_runs(self, capsys):
+        readme = (Path(__file__).parents[1] / "README.md").read_text()
+        exec(re.search(r"```python\n(.*?)```", readme, re.S).group(1), {})
+        accuracy, meo = map(float, capsys.readouterr().out.split())
+        assert 0.0 <= accuracy <= 1.0 and 0.0 <= meo <= 1.0
 
     def test_missingness_config_roundtrip(self, tmp_path):
         from oracles import missingness_to_config
@@ -448,10 +454,10 @@ class TestLeakage:
         rep = fit_repeat(train, test_a, cfg, seed=3)
         f1 = fit_pipeline(rep, cfg, gp, seed=3)
         f2 = fit_pipeline(rep, cfg, gp, seed=3)
-        assert np.array_equal(f1.predictor.model.weights, f2.predictor.model.weights)
+        assert np.array_equal(f1.predictor.weights, f2.predictor.weights)
         evaluate_pipeline(f1, rep, seed=0)
         m = evaluate_pipeline(f1, fit_repeat(train, test_b, cfg, seed=3), seed=0)
-        assert np.array_equal(f1.predictor.model.weights, f2.predictor.model.weights)
+        assert np.array_equal(f1.predictor.weights, f2.predictor.weights)
         assert set(m) == {"train_accuracy", "test_accuracy", "fnr_diff", "fpr_diff", "meo"}
 
     @pytest.mark.parametrize(
@@ -475,15 +481,13 @@ class TestLeakage:
             train_inputs = rep.train_input if rep.bags else (rep.train_input,)
             models = [fit_pipeline(rep, cfg, gp, seed=3).predictor
                       for gp in grid_points(cfg.intervention)]
-            members = [(p.model, p.rates) for p in models] if not rep.bags else [
-                (bag.model, bag.rates) for p in models for bag in p.bags
-            ]
+            members = models if not rep.bags else [bag for p in models for bag in p.bags]
             states.append((
                 rep.scaler.mins.tobytes(), rep.scaler.ranges.tobytes(),
                 rep.train.features.tobytes(),
                 [enc.matrix.tobytes() for enc in train_inputs],
                 [bag.rows.tobytes() for bag in rep.bags],
-                [(m.weights.tobytes(), m.bias, r.flip) for m, r in members],
+                [(m.weights.tobytes(), m.bias, m.rates.flip) for m in members],
             ))
         assert states[0] == states[1]
 
@@ -592,6 +596,42 @@ dir = {tmp_path / "out"}
         assert cli.main(["run", str(write_config(tmp_path, body))]) == 1
         err = capsys.readouterr().err
         assert err == f"error: {tmp_path / 's.txt'}: line 2: byte 0xe9 is not UTF-8 text\n"
+
+    @pytest.mark.parametrize("command", ["run", "validate"])
+    @pytest.mark.parametrize("role, key", [("csv", "path"), ("schema", "schema")])
+    def test_a_directory_as_an_input_file_is_one_error_line(self, tmp_path, capsys, command,
+                                                            role, key):
+        files = {"path": tmp_path / "d.csv", "schema": tmp_path / "s.txt"}
+        files["path"].write_text("x1,sensitive,label\n0.5,0,1\n")
+        files["schema"].write_text("x1 = feature\nsensitive = sensitive\nlabel = label\n")
+        files[key] = tmp_path / "a_dir"
+        files[key].mkdir()
+        body = (f"[data]\nsource = csv\npath = {files['path']}\nschema = {files['schema']}\n"
+                f"\n[output]\ndir = {tmp_path / 'out'}\n")
+        assert cli.main([command, str(write_config(tmp_path, body))]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {role} path {str(files[key])!r} is not a regular file\n"
+        assert captured.out == ""
+
+    def test_an_output_dir_that_cannot_be_made_fails_before_any_repeat(self, tmp_path, capsys,
+                                                                       monkeypatch):
+        (tmp_path / "f").write_text("a regular file\n")
+        out = tmp_path / "f" / "out"
+        monkeypatch.setattr(harness, "fit_repeat", lambda *args: pytest.fail("a repeat ran"))
+        assert cli.main(["run", str(write_config(tmp_path, BASIC.format(out=out)))]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"error: cannot create output directory {str(out)!r}: Not a directory\n"
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("flag", ["--out", "--schema"])
+    def test_synthetic_into_a_missing_dir_is_one_error_line(self, tmp_path, capsys, flag):
+        paths = {"--out": tmp_path / "s.csv", "--schema": tmp_path / "s.schema"}
+        paths[flag] = tmp_path / "missing" / "file"
+        args = [arg for key, path in paths.items() for arg in (key, str(path))]
+        assert cli.main(["synthetic", *args]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"error: cannot write {paths[flag]}: No such file or directory\n"
+        assert captured.out == ""
 
 
 def test_load_config_names_the_line_of_a_byte_that_is_not_utf8(tmp_path):

@@ -227,7 +227,7 @@ class TestPostprocessOracleAgreement:
     """The exact post-processor is checked against an independent LP solver."""
 
     def test_vertex_enumeration_matches_lp(self, rng):
-        from fairmiss.classify import postprocess_eqodds
+        from fairmiss.classify import eqodds_program, postprocess_eqodds
 
         from oracles import mixed_rate_table, reference_postprocess_eqodds
 
@@ -240,7 +240,7 @@ class TestPostprocessOracleAgreement:
             if min(len(i) for _, i in ds.cells()) == 0:
                 continue
             eps = float(rng.choice([0.0, 0.05, 0.2, 1.0]))
-            rates = postprocess_eqodds(scores, ds, eps)
+            rates = postprocess_eqodds(eqodds_program(scores, ds), eps)
             base = {}
             p_sy = {}
             pred = (scores >= 0.5).astype(int)

@@ -2,6 +2,8 @@
 point) against ``reference_pipeline``, which refits everything at every grid
 point, and counts of the work the per-repeat stage shares."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -50,10 +52,11 @@ entry3 = x4, label, 0.1, 0.3
 """
 
 
-def _linear_predict(model, rates, enc, seed):
-    preds = model.predict(enc.matrix)
-    if rates is not None:
-        preds = classify.apply_postprocess(rates, preds, enc.sensitive, seed)
+def _linear_predict(model, enc, seed):
+    """The model's labels, its flips applied here to the plain model's."""
+    preds = replace(model, rates=None).predict(enc, seed)
+    if model.rates is not None:
+        preds = classify.apply_postprocess(model.rates, preds, enc.sensitive, seed)
     return preds
 
 
@@ -80,18 +83,18 @@ def _reference_clustering(train, cfg, interv, seed):
             if rows.size and isinstance(leaf, int):
                 preds[rows] = leaf
             elif rows.size:
-                preds[rows] = _linear_predict(*leaf, encode_plain(ds.subset(rows)), s + q)
+                preds[rows] = _linear_predict(leaf, encode_plain(ds.subset(rows)), s + q)
         return preds
 
     return predict
 
 
-def _bag_scores(imputer, model, rates, ds):
-    s = model.scores(encode_indicators(ds, imputer=imputer).matrix)
-    if rates is None:
+def _bag_scores(imputer, model, ds):
+    s = replace(model, rates=None).scores(encode_indicators(ds, imputer=imputer))
+    if model.rates is None:
         return s
     base = (s >= 0.5).astype(np.int64)
-    flip = rates.flip_probs(ds.sensitive, base)
+    flip = model.rates.flip_probs(ds.sensitive, base)
     return np.where(base == 1, 1.0 - flip, flip)
 
 
@@ -102,11 +105,11 @@ def _reference_bagging(bags, mode, ds, seed):
     picks = rng.integers(0, len(bags), size=ds.n_samples)
     u = rng.random(ds.n_samples)
     out = np.empty(ds.n_samples, dtype=np.int64)
-    for b, (imputer, model, rates) in enumerate(bags):
+    for b, (imputer, model) in enumerate(bags):
         sel = picks == b
         if sel.any():
-            scores = _bag_scores(imputer, model, rates, ds.subset(np.flatnonzero(sel)))
-            out[sel] = scores >= 0.5 if rates is None else u[sel] < scores
+            scores = _bag_scores(imputer, model, ds.subset(np.flatnonzero(sel)))
+            out[sel] = scores >= 0.5 if model.rates is None else u[sel] < scores
     return out
 
 
@@ -125,7 +128,7 @@ def reference_pipeline(train, test, cfg, gp, seed, eval_seed) -> dict:
             bag = train.subset(fair_resample(train, seed + b))
             imputer = make_imputer(cfg.method.imputer).fit(bag)
             enc = encode_indicators(bag, imputer=imputer)
-            bags.append((imputer, *classify.train_intervention(enc, interv)))
+            bags.append((imputer, classify.train_intervention(enc, interv)))
         predict = lambda ds, s: _reference_bagging(bags, cfg.method.mode, ds, s)  # noqa: E731
     else:
         if name == "impute-then-classify":
@@ -135,8 +138,8 @@ def reference_pipeline(train, test, cfg, gp, seed, eval_seed) -> dict:
             encoder = encode_indicators
         else:
             encoder = AffineEncoder().fit(train).transform
-        model, flips = classify.train_intervention(encoder(train), interv)
-        predict = lambda ds, s: _linear_predict(model, flips, encoder(ds), s)  # noqa: E731
+        model = classify.train_intervention(encoder(train), interv)
+        predict = lambda ds, s: _linear_predict(model, encoder(ds), s)  # noqa: E731
     train_preds = predict(train, seed)
     preds = predict(test, eval_seed)
     rates = group_rates(preds, test)
