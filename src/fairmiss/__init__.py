@@ -13,7 +13,6 @@ from .classify import (
     PostprocessRates,
     apply_postprocess,
     draw_bags,
-    ensemble_scores,
     eqodds_program,
     postprocess_eqodds,
     predict_dataset,
@@ -60,15 +59,9 @@ from .metrics import (
     JointTable,
     TradeoffPoint,
     accuracy,
-    bayes_accuracy,
     best_fair_accuracy,
-    binary_entropy,
-    conditional_entropy,
     disparity,
-    entropy,
     group_rates,
-    mutual_info_my,
-    mutual_information,
     pareto_frontier,
 )
 from .simulate import (

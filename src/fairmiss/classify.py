@@ -344,6 +344,8 @@ class FairEnsemble:
             raise ValidationError(f"unknown ensemble mode {self.mode!r}")
         if len({bag.columns for bag in self.bags}) > 1:
             raise ValidationError("ensemble members must share one column set")
+        if len({bag.rates is None for bag in self.bags}) > 1:
+            raise ValidationError("ensemble members must all carry flip rates, or none")
         object.__setattr__(self, "bags", tuple(self.bags))
 
     def predict(self, encodings: tuple, seed: int) -> np.ndarray:
@@ -393,32 +395,26 @@ def train_fair_bagging(bags: tuple, intervention: Intervention,
     return FairEnsemble(tuple(bag.training.train(intervention) for bag in bags), mode)
 
 
-def ensemble_scores(ens: FairEnsemble, encodings: tuple) -> np.ndarray:
-    """Mean of the per-bag scores."""
-    return np.mean([bag.scores(enc) for bag, enc in zip(ens.bags, encodings)], axis=0)
-
-
 def predict_dataset(ens: FairEnsemble, encodings: tuple, seed: int) -> np.ndarray:
-    """Predict every row from its per-bag encodings (bag b's ``Bag.encode``):
-    random-pick draws one bag per row (then that bag's possibly randomized
-    label); score-average thresholds the mean score."""
-    n_bags = len(ens.bags)
-    if len(encodings) != n_bags:
-        raise ValidationError(f"{n_bags} bags need as many encodings, got {len(encodings)}")
-    if ens.mode == "score-average":
-        return (ensemble_scores(ens, encodings) >= THRESHOLD).astype(np.int64)
-    n = encodings[0].n_samples
+    """Predict every row from its per-bag encodings (bag b's ``Bag.encode``).
+
+    Each row's Pr(output = 1) is one bag's score, a bag drawn uniformly per
+    row (random-pick), or the mean of the bags' scores (score-average). Bags
+    without flip rates threshold it; bags with eqodds rates draw the label
+    from it, so either mode's expected group rates are the mean of its bags'.
+    The bag picks are drawn from ``seed`` first, then the uniforms.
+    """
+    if len(encodings) != len(ens.bags):
+        raise ValidationError(f"{len(ens.bags)} bags need as many encodings, got {len(encodings)}")
+    if len({enc.n_samples for enc in encodings}) > 1:
+        raise ValidationError("every bag's encoding must hold the same rows")
+    scores = np.array([bag.scores(enc) for bag, enc in zip(ens.bags, encodings)])
+    n = scores.shape[1]
     rng = np.random.default_rng(seed)
-    picks = rng.integers(0, n_bags, size=n)
-    out = np.empty(n, dtype=np.int64)
-    u = rng.random(n)
-    for b, (bag, enc) in enumerate(zip(ens.bags, encodings)):
-        sel = picks == b
-        if not sel.any():
-            continue
-        scores = bag.scores(enc.subset(np.flatnonzero(sel)))
-        if bag.rates is None:
-            out[sel] = (scores >= THRESHOLD).astype(np.int64)
-        else:
-            out[sel] = (u[sel] < scores).astype(np.int64)
-    return out
+    if ens.mode == "random-pick":
+        p = scores[rng.integers(0, len(ens.bags), size=n), np.arange(n)]
+    else:
+        p = scores.mean(axis=0)
+    if ens.bags[0].rates is None:
+        return (p >= THRESHOLD).astype(np.int64)
+    return (rng.random(n) < p).astype(np.int64)

@@ -60,12 +60,10 @@ def _cmd_validate(args) -> int:
 def _cmd_theorem1(args) -> int:
     alpha1 = args.alpha if args.alpha1 is None else args.alpha1
     dist = simulate.MaskedPositives((args.alpha, alpha1), (args.q0, 1.0 - args.q0))
-    rows = harness.exact_table_analysis(dist, (args.epsilon,))
-    rec = rows[0]
-    table = simulate.masked_positives_table(dist)
+    rec = harness.exact_table_analysis(dist, (args.epsilon,))[0]
     print(f"groups: alphas={dist.alphas} priors={dist.priors}")
     print(f"mixture masking rate: {dist.mixture_alpha:.6f}")
-    print(f"I(mask; label) = {table.mutual_info_my():.6f} bits")
+    print(f"I(mask; label) = {rec['mi_bits']:.6f} bits")
     print(f"best accuracy under equalized odds (eps={args.epsilon}):")
     print(f"  on the original table : {rec['f_eps_original']:.6f}")
     print(f"  after any imputation  : {rec['f_eps_imputed_best']:.6f}")

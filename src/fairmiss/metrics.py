@@ -1,9 +1,5 @@
-"""Fairness/accuracy metrics, discrete information measures, Pareto filtering,
-and the exact constrained-accuracy oracle on small joint tables.
-
-All entropies and mutual informations are in bits (log base 2). Estimators are
-plug-in (empirical frequency), matching their use on exact probability tables
-expanded to integer-count samples.
+"""Fairness/accuracy metrics, Pareto filtering, and exact joint tables with
+their mask-label mutual information (in bits) and constrained-accuracy oracle.
 """
 
 from __future__ import annotations
@@ -67,80 +63,6 @@ def check_epsilon(epsilon: float) -> None:
     """The equalized-odds tolerance rule: finite and >= 0."""
     if not (np.isfinite(epsilon) and epsilon >= 0):
         raise ValidationError(f"epsilon must be finite and >= 0, got {epsilon}")
-
-
-# ---------------------------------------------------------------------------
-# discrete information measures (plug-in, bits)
-# ---------------------------------------------------------------------------
-
-def binary_entropy(a: float) -> float:
-    """-a log2 a - (1-a) log2 (1-a), continuous at the endpoints."""
-    if not 0.0 <= a <= 1.0:
-        raise ValidationError("binary_entropy argument must lie in [0, 1]")
-    if a in (0.0, 1.0):
-        return 0.0
-    return float(-a * np.log2(a) - (1.0 - a) * np.log2(1.0 - a))
-
-
-def _entropy_bits(p: np.ndarray) -> float:
-    p = p[p > 0]
-    return float(-np.sum(p * np.log2(p)))
-
-
-def _column_codes(column) -> np.ndarray:
-    """Integer codes for a discrete column; NaN becomes its own category."""
-    col = np.asarray(column)
-    if col.dtype.kind == "f":
-        codes = np.full(col.shape, -1, dtype=np.int64)
-        obs = ~np.isnan(col)
-        if obs.any():
-            _, inv = np.unique(col[obs], return_inverse=True)
-            codes[obs] = inv
-        return codes
-    _, inv = np.unique(col, return_inverse=True)
-    return inv.astype(np.int64)
-
-
-def _tuple_codes(columns) -> np.ndarray:
-    cols = [_column_codes(c) for c in columns]
-    stacked = np.stack(cols, axis=1)
-    _, inv = np.unique(stacked, axis=0, return_inverse=True)
-    return inv.astype(np.int64)
-
-
-def entropy(column) -> float:
-    """Plug-in entropy H of one discrete column, in bits."""
-    codes = _column_codes(column)
-    _, counts = np.unique(codes, return_counts=True)
-    return _entropy_bits(counts / codes.shape[0])
-
-
-def conditional_entropy(y, columns) -> float:
-    """Plug-in H(Y | tuple of columns), in bits."""
-    y = np.asarray(y)
-    t = _tuple_codes(columns)
-    n = y.shape[0]
-    h = 0.0
-    for code in np.unique(t):
-        sel = t == code
-        w = sel.sum() / n
-        _, counts = np.unique(y[sel], return_counts=True)
-        h += w * _entropy_bits(counts / sel.sum())
-    return h
-
-
-def mutual_information(y, columns) -> float:
-    """Plug-in I(Y; tuple of columns) = H(Y) - H(Y | tuple), in bits."""
-    return entropy(y) - conditional_entropy(y, columns)
-
-
-def mutual_info_my(ds: Dataset) -> float:
-    """Plug-in mutual information between the missing-pattern vector and the
-    label, in bits."""
-    if ds.n_samples == 0:
-        raise ValidationError("mutual_info_my requires a non-empty dataset")
-    pattern = _tuple_codes([ds.mask[:, j] for j in range(ds.dimension)])
-    return mutual_information(ds.labels, [pattern])
 
 
 # ---------------------------------------------------------------------------
@@ -216,13 +138,6 @@ class JointTable:
             else:
                 probs[:, values.index(v), :] += self.probs[:, xi, :]
         return JointTable(self.groups, tuple(values), probs)
-
-
-def bayes_accuracy(table: JointTable) -> float:
-    """Unconstrained best accuracy: pick the majority label per feature value."""
-    p1 = table.probs[:, :, 1].sum(axis=0)
-    p0 = table.probs[:, :, 0].sum(axis=0)
-    return float(np.sum(np.maximum(p0, p1)))
 
 
 def best_fair_accuracy(table: JointTable, epsilon: float):

@@ -1,6 +1,7 @@
 """Test oracles: closed-form rate tables the package itself never needs,
 the loop versions of code the package now runs vectorized, the solvers the
-package replaced, and serializers and shorthands that only tests call."""
+package replaced, and the estimators, serializers and shorthands that only
+tests call."""
 
 import csv
 import itertools
@@ -35,6 +36,12 @@ def mixed_rate_table(rates, base_table: dict) -> dict:
         b = rates.flip[(s, 0)]
         out[(s, y)] = a * r + b * (1.0 - r)
     return out
+
+
+def expected_group_rates(probs, ds) -> dict:
+    """(s, y) -> the mean of the rows' Pr(output = 1) in that cell: the
+    expected ``metrics.group_rates`` of labels drawn from ``probs``."""
+    return {cell: float(np.mean(probs[idx])) for cell, idx in ds.cells()}
 
 
 def uniform_mixture_rates(rate_tables) -> dict:
@@ -520,3 +527,85 @@ def table_to_dataset(table, denominator: int) -> Dataset:
                 sens.extend([s] * c)
                 labels.extend([y] * c)
     return Dataset(np.array(feats).reshape(-1, 1), sens, labels, ("x",))
+
+
+# ---------------------------------------------------------------------------
+# plug-in information measures, in bits (log base 2), from empirical
+# frequencies; the package computes only a JointTable's exact I(M; Y)
+# ---------------------------------------------------------------------------
+
+def binary_entropy(a: float) -> float:
+    """-a log2 a - (1-a) log2 (1-a), continuous at the endpoints."""
+    if not 0.0 <= a <= 1.0:
+        raise ValidationError("binary_entropy argument must lie in [0, 1]")
+    if a in (0.0, 1.0):
+        return 0.0
+    return float(-a * np.log2(a) - (1.0 - a) * np.log2(1.0 - a))
+
+
+def _entropy_bits(p: np.ndarray) -> float:
+    p = p[p > 0]
+    return float(-np.sum(p * np.log2(p)))
+
+
+def _column_codes(column) -> np.ndarray:
+    """Integer codes for a discrete column; NaN becomes its own category."""
+    col = np.asarray(column)
+    if col.dtype.kind == "f":
+        codes = np.full(col.shape, -1, dtype=np.int64)
+        obs = ~np.isnan(col)
+        if obs.any():
+            _, inv = np.unique(col[obs], return_inverse=True)
+            codes[obs] = inv
+        return codes
+    _, inv = np.unique(col, return_inverse=True)
+    return inv.astype(np.int64)
+
+
+def _tuple_codes(columns) -> np.ndarray:
+    cols = [_column_codes(c) for c in columns]
+    stacked = np.stack(cols, axis=1)
+    _, inv = np.unique(stacked, axis=0, return_inverse=True)
+    return inv.astype(np.int64)
+
+
+def entropy(column) -> float:
+    """Plug-in entropy H of one discrete column, in bits."""
+    codes = _column_codes(column)
+    _, counts = np.unique(codes, return_counts=True)
+    return _entropy_bits(counts / codes.shape[0])
+
+
+def conditional_entropy(y, columns) -> float:
+    """Plug-in H(Y | tuple of columns), in bits."""
+    y = np.asarray(y)
+    t = _tuple_codes(columns)
+    n = y.shape[0]
+    h = 0.0
+    for code in np.unique(t):
+        sel = t == code
+        w = sel.sum() / n
+        _, counts = np.unique(y[sel], return_counts=True)
+        h += w * _entropy_bits(counts / sel.sum())
+    return h
+
+
+def mutual_information(y, columns) -> float:
+    """Plug-in I(Y; tuple of columns) = H(Y) - H(Y | tuple), in bits."""
+    return entropy(y) - conditional_entropy(y, columns)
+
+
+def mutual_info_my(ds: Dataset) -> float:
+    """Plug-in mutual information between the missing-pattern vector and the
+    label, in bits."""
+    if ds.n_samples == 0:
+        raise ValidationError("mutual_info_my requires a non-empty dataset")
+    pattern = _tuple_codes([ds.mask[:, j] for j in range(ds.dimension)])
+    return mutual_information(ds.labels, [pattern])
+
+
+def bayes_accuracy(table: metrics.JointTable) -> float:
+    """Unconstrained best accuracy: pick the majority label per feature value."""
+    p1 = table.probs[:, :, 1].sum(axis=0)
+    p0 = table.probs[:, :, 0].sum(axis=0)
+    return float(np.sum(np.maximum(p0, p1)))

@@ -25,15 +25,18 @@ from fairmiss.optim import make_objective
 from fairmiss.metrics import (
     TradeoffPoint,
     best_fair_accuracy,
-    binary_entropy,
-    conditional_entropy,
-    entropy,
     pareto_frontier,
 )
 from fairmiss.simulate import MaskedPositives, masked_positives_table
 
 from conftest import random_dataset
-from oracles import train_logreg, uniform_mixture_rates
+from oracles import (
+    binary_entropy,
+    conditional_entropy,
+    entropy,
+    train_logreg,
+    uniform_mixture_rates,
+)
 
 
 @contextmanager

@@ -10,14 +10,15 @@ from hypothesis.extra import numpy as hnp
 
 from fairmiss import classify
 from fairmiss.classify import (
+    ENSEMBLE_MODES,
     EqoddsProgram,
+    FairEnsemble,
     Intervention,
     LinearModel,
     PostprocessRates,
     PENALTY_LABELS,
     apply_postprocess,
     draw_bags,
-    ensemble_scores,
     eqodds_program,
     postprocess_eqodds,
     predict_dataset,
@@ -28,14 +29,16 @@ from fairmiss.data import Dataset, fair_resample
 from fairmiss.encode import EncodedDataset, encode_indicators
 from fairmiss.errors import ValidationError
 from fairmiss.impute import make_imputer
-from fairmiss.metrics import accuracy, group_rates
+from fairmiss.metrics import accuracy, disparity, group_rates
 from fairmiss.optim import descend, logistic, make_objective
+from fairmiss.simulate import gen_synthetic
 
 from conftest import random_dataset
 from oracles import (
     ensemble_to_text,
     exact_best_accuracy,
     exact_least_flip,
+    expected_group_rates,
     log1p_exp,
     mixed_rate_table,
     model_from_text,
@@ -618,15 +621,32 @@ class TestFairBagging:
             assert (enc.matrix[:, 2:] == 0).all()
 
     def test_score_average_arithmetic(self):
-        models = []
-        for score in (0.2, 0.4, 0.6):
-            logit = float(np.log(score / (1 - score)))
-            models.append(LinearModel(np.zeros(2), logit, ("orig:x1", "ind:x1")))
-        from fairmiss.classify import FairEnsemble
-
-        ens = FairEnsemble(tuple(models))
+        # bag scores (0.3, 0.55, 0.6) average to 0.4833 and predict 0, where a
+        # majority vote would predict 1; (0.35, 0.5, 0.7) average to 0.5167
         enc = encode_indicators(Dataset(np.array([[1.0]]), [0], [0]))
-        assert ensemble_scores(ens, (enc,) * 3)[0] == pytest.approx(0.4)
+        for scores, want in (((0.3, 0.55, 0.6), 0), ((0.35, 0.5, 0.7), 1)):
+            models = [LinearModel(np.zeros(2), float(np.log(p / (1 - p))), ("orig:x1", "ind:x1"))
+                      for p in scores]
+            assert predict_dataset(FairEnsemble(tuple(models)), (enc,) * 3, seed=0).tolist() == [want]
+
+    def test_encodings_of_other_rows_are_rejected(self, rng):
+        train = random_dataset(rng, n=60, d=2, missing_rate=0.2)
+        bags = draw_bags(train, 2, "mean", seed=1)
+        encs = (bags[0].encode(train), bags[1].encode(train.subset(np.arange(10))))
+        for mode in ENSEMBLE_MODES:
+            ens = train_fair_bagging(bags, Intervention("none"), mode)
+            with pytest.raises(ValidationError, match="same rows"):
+                predict_dataset(ens, encs, seed=0)
+            with pytest.raises(ValidationError, match="as many encodings"):
+                predict_dataset(ens, encs[:1], seed=0)
+
+    def test_members_carry_flip_rates_all_or_none(self):
+        plain = LinearModel(np.zeros(1), 0.0, ("orig:x1",))
+        rated = replace(plain, rates=PostprocessRates((0, 1), dict.fromkeys(
+            [(0, 0), (0, 1), (1, 0), (1, 1)], 0.0)))
+        FairEnsemble((rated, rated))
+        with pytest.raises(ValidationError, match="flip rates"):
+            FairEnsemble((plain, rated))
 
     def test_random_pick_matches_uniform_mixture(self, rng):
         train = random_dataset(rng, n=60, d=2, missing_rate=0.2)
@@ -653,10 +673,61 @@ class TestFairBagging:
     def test_bagging_with_postprocess_intervention(self, rng):
         train = random_dataset(rng, n=120, d=2, missing_rate=0.2)
         bags = draw_bags(train, 2, "mean", seed=4)
-        ens = train_fair_bagging(bags, Intervention("eqodds", epsilon=0.1))
-        assert all(bag.rates is not None for bag in ens.bags)
-        scores = ensemble_scores(ens, encode_bags(bags, train))
-        assert scores.shape == (120,) and (0 <= scores).all() and (scores <= 1).all()
+        for mode in ENSEMBLE_MODES:
+            ens = train_fair_bagging(bags, Intervention("eqodds", epsilon=0.1), mode)
+            assert all(bag.rates is not None for bag in ens.bags)
+            preds = predict_dataset(ens, encode_bags(bags, train), seed=3)
+            assert preds.shape == (120,) and np.isin(preds, (0, 1)).all()
+
+    def test_score_average_eqodds_moves_with_epsilon(self):
+        # each bag's flips lie below 1/2, so thresholding the mean
+        # flip-adjusted score would undo most of them
+        train = gen_synthetic(0).subset(np.arange(0, 2400, 8))
+        bags = draw_bags(train, 3, "mean", seed=1)
+        encs = encode_bags(bags, train)
+        fair, loose = (train_fair_bagging(bags, Intervention("eqodds", epsilon=eps))
+                       for eps in (0.0, 1.0))
+        assert not np.array_equal(fair.predict(encs, 5), loose.predict(encs, 5))
+        # expected rates: from each row's Pr(output = 1), the mean bag score
+        bag_scores = [bag.scores(enc) for bag, enc in zip(fair.bags, encs)]
+        p = np.mean(bag_scores, axis=0)
+        assert np.array_equal(fair.predict(encs, 5), np.random.default_rng(5).random(p.size) < p)
+        bag_meo = [disparity(expected_group_rates(s, train), "meo") for s in bag_scores]
+        assert disparity(expected_group_rates(p, train), "meo") <= np.mean(bag_meo) + 1e-12
+
+
+@st.composite
+def rated_ensembles(draw):
+    """A score-average ensemble of 1-5 bags with eqodds flip rates, each bag's
+    encoding of the same rows, and a seed. Every (group, label) cell has a row."""
+    n = draw(st.integers(4, 30))
+    d = draw(st.integers(1, 3))
+    values = st.floats(-3, 3, allow_subnormal=False)
+    sens = np.array([0, 0, 1, 1] + draw(st.lists(st.integers(0, 1), min_size=n - 4, max_size=n - 4)))
+    labels = np.array([0, 1, 0, 1] + draw(st.lists(st.integers(0, 1), min_size=n - 4, max_size=n - 4)))
+    cells = [(g, b) for g in (0, 1) for b in (0, 1)]
+    bags, encs = [], []
+    for _ in range(draw(st.integers(1, 5))):
+        enc = encoded(draw(hnp.arrays(np.float64, (n, d), elements=values)), sens, labels)
+        rates = PostprocessRates((0, 1), {c: draw(st.floats(0, 1)) for c in cells})
+        weights = draw(hnp.arrays(np.float64, d, elements=values))
+        bags.append(LinearModel(weights, draw(values), enc.columns, rates))
+        encs.append(enc)
+    return FairEnsemble(tuple(bags), "score-average"), tuple(encs), draw(st.integers(0, 2**32 - 1))
+
+
+@given(rated_ensembles())
+def test_score_average_with_rates_has_its_bags_mean_rates(case):
+    ens, encs, seed = case
+    bag_scores = [bag.scores(enc) for bag, enc in zip(ens.bags, encs)]
+    p = np.mean(bag_scores, axis=0)
+    # each label is drawn from the row's mean Pr(output = 1)
+    assert np.array_equal(ens.predict(encs, seed), np.random.default_rng(seed).random(p.size) < p)
+    rates = expected_group_rates(p, encs[0])
+    bag_rates = [expected_group_rates(s, encs[0]) for s in bag_scores]
+    assert rates == pytest.approx(uniform_mixture_rates(bag_rates), abs=1e-12)
+    for kind in ("fnr-diff", "fpr-diff"):
+        assert disparity(rates, kind) <= np.mean([disparity(r, kind) for r in bag_rates]) + 1e-12
 
 
 class TestModelSerialization:

@@ -8,11 +8,17 @@ from fairmiss.encode import (
     encode_indicators,
 )
 from fairmiss.errors import ValidationError
-from fairmiss.metrics import conditional_entropy, entropy
 from fairmiss.simulate import gen_synthetic
 
 from conftest import random_dataset
-from oracles import assign_row, encode_affine, partition_from_text, partition_to_text
+from oracles import (
+    assign_row,
+    conditional_entropy,
+    encode_affine,
+    entropy,
+    partition_from_text,
+    partition_to_text,
+)
 
 
 def ds_from(matrix, sens=None, labels=None):

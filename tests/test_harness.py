@@ -1,10 +1,12 @@
 import re
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import fairmiss
 from fairmiss import cli, harness
@@ -671,3 +673,78 @@ def test_import_leaves_scipy_optimize_unloaded():
     out = subprocess.run([sys.executable, "-c", code], cwd=src, capture_output=True,
                          text=True, check=True)
     assert out.stdout.strip() == "False"
+
+
+FUZZ_METHODS = {
+    "impute-then-classify": "name = impute-then-classify\nimputer = {imputer}",
+    "indicators": "name = indicators",
+    "affine": "name = affine",
+    "clustering": "name = clustering\nk_min = {k_min}",
+    "fairmissbag random-pick": "name = fairmissbag\nimputer = {imputer}\nbags = 2\nmode = random-pick",
+    "fairmissbag score-average": "name = fairmissbag\nimputer = {imputer}\nbags = 2\nmode = score-average",
+}
+FUZZ_INTERVENTIONS = {
+    "none": "name = none",
+    "penalty": "name = penalty\nconstraint = meo\ntau = 0, 10",
+    "eqodds": "name = eqodds\nepsilon = 0, 0.1",
+}
+
+
+@st.composite
+def tiny_csv(draw):
+    """CSV text of 8-30 rows, 1-3 features, 1-3 groups and random masks; a
+    feature column may be constant or entirely missing."""
+    n = draw(st.integers(8, 30))
+    d = draw(st.integers(1, 3))
+    groups = draw(st.sampled_from([1, 2, 2, 2, 3]))
+    columns = []
+    for _ in range(d):
+        kind = draw(st.sampled_from(["random"] * 6 + ["constant", "missing"]))
+        if kind == "missing":
+            columns.append([""] * n)
+            continue
+        if kind == "constant":
+            values = [draw(st.floats(-3, 3, allow_subnormal=False))] * n
+        else:
+            values = draw(st.lists(st.floats(-3, 3, allow_subnormal=False), min_size=n, max_size=n))
+        masked = set(draw(st.lists(st.integers(0, n - 1), max_size=n // 2)))
+        columns.append(["" if i in masked else repr(v) for i, v in enumerate(values)])
+    sens = draw(st.lists(st.integers(0, groups - 1), min_size=n, max_size=n))
+    labels = draw(st.lists(st.integers(0, 1), min_size=n, max_size=n))
+    lines = [",".join([f"x{j + 1}" for j in range(d)] + ["group", "label"])]
+    lines += [",".join([col[i] for col in columns] + [str(sens[i]), str(labels[i])])
+              for i in range(n)]
+    return d, "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("intervention", sorted(FUZZ_INTERVENTIONS))
+@pytest.mark.parametrize("method", sorted(FUZZ_METHODS))
+# each example is a whole run, and each of the 18 cases takes a tenth of the
+# profile's examples
+@settings(max_examples=max(3, settings().max_examples // 10))
+@given(case=tiny_csv(), imputer=st.sampled_from(["zero", "mean", "knn:2", "iterative:2"]),
+       k_min=st.integers(1, 6), seed=st.integers(0, 99))
+def test_tiny_random_data_gives_results_or_recorded_failures(method, intervention, case,
+                                                             imputer, k_min, seed):
+    d, text = case
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        (tmp / "d.csv").write_text(text)
+        (tmp / "d.schema").write_text("".join(f"x{j + 1} = feature\n" for j in range(d))
+                                      + "group = sensitive\nlabel = label\n")
+        body = (f"[data]\nsource = csv\npath = {tmp / 'd.csv'}\nschema = {tmp / 'd.schema'}\n\n"
+                f"[method]\n{FUZZ_METHODS[method].format(imputer=imputer, k_min=k_min)}\n\n"
+                f"[intervention]\n{FUZZ_INTERVENTIONS[intervention]}\n\n"
+                f"[sweep]\nrepeats = 2\nseed = {seed}\n\n[output]\ndir = {tmp / 'out'}\n")
+        # any exception but a FairmissError fails the test
+        result = run_experiment(load_config(write_config(tmp, body)))
+        for name in ("raw.csv", "summary.csv", "pareto.csv"):
+            assert (tmp / "out" / name).is_file()
+    # every (repeat, grid point) has a result or a recorded failure, never both
+    done = {(rec["repeat"], rec["grid_id"]) for rec in result.raw}
+    failed = {(rec["repeat"], rec["grid_id"]) for rec in result.failures}
+    assert not done & failed
+    for r in range(2):
+        for gp in result.grid:
+            assert (r, gp.gid) in done or (r, gp.gid) in failed or (r, "") in failed
+    assert all(isinstance(rec["error"], str) and rec["error"] for rec in result.failures)

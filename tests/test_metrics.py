@@ -7,18 +7,20 @@ from fairmiss.metrics import (
     JointTable,
     TradeoffPoint,
     accuracy,
-    bayes_accuracy,
     best_fair_accuracy,
-    binary_entropy,
-    conditional_entropy,
     disparity,
     group_rates,
-    mutual_info_my,
     pareto_frontier,
 )
 from fairmiss.simulate import MaskedPositives, masked_positives_table
 
-from oracles import table_to_dataset
+from oracles import (
+    bayes_accuracy,
+    binary_entropy,
+    conditional_entropy,
+    mutual_info_my,
+    table_to_dataset,
+)
 
 
 def eight_sample_dataset():

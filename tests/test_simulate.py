@@ -3,7 +3,6 @@ import pytest
 
 from fairmiss.data import Dataset
 from fairmiss.errors import ValidationError
-from fairmiss.metrics import binary_entropy, mutual_info_my
 from fairmiss.simulate import (
     MaskedPositives,
     MissingEntry,
@@ -13,6 +12,8 @@ from fairmiss.simulate import (
     masked_positives_table,
     sample_masked_positives,
 )
+
+from oracles import binary_entropy, mutual_info_my
 
 
 def flat_dataset(rng, n, cols):

@@ -99,9 +99,13 @@ def _bag_scores(imputer, model, ds):
 
 
 def _reference_bagging(bags, mode, ds, seed):
-    if mode == "score-average":
-        return (np.mean([_bag_scores(*bag, ds) for bag in bags], axis=0) >= 0.5).astype(np.int64)
     rng = np.random.default_rng(seed)
+    if mode == "score-average":
+        # the mean Pr(output = 1): thresholded without flip rates, drawn from with them
+        p = np.mean([_bag_scores(*bag, ds) for bag in bags], axis=0)
+        if bags[0][1].rates is None:
+            return (p >= 0.5).astype(np.int64)
+        return (rng.random(ds.n_samples) < p).astype(np.int64)
     picks = rng.integers(0, len(bags), size=ds.n_samples)
     u = rng.random(ds.n_samples)
     out = np.empty(ds.n_samples, dtype=np.int64)
