@@ -3,12 +3,13 @@ ensemble for data with missing values.
 
 The in-processing intervention adds a smooth score-disparity penalty to the
 logistic loss; the post-processing intervention solves the small randomized
-equalized-odds program exactly, by enumerating the vertices of its two linear
-programs. Every trained model is a ``LinearModel``: logistic weights and,
-for eqodds, their flip rates. The bagging ensemble resamples within (group,
-label) cells, imputes and indicator-encodes each bag separately, trains one
-LinearModel per bag, and aggregates by a uniformly random pick or by score
-averaging. Predictors read encoded rows only; the caller encodes.
+equalized-odds linear program exactly, by enumerating its vertices, and
+takes the least-flip vertex among the most accurate ones. Every trained
+model is a ``LinearModel``: logistic weights and, for eqodds, their flip
+rates. The bagging ensemble resamples within (group, label) cells, imputes
+and indicator-encodes each bag separately, trains one LinearModel per bag,
+and aggregates by a uniformly random pick or by score averaging. Predictors
+read encoded rows only; the caller encodes.
 """
 
 from __future__ import annotations
@@ -185,30 +186,23 @@ def eqodds_program(scores, ds) -> EqoddsProgram:
 # one coordinate) are parallel, so a basis takes at most one row of each
 # pair; every other basis is singular.
 _OPPOSITE = ((0, 1), (2, 3)) + tuple((4 + j, 8 + j) for j in range(4))
-
-
-def _bases(size: int, extra: tuple = ()) -> np.ndarray:
-    return np.array([tuple(pair[side] for pair, side in zip(pairs, sides)) + extra
-                     for pairs in itertools.combinations(_OPPOSITE, size)
-                     for sides in itertools.product((0, 1), repeat=size)])
-
-
-_BASES = _bases(4)               # 240 bases of the accuracy program
-_CUT_BASES = _bases(3, (12,))    # 160 holding the accuracy cut, row 12
+_BASES = np.array([tuple(pair[side] for pair, side in zip(pairs, sides))  # 240
+                   for pairs in itertools.combinations(_OPPOSITE, 4)
+                   for sides in itertools.product((0, 1), repeat=4)])
 _FLIP = np.array([-1.0, 1.0, -1.0, 1.0])  # flip mass, less its constant 2
 _TOL = 1e-13  # slack on every row: rounding, not a looser program
 
 
-def _vertices(rows, rhs, bases) -> np.ndarray:
-    """The basic solutions of ``bases`` that satisfy every row within _TOL,
+def _vertices(rows, rhs) -> np.ndarray:
+    """The basic solutions of _BASES that satisfy every row within _TOL,
     clipped into the box that rounding may leave them just outside of. Only
     bases with an exactly zero pivot are skipped (the sign of slogdet does
     not underflow), so a vertex of a nearly singular basis is found."""
-    m = rows[bases]
+    m = rows[_BASES]
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         solvable = np.linalg.slogdet(m)[0] != 0.0  # log 0 of a singular basis
         # far-off solutions of nearly singular bases fail the row test
-        v = np.linalg.solve(m[solvable], rhs[bases][solvable][..., None])[..., 0]
+        v = np.linalg.solve(m[solvable], rhs[_BASES][solvable][..., None])[..., 0]
         return np.clip(v[(v @ rows.T <= rhs + _TOL).all(axis=1)], 0.0, 1.0)
 
 
@@ -219,31 +213,29 @@ def postprocess_eqodds(program: EqoddsProgram, epsilon: float) -> PostprocessRat
     thresholds the scores at THRESHOLD. The output mixes each (group, base
     prediction) with probabilities v that maximize accuracy on the fitting
     data over the polytope |FPR gap| <= epsilon, |FNR gap| <= epsilon,
-    0 <= v <= 1. Then, among points within 1e-12 of that accuracy, it takes
+    0 <= v <= 1. Among the vertices within 1e-12 of that accuracy, it takes
     the one flipping the least mass, so an already fair base predictor stays
     untouched.
 
-    Both linear programs are solved by enumerating their vertices: every
-    basis of 4 constraint rows that can be nonsingular is solved at once, and
-    the solutions that satisfy every row are compared. The second program
-    adds the cut "accuracy >= best - 1e-12" as one more row. Ties in flip
-    mass (within 1e-13) go to the more accurate vertex, then to the first
-    basis in the fixed enumeration order.
+    The program is solved by enumerating its vertices: every basis of 4
+    constraint rows that can be nonsingular is solved at once, and the
+    solutions that satisfy every row are compared. The least flip mass over
+    the optimal face is taken at one of its vertices, which are vertices of
+    the polytope, so no second program is needed. Ties in flip mass (within
+    1e-13) go to the more accurate vertex, then to the first basis in the
+    fixed enumeration order.
     """
     metrics.check_epsilon(epsilon)
     rows, gain = program.rows, program.gain
     # every gap lies in [-1, 1], so an epsilon above 1 constrains nothing;
     # capping it keeps the vertex arithmetic finite
     rhs = np.concatenate([np.full(4, min(float(epsilon), 2.0)), np.ones(4), np.zeros(4)])
-    first = _vertices(rows, rhs, _BASES)
-    best = float((first @ gain).max())
-    cut_rows = np.vstack([rows, -gain])
-    cut_rhs = np.append(rhs, 1e-12 - best)
-    kept = first[first @ -gain <= cut_rhs[-1] + _TOL]
-    last = np.vstack([kept, _vertices(cut_rows, cut_rhs, _CUT_BASES)])
-    mass = last @ _FLIP
+    vertices = _vertices(rows, rhs)
+    accuracy = vertices @ gain
+    face = vertices[accuracy >= accuracy.max() - 1e-12]
+    mass = face @ _FLIP
     tied = np.flatnonzero(mass <= mass.min() + 1e-13)
-    v = last[tied[np.argmax(last[tied] @ gain)]]
+    v = face[tied[np.argmax(face[tied] @ gain)]]
     g0, g1 = program.groups
     flip = {
         (g0, 1): float(1.0 - v[0]),
@@ -253,7 +245,7 @@ def postprocess_eqodds(program: EqoddsProgram, epsilon: float) -> PostprocessRat
     }
     log.debug("eqodds solve: epsilon %g, training accuracy %.6f -> %.6f, flip mass "
               "%.6f, %d vertices examined", epsilon, program.const + gain[0] + gain[2],
-              program.const + float(v @ gain), sum(flip.values()), len(first) + len(last))
+              program.const + float(v @ gain), sum(flip.values()), len(vertices))
     return PostprocessRates((g0, g1), flip)
 
 

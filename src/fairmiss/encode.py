@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import Dataset
+from .data import Dataset, stratified_split_indices
 from .errors import NotFittedError, ValidationError
 from .impute import Imputer, ZeroImputer
 from .optim import LAM, descend, logistic, make_objective
@@ -243,8 +243,6 @@ def cluster_missing_patterns(
     all_idx = np.arange(train.n_samples)
 
     if val_fraction > 0.0:
-        from .data import stratified_split_indices
-
         fit_idx, _ = stratified_split_indices(train, val_fraction, seed)
         fit_flags = np.zeros(train.n_samples, dtype=bool)
         fit_flags[fit_idx] = True

@@ -264,6 +264,8 @@ def validate_config(cfg: ExperimentConfig) -> None:
         raise ConfigError(f"{cfg.intervention.name} intervention needs a non-empty grid")
     if cfg.sweep.repeats < 1:
         raise ConfigError("repeats must be >= 1")
+    if cfg.sweep.seed < 0:
+        raise ConfigError("seed must be >= 0")
     if not 0.0 < cfg.sweep.test_fraction < 1.0:
         raise ConfigError("test_fraction must lie strictly between 0 and 1")
     if cfg.data.source == "theorem1" and cfg.data.samples < 0:

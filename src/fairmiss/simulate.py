@@ -149,6 +149,8 @@ def gen_synthetic(seed: int) -> Dataset:
     the 800 rows where x2 is missing, so a single linear rule on zero-imputed
     data cannot fit both halves while per-pattern rules are near-perfect.
     """
+    if seed < 0:
+        raise ValidationError("seed must be >= 0")
     rng = np.random.default_rng(seed)
     feats, sens, labels = [], [], []
     for y, s, n, m1, m2 in _COMPLETE_CELLS:

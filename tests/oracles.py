@@ -66,6 +66,11 @@ def reference_postprocess_eqodds(scores, ds, epsilon: float) -> PostprocessRates
     epsilon) that maximizes accuracy on the fitting data. A second program
     then takes, among points within 1e-12 of that accuracy, the one flipping
     the least mass, so an already fair base predictor stays untouched.
+
+    This is the former two-program specification of ``postprocess_eqodds``,
+    which now takes the least-flip vertex of the optimal face instead; where
+    the second program's cut lets a flip rate slide, the two differ, so only
+    their accuracies are compared.
     """
     scores = np.asarray(scores, dtype=np.float64)
     if scores.shape != ds.labels.shape:
@@ -137,12 +142,24 @@ def exact_best_accuracy(program: EqoddsProgram, epsilon) -> Fraction:
 
 def exact_least_flip(program: EqoddsProgram, epsilon, floor) -> list:
     """[(flip mass, accuracy, v) for every vertex of {gaps <= epsilon,
-    accuracy >= floor}], the least-flip program of ``postprocess_eqodds`` with
-    its cut at ``floor``, all exact, with v = (a_g0, b_g0, a_g1, b_g1)."""
+    accuracy >= floor}], the former second program of ``postprocess_eqodds``
+    (least flip mass above an accuracy cut) with its cut at ``floor``, all
+    exact, with v = (a_g0, b_g0, a_g1, b_g1). Its least flip mass is at most
+    that of any point of the program at or above the cut."""
     accuracy = _exact_accuracy(program)
     cut = ([-Fraction(x) for x in program.gain], Fraction(program.const) - Fraction(floor))
     return [(2 - v[0] + v[1] - v[2] + v[3], accuracy(v), v)
             for v in _exact_vertices(_gap_rows(program, epsilon) + [cut])]
+
+
+def exact_face_least_flip(program: EqoddsProgram, epsilon, floor) -> list:
+    """[(flip mass, accuracy, v) for every vertex of {gaps <= epsilon} whose
+    accuracy is at least ``floor``], all exact: the vertices that
+    ``postprocess_eqodds`` picks its least flip from, with its face at
+    ``floor``."""
+    accuracy = _exact_accuracy(program)
+    return [(2 - v[0] + v[1] - v[2] + v[3], accuracy(v), v)
+            for v in _exact_vertices(_gap_rows(program, epsilon)) if accuracy(v) >= floor]
 
 
 def _exact_accuracy(program: EqoddsProgram):

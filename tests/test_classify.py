@@ -37,6 +37,7 @@ from conftest import random_dataset
 from oracles import (
     ensemble_to_text,
     exact_best_accuracy,
+    exact_face_least_flip,
     exact_least_flip,
     expected_group_rates,
     log1p_exp,
@@ -407,25 +408,26 @@ def test_vertex_solve_is_the_exact_optimum_up_to_its_tolerance(case):
     for y in (0, 1):
         assert abs(mixed[(0, y)] - mixed[(1, y)]) <= epsilon + 1e-12
 
-    # Exact optima, in rational arithmetic. The solver may take a vertex that
-    # misses a row by its slack, and it places the cut to within rounding;
-    # where the optimum is sensitive to that (a tiny accuracy gain along the
-    # cut, nearly parallel gap rows), its answer moves by more than 1e-12. So
-    # its answer must lie in the program with the gap rows and the cut
-    # relaxed by twice the slack (``loose``), and flip no more than the
-    # optimum of the program with the cut raised by as much above the
-    # relaxed accuracy optimum's (``tight``), which its own program contains.
-    # Held at epsilon, a gap row of tiny norm can leave no point that
-    # accurate; the solver's program then holds only points that use its row
-    # slack, and ``tight`` takes the gap rows of ``loose``.
+    # Exact optima, in rational arithmetic. The solver takes the least-flip
+    # vertex among those within 1e-12 of its best accuracy; it may take a
+    # vertex that misses a row by its slack, and it compares accuracies to
+    # within rounding. So its answer must lie in the program with the gap
+    # rows and an accuracy cut relaxed by twice the slack, and flip no less
+    # than that program's optimum (``loose``, which holds the solver's
+    # whole face). It must flip no more than the least-flip exact vertex of
+    # the accuracy program whose accuracy is at least 1e-12 below the
+    # relaxed accuracy optimum, raised by twice the slack (``tight``): every
+    # such vertex is one the solver compares. Held at epsilon, a gap row of
+    # tiny norm can leave no vertex that accurate; the solver's vertices
+    # then use its row slack, and ``tight`` takes the gap rows of ``loose``.
     # Where the two optima agree, the flips must match them.
     slack = Fraction(2 * classify._TOL)
     best = exact_best_accuracy(program, epsilon)
     best_loose = exact_best_accuracy(program, Fraction(epsilon) + slack)
     loose = exact_least_flip(program, Fraction(epsilon) + slack, best - Fraction(1e-12) - slack)
-    cut = best_loose - Fraction(1e-12) + slack
-    tight = (exact_least_flip(program, epsilon, cut)
-             or exact_least_flip(program, Fraction(epsilon) + slack, cut))
+    floor = best_loose - Fraction(1e-12) + slack
+    tight = (exact_face_least_flip(program, epsilon, floor)
+             or exact_face_least_flip(program, Fraction(epsilon) + slack, floor))
     assert float(best - Fraction(1e-12) - slack) <= acc <= float(best_loose) + 1e-15
     least = min(m for m, _, _ in tight)
     assert float(min(m for m, _, _ in loose)) - 1e-15 <= mass <= float(least) + 1e-12
@@ -447,6 +449,22 @@ def test_solves_what_the_scipy_programs_called_infeasible():
     least = min(m for m, _, _ in exact_least_flip(program, 0.0, best - Fraction(1e-12)))
     acc, mass = accuracy_and_mass(flip, base, p_sy)
     assert abs(acc - float(best)) <= 1e-12 and abs(mass - float(least)) <= 1e-12
+
+
+def test_least_flip_is_stable_under_rounding_of_the_cell_probabilities():
+    # group 1's base TPR falls 1e-9 short of its FPR, so flipping its base-0
+    # rows gains 5e-10 accuracy: an accuracy cut 1e-12 below the optimum let
+    # that flip rate slide by 0.002 and move by 1e-7 with the last bit of
+    # the cell probabilities
+    base = {(0, 0): 0.0, (0, 1): 0.0, (1, 0): 1.0, (1, 1): 1 - 1e-9}
+    p_sy = {(0, 0): 1 / 6, (0, 1): 1 / 6, (1, 0): 1 / 6, (1, 1): 1 / 2}
+    flip = postprocess_eqodds(EqoddsProgram.from_rates((0, 1), base, p_sy), 0.02).flip
+    assert flip[(1, 0)] == 1.0
+    rng = np.random.default_rng(0)
+    for _ in range(200):
+        nudged = {c: p + int(rng.integers(-4, 5)) * np.spacing(p) for c, p in p_sy.items()}
+        moved = postprocess_eqodds(EqoddsProgram.from_rates((0, 1), base, nudged), 0.02).flip
+        assert all(abs(moved[k] - flip[k]) <= 1e-12 for k in flip)
 
 
 def test_postprocess_logs_its_solve(caplog):

@@ -131,6 +131,7 @@ class TestConfig:
             ("data", "source = theorem1\nalpha0 = nan", r"per-group rate must lie in \[0, 1\)"),
             ("data", "source = theorem1\nalpha1 = nan", r"per-group rate must lie in \[0, 1\)"),
             ("data", "source = theorem1\nq0 = nan", "priors must be positive and sum to 1"),
+            ("sweep", "seed = -3", "seed must be >= 0"),
         ],
     )
     def test_malformed_setting_is_a_config_error(self, tmp_path, capsys, section, body, match):
@@ -542,6 +543,12 @@ class TestCli:
         ds = load_csv(out_csv, read_schema(schema))
         assert ds.n_samples == 2400
         assert int(ds.mask[:, 1].sum()) == 800
+
+    def test_synthetic_command_rejects_a_negative_seed(self, tmp_path, capsys):
+        out_csv = tmp_path / "synth.csv"
+        assert cli.main(["synthetic", "--seed", "-1", "--out", str(out_csv)]) == 1
+        assert capsys.readouterr().err == "error: seed must be >= 0\n"
+        assert not out_csv.exists()
 
     def test_run_command(self, tmp_path, capsys):
         body = """
