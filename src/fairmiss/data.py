@@ -7,6 +7,7 @@ after construction (arrays are marked read-only) so they can be shared freely.
 
 from __future__ import annotations
 
+import codecs
 import csv
 import itertools
 import math
@@ -97,10 +98,12 @@ class Dataset:
 
 
 def read_text(path, error) -> str:
-    """The text of a UTF-8 file, with universal newlines. A byte that is not
-    UTF-8 raises ``error`` naming the file, the line and the byte, as
-    ``load_csv`` names the row."""
+    """The text of a UTF-8 file, with universal newlines and without a
+    leading byte-order mark. A byte that is not UTF-8 raises ``error``
+    naming the file, the line and the byte, as ``load_csv`` names the row."""
     raw = Path(path).read_bytes()
+    if raw.startswith(codecs.BOM_UTF8):
+        raw = raw[len(codecs.BOM_UTF8):]
     try:
         text = raw.decode("utf-8")
     except UnicodeDecodeError as exc:
@@ -111,15 +114,18 @@ def read_text(path, error) -> str:
 
 
 def read_schema(path) -> dict:
-    """Parse a plain-text schema file: one ``column = role`` per line."""
+    """Parse a plain-text schema file: one ``column = role`` per line, each
+    column on one line only."""
     schema = {}
-    for raw in read_text(path, SchemaError).splitlines():
+    for no, raw in enumerate(read_text(path, SchemaError).splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
         if "=" not in line:
             raise SchemaError(f"schema line not of the form 'column = role': {raw!r}")
         col, role = (part.strip() for part in line.split("=", 1))
+        if col in schema:
+            raise SchemaError(f"{path}: line {no}: column {col!r} already has a role: {raw!r}")
         schema[col] = role
     return schema
 
@@ -171,9 +177,10 @@ def load_csv(path, schema: dict, sensitive_values=None) -> Dataset:
     faulty row; within a row the checks go column count, feature columns
     from left to right, label, then sensitive value. A row the reader cannot
     read (a byte that is not UTF-8 text, or a field over ``csv``'s field
-    size limit) raises ``CsvParseError`` naming the file and the row.
+    size limit) raises ``CsvParseError`` naming the file and the row. A
+    leading UTF-8 byte-order mark is skipped.
     """
-    with open(path, newline="", encoding="utf-8", errors="surrogateescape") as fh:
+    with open(path, newline="", encoding="utf-8-sig", errors="surrogateescape") as fh:
         reader = csv.reader(_utf8_lines(fh))
         try:
             header = next(reader)

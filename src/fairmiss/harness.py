@@ -6,32 +6,35 @@ grid, repeats over stratified train/test splits, aggregates mean and standard
 error per grid point, and emits raw / summary / Pareto CSV files. Everything
 is a deterministic function of the config and its master seed.
 
-Each repeat runs in two stages, and these are the only places that look at
-the method name:
+Each repeat runs in two stages:
 
-- ``fit_repeat``, once per repeat, fits what no grid point changes on the
-  training split: the scaler, and then for impute-then-classify, indicators
-  and affine the imputer or encoder, and for fairmissbag each bag's resample
-  and imputer (``classify.draw_bags``). It is the only code that encodes
-  rows: it encodes the training and test splits once (per bag for
-  fairmissbag, zero-imputed for clustering), and every grid point shares
-  those encodings.
-- ``fit_pipeline``, once per grid point, trains the intervention into one
-  predictor whose ``predict(input, seed)`` reads a split as ``fit_repeat``
-  encoded it:
-  - impute-then-classify, indicators and affine give the intervention's
-    ``classify.LinearModel``, whose eqodds flips draw with the given seed.
-  - fairmissbag gives the ``classify.FairEnsemble``, one LinearModel per
-    bag.
-  - clustering gives a ``ClusterRouter``: the missing-pattern partition plus
-    one leaf predictor per cluster, leaf q drawing with seed + q. A leaf
-    is a LinearModel trained on its rows of the zero-imputed training
-    encoding, or, when those rows carry a single label, a
-    ``ConstantPredictor`` of that label (no model can be trained there, so
-    neither the penalty nor eqodds applies to that leaf). The partition is
-    searched at each grid point.
-  eqodds post-processes one plain model per encoding and repeat
-  (``classify.TrainingSet``), so each epsilon costs only its vertex solve.
+- ``fit_repeat``, once per repeat, is the only code that looks at the method
+  name. It fits what no grid point changes on the training split: the
+  scaler, then the imputer or encoder (impute-then-classify, indicators,
+  affine) or each bag's resample and imputer (fairmissbag,
+  ``classify.draw_bags``). It encodes the training and test splits once (per
+  bag for fairmissbag, zero-imputed for clustering), and returns them with
+  the method's trainer, which maps an ``Intervention`` to a predictor whose
+  ``predict(input, seed)`` reads a split as ``fit_repeat`` encoded it:
+  - impute-then-classify, indicators and affine train a
+    ``classify.LinearModel`` (``classify.TrainingSet.train``), whose eqodds
+    flips draw with the given seed. eqodds post-processes one plain model per
+    encoding and repeat, so each epsilon solves only its one vertex program.
+  - fairmissbag trains the ``classify.FairEnsemble``, one LinearModel per bag
+    (``classify.train_fair_bagging``).
+  - clustering searches the missing-pattern partition of the training split
+    with the repeat's seed and gives a ``ClusterRouter``: one leaf predictor
+    per cluster, leaf q drawing with seed + q. A leaf is a LinearModel
+    trained on its rows of the zero-imputed training encoding, or, when
+    those rows carry a single label, a ``ConstantPredictor`` of that label
+    (no model can be trained there, so neither the penalty nor eqodds
+    applies to that leaf). The partition does not depend on the
+    intervention, yet it is still searched at every grid point: searching it
+    once per repeat changes which layer dominates the benchmark's clustering
+    workload, and that move waits for the change that re-pins it (ROADMAP
+    item 2).
+- ``fit_pipeline``, once per grid point, calls the trainer with the grid
+  point's intervention and scores the predictor on the training split.
 
 ``evaluate_pipeline`` predicts the encoded test split and scores it.
 """
@@ -39,6 +42,7 @@ the method name:
 from __future__ import annotations
 
 import configparser
+import functools
 import logging
 import typing
 from dataclasses import dataclass, field
@@ -270,6 +274,26 @@ def validate_config(cfg: ExperimentConfig) -> None:
         raise ConfigError("test_fraction must lie strictly between 0 and 1")
     if cfg.data.source == "theorem1" and cfg.data.samples < 0:
         raise ConfigError("samples must be >= 0")
+    exact_table = cfg.data.source == "theorem1" and cfg.data.samples == 0
+    if cfg.missingness is not None and not exact_table:  # the table has no rows to mask
+        names = _feature_names(cfg.data)
+        for e in cfg.missingness.entries:
+            columns = {"target": e.target}
+            if e.indicator not in (None, simulate.LABEL_INDICATOR):
+                columns["indicator"] = e.indicator
+            for role, col in columns.items():
+                if col not in names:
+                    raise ConfigError(f"missingness {role} column {col!r} is not a feature "
+                                      f"of the {cfg.data.source} data: {', '.join(names)}")
+
+
+def _feature_names(d: DataConfig) -> tuple:
+    """The feature columns of the data source, before any is masked."""
+    if d.source == "csv":
+        return tuple(c for c, role in data.read_schema(d.schema).items() if role == "feature")
+    if d.source == "synthetic":
+        return simulate.SYNTHETIC_FEATURES
+    return simulate.MASKED_POSITIVES_FEATURES
 
 
 # ---------------------------------------------------------------------------
@@ -324,12 +348,7 @@ class ClusterRouter:
         """``split`` is (a scaled split, whose mask routes its rows, and that
         split's zero-imputed encoding, which the leaves read)."""
         ds, enc = split
-        return self.route(self.partition.assign_dataset(ds), enc, seed)
-
-    def route(self, assignments: np.ndarray, enc: encode.EncodedDataset,
-              seed: int) -> np.ndarray:
-        """Predictions of rows already assigned to their clusters, read from
-        their encoding ``enc``."""
+        assignments = self.partition.assign_dataset(ds)
         preds = np.empty(enc.n_samples, dtype=np.int64)
         for q, leaf in enumerate(self.leaves):
             rows = np.flatnonzero(assignments == q)
@@ -345,19 +364,30 @@ def _fit_leaf(enc: encode.EncodedDataset, interv: classify.Intervention):
     return classify.train_intervention(enc, interv)
 
 
+def _train_clusters(train: data.Dataset, enc: encode.EncodedDataset, method: MethodConfig,
+                    seed: int, interv: classify.Intervention) -> ClusterRouter:
+    """Search the missing-pattern partition of the scaled training split and
+    fit one leaf per cluster on its rows of the zero-imputed encoding."""
+    part = encode.cluster_missing_patterns(train, method.k_min, method.alpha, method.beta,
+                                           val_fraction=method.val_fraction, seed=seed)
+    assignments = part.assign_dataset(train)
+    return ClusterRouter(part, tuple(
+        _fit_leaf(enc.subset(np.flatnonzero(assignments == q)), interv)
+        for q in range(part.n_clusters)
+    ))
+
+
 @dataclass
 class RepeatFit:
     """The per-repeat stage: what one training split fixes for every grid
     point. It is fitted on the training rows alone; the test split is only
     scaled and encoded with it."""
 
-    scaler: data.FeatureScaler
     train: data.Dataset   # both splits scaled
     test: data.Dataset
     train_input: object   # each split as the predictors' predict reads it
     test_input: object
-    training: classify.TrainingSet = None   # impute-then-classify, indicators, affine
-    bags: tuple = ()                        # fairmissbag: classify.Bag per bag
+    trainer: typing.Callable  # Intervention -> predictor with predict(input, seed)
 
 
 def fit_repeat(train: data.Dataset, test: data.Dataset, cfg: ExperimentConfig,
@@ -366,12 +396,15 @@ def fit_repeat(train: data.Dataset, test: data.Dataset, cfg: ExperimentConfig,
     train, test = scaler.transform(train), scaler.transform(test)
     name = cfg.method.name
     if name == "clustering":
-        return RepeatFit(scaler, train, test, (train, encode.encode_plain(train)),
-                         (test, encode.encode_plain(test)))
+        enc = encode.encode_plain(train)
+        return RepeatFit(train, test, (train, enc), (test, encode.encode_plain(test)),
+                         functools.partial(_train_clusters, train, enc, cfg.method, seed))
     if name == "fairmissbag":
         bags = classify.draw_bags(train, cfg.method.bags, cfg.method.imputer, seed)
-        return RepeatFit(scaler, train, test, tuple(bag.train_encoded for bag in bags),
-                         tuple(bag.encode(test) for bag in bags), bags=bags)
+        return RepeatFit(train, test, tuple(bag.train_encoded for bag in bags),
+                         tuple(bag.encode(test) for bag in bags),
+                         functools.partial(classify.train_fair_bagging, bags,
+                                           mode=cfg.method.mode))
     if name == "impute-then-classify":
         imputer = make_imputer(cfg.method.imputer).fit(train)
         encoder = lambda ds: encode.encode_plain(ds, imputer)
@@ -382,8 +415,7 @@ def fit_repeat(train: data.Dataset, test: data.Dataset, cfg: ExperimentConfig,
     else:
         raise ConfigError(f"unknown method {name!r}")
     enc = encoder(train)
-    return RepeatFit(scaler, train, test, enc, encoder(test),
-                     training=classify.TrainingSet(enc))
+    return RepeatFit(train, test, enc, encoder(test), classify.TrainingSet(enc).train)
 
 
 @dataclass
@@ -394,34 +426,9 @@ class FittedPipeline:
     train_accuracy: float
 
 
-def fit_pipeline(rep: RepeatFit, cfg: ExperimentConfig, gp: GridPoint,
-                 seed: int) -> FittedPipeline:
-    interv = gp.intervention
-    name = cfg.method.name
-    if name == "clustering":
-        train, train_enc = rep.train_input
-        part = encode.cluster_missing_patterns(
-            train,
-            cfg.method.k_min,
-            cfg.method.alpha,
-            cfg.method.beta,
-            val_fraction=cfg.method.val_fraction,
-            seed=seed,
-        )
-        assignments = part.assign_dataset(train)
-        leaves = tuple(
-            _fit_leaf(train_enc.subset(np.flatnonzero(assignments == q)), interv)
-            for q in range(part.n_clusters)
-        )
-        predictor = ClusterRouter(part, leaves)
-        # the training rows are routed once, for the leaves and their accuracy
-        preds = predictor.route(assignments, train_enc, seed)
-    else:
-        if name == "fairmissbag":
-            predictor = classify.train_fair_bagging(rep.bags, interv, cfg.method.mode)
-        else:
-            predictor = rep.training.train(interv)
-        preds = predictor.predict(rep.train_input, seed)
+def fit_pipeline(rep: RepeatFit, gp: GridPoint, seed: int) -> FittedPipeline:
+    predictor = rep.trainer(gp.intervention)
+    preds = predictor.predict(rep.train_input, seed)
     return FittedPipeline(predictor, metrics.accuracy(preds, rep.train))
 
 
@@ -586,7 +593,7 @@ def run_experiment(cfg: ExperimentConfig) -> RunResult:
         rep_metrics = {}
         for g_idx, gp in enumerate(grid):
             try:
-                fitted = fit_pipeline(rep, cfg, gp, seed_r)
+                fitted = fit_pipeline(rep, gp, seed_r)
                 eval_seed = seed_r * 1000 + 700 + g_idx
                 rep_metrics[gp.gid] = evaluate_pipeline(fitted, rep, eval_seed)
             except FairmissError as exc:

@@ -18,6 +18,8 @@ from .metrics import JointTable
 
 MECHANISMS = ("mcar", "mar", "mnar")
 LABEL_INDICATOR = "label"
+SYNTHETIC_FEATURES = ("x1", "x2")        # gen_synthetic's columns
+MASKED_POSITIVES_FEATURES = ("x",)       # sample_masked_positives' column
 
 
 @dataclass(frozen=True)
@@ -164,7 +166,7 @@ def gen_synthetic(seed: int) -> Dataset:
         feats.append(block)
         sens.extend([s] * n)
         labels.extend([y] * n)
-    return Dataset(np.vstack(feats), sens, labels, ("x1", "x2"))
+    return Dataset(np.vstack(feats), sens, labels, SYNTHETIC_FEATURES)
 
 
 # ---------------------------------------------------------------------------
@@ -229,4 +231,4 @@ def sample_masked_positives(dist: MaskedPositives, n: int, seed: int) -> Dataset
     xcol = np.array([np.nan if table.x_values[i] is None else table.x_values[i]
                      for i in xi])
     sens = np.array([table.groups[i] for i in si])
-    return Dataset(xcol.reshape(-1, 1), sens, y.astype(np.int64), ("x",))
+    return Dataset(xcol.reshape(-1, 1), sens, y.astype(np.int64), MASKED_POSITIVES_FEATURES)

@@ -299,6 +299,43 @@ def test_schema_in_utf8_with_crlf_lines_reads(tmp_path):
     assert read_schema(p) == SCHEMA
 
 
+def test_schema_that_lists_a_column_twice_is_a_schema_error(tmp_path):
+    p = write(tmp_path, "s.txt", "x1 = feature\nx2 = feature\n\n x2 = ignore \n")
+    with pytest.raises(SchemaError) as info:
+        read_schema(p)
+    assert str(info.value) == f"{p}: line 4: column 'x2' already has a role: ' x2 = ignore '"
+
+
+BOM = b"\xef\xbb\xbf"
+
+
+def test_schema_and_csv_with_a_byte_order_mark_load_as_without(tmp_path):
+    schema = b"a = feature\nb = feature\ns = sensitive\ny = label\n"
+    rows = b"a,b,s,y\n1,NA,0,1\n2,3,1,0\n"
+    for name, text in (("plain", b""), ("bom", BOM)):
+        (tmp_path / f"{name}.txt").write_bytes(text + schema)
+        (tmp_path / f"{name}.csv").write_bytes(text + rows)
+    assert read_schema(tmp_path / "bom.txt") == read_schema(tmp_path / "plain.txt") == SCHEMA
+    plain, bom = (load_csv(tmp_path / f"{name}.csv", SCHEMA) for name in ("plain", "bom"))
+    assert bom.feature_names == plain.feature_names
+    for got, want in ((bom.features, plain.features), (bom.sensitive, plain.sensitive),
+                      (bom.labels, plain.labels)):
+        assert np.array_equal(got, want, equal_nan=True)
+
+
+def test_a_byte_that_is_not_utf8_after_a_byte_order_mark_is_named(tmp_path):
+    p = tmp_path / "s.txt"
+    p.write_bytes(BOM + b"x1 = feature\ncaf\xe9 = ignore\n")
+    with pytest.raises(SchemaError) as info:
+        read_schema(p)
+    assert str(info.value) == f"{p}: line 2: byte 0xe9 is not UTF-8 text"
+    p = tmp_path / "d.csv"
+    p.write_bytes(BOM + b"a,b,s,y\n1,2,0,1\n1,2,caf\xe9,0\n")
+    with pytest.raises(CsvParseError) as info:
+        load_csv(p, SCHEMA)
+    assert str(info.value) == f"{p}: row 3: byte 0xe9 is not UTF-8 text"
+
+
 class TestScaling:
     def test_minmax_example(self):
         ds = Dataset(np.array([[2.0], [4.0], [np.nan], [6.0]]), [0, 0, 1, 1], [0, 1, 0, 1])

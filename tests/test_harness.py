@@ -132,6 +132,10 @@ class TestConfig:
             ("data", "source = theorem1\nalpha1 = nan", r"per-group rate must lie in \[0, 1\)"),
             ("data", "source = theorem1\nq0 = nan", "priors must be positive and sum to 1"),
             ("sweep", "seed = -3", "seed must be >= 0"),
+            ("missingness", "mechanism = mcar\nentry1 = nosuch, none, 0.1, 0.1",
+             "missingness target column 'nosuch' is not a feature of the synthetic data: x1, x2"),
+            ("missingness", "mechanism = mar\nentry1 = x2, nosuch, 0.1, 0.2",
+             "missingness indicator column 'nosuch' is not a feature of the synthetic data"),
         ],
     )
     def test_malformed_setting_is_a_config_error(self, tmp_path, capsys, section, body, match):
@@ -147,7 +151,7 @@ class TestConfig:
         cfg = load_config(write_config(tmp_path, block))
         assert cfg == ExperimentConfig(
             missingness=MissingnessSpec("mnar", (
-                MissingEntry("x5", "label", 0.1, 0.4),
+                MissingEntry("x1", "label", 0.1, 0.4),
                 MissingEntry("x2", "x1", 0.1, 0.4, 0.2),
             )),
             method=MethodConfig(name="clustering"),
@@ -455,8 +459,8 @@ class TestLeakage:
         test_b = random_dataset(rng, n=30, d=3, missing_rate=0.6)
         gp = grid_points(cfg.intervention)[0]
         rep = fit_repeat(train, test_a, cfg, seed=3)
-        f1 = fit_pipeline(rep, cfg, gp, seed=3)
-        f2 = fit_pipeline(rep, cfg, gp, seed=3)
+        f1 = fit_pipeline(rep, gp, seed=3)
+        f2 = fit_pipeline(rep, gp, seed=3)
         assert np.array_equal(f1.predictor.weights, f2.predictor.weights)
         evaluate_pipeline(f1, rep, seed=0)
         m = evaluate_pipeline(f1, fit_repeat(train, test_b, cfg, seed=3), seed=0)
@@ -481,15 +485,16 @@ class TestLeakage:
         for missing_rate in (0.2, 0.6):
             test = random_dataset(rng, n=30, d=3, missing_rate=missing_rate)
             rep = fit_repeat(train, test, cfg, seed=3)
-            train_inputs = rep.train_input if rep.bags else (rep.train_input,)
-            models = [fit_pipeline(rep, cfg, gp, seed=3).predictor
+            # fair bagging's trainer is train_fair_bagging bound to the bags
+            bags = rep.trainer.args[0] if "fairmissbag" in method else ()
+            train_inputs = rep.train_input if bags else (rep.train_input,)
+            models = [fit_pipeline(rep, gp, seed=3).predictor
                       for gp in grid_points(cfg.intervention)]
-            members = models if not rep.bags else [bag for p in models for bag in p.bags]
+            members = models if not bags else [bag for p in models for bag in p.bags]
             states.append((
-                rep.scaler.mins.tobytes(), rep.scaler.ranges.tobytes(),
-                rep.train.features.tobytes(),
+                rep.train.features.tobytes(),  # the fitted scaler's effect
                 [enc.matrix.tobytes() for enc in train_inputs],
-                [bag.rows.tobytes() for bag in rep.bags],
+                [bag.rows.tobytes() for bag in bags],
                 [(m.weights.tobytes(), m.bias, m.rates.flip) for m in members],
             ))
         assert states[0] == states[1]
@@ -653,6 +658,19 @@ def test_load_config_names_the_line_of_a_byte_that_is_not_utf8(tmp_path):
     # the same config in UTF-8, with CRLF line ends, loads
     p.write_bytes(body.replace(b"\n", b"\r\n") + "# café\r\n".encode())
     assert load_config(p).method.name == "indicators"
+
+
+def test_config_with_a_byte_order_mark_loads_as_without(tmp_path):
+    body = BASIC.format(out=tmp_path / "o").lstrip().encode()  # "[data]" first
+    p, bom = tmp_path / "exp.cfg", tmp_path / "bom.cfg"
+    p.write_bytes(body)
+    bom.write_bytes(b"\xef\xbb\xbf" + body)
+    assert load_config(bom) == load_config(p)
+    # a byte that is not UTF-8 after the mark is still named by its line
+    bom.write_bytes(b"\xef\xbb\xbf" + body + b"# caf\xe9\n")
+    line = body.count(b"\n") + 1
+    with pytest.raises(ConfigError, match=rf": line {line}: byte 0xe9 is not UTF-8 text$"):
+        load_config(bom)
 
 
 def test_load_config_of_a_missing_file_is_a_config_error(tmp_path):
