@@ -32,7 +32,7 @@ def _cmd_run(args) -> int:
     result = harness.run_experiment(cfg)
     for rec in result.failures:
         print(f"failed repeat={rec['repeat']} grid={rec['grid_id']}: {rec['error']}")
-    if result.table_mode:
+    if result.metrics == harness.TABLE_METRICS:
         for rec in result.raw:
             print(
                 f"{rec['params']}: best_constrained_accuracy={rec['f_eps_original']:.6f} "

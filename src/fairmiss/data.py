@@ -130,6 +130,21 @@ def read_schema(path) -> dict:
     return schema
 
 
+def read_header(path, schema: dict) -> list:
+    """The header row of a CSV file, each name stripped, checked against
+    ``schema`` as ``load_csv`` checks it; no data row is read."""
+    with open(path, newline="", encoding="utf-8-sig", errors="surrogateescape") as fh:
+        try:
+            header = next(csv.reader(_utf8_lines(fh)))
+        except StopIteration:
+            raise CsvParseError(f"{path}: empty file, header row required") from None
+        except csv.Error as exc:
+            raise CsvParseError(f"{path}: row 1: {exc}") from None
+    header = [h.strip() for h in header]
+    _check_schema(header, schema)
+    return header
+
+
 def _check_schema(header, schema) -> None:
     if len(set(header)) != len(header):
         raise SchemaError("duplicate column names in CSV header")
@@ -180,21 +195,14 @@ def load_csv(path, schema: dict, sensitive_values=None) -> Dataset:
     size limit) raises ``CsvParseError`` naming the file and the row. A
     leading UTF-8 byte-order mark is skipped.
     """
+    header = read_header(path, schema)
+    feat_cols = [i for i, c in enumerate(header) if schema[c] == "feature"]
+    sens_col = next(i for i, c in enumerate(header) if schema[c] == "sensitive")
+    label_col = next(i for i, c in enumerate(header) if schema[c] == "label")
+    feat_names = tuple(header[i] for i in feat_cols)
     with open(path, newline="", encoding="utf-8-sig", errors="surrogateescape") as fh:
         reader = csv.reader(_utf8_lines(fh))
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise CsvParseError(f"{path}: empty file, header row required") from None
-        except csv.Error as exc:
-            raise CsvParseError(f"{path}: row 1: {exc}") from None
-        header = [h.strip() for h in header]
-        _check_schema(header, schema)
-        feat_cols = [i for i, c in enumerate(header) if schema[c] == "feature"]
-        sens_col = next(i for i, c in enumerate(header) if schema[c] == "sensitive")
-        label_col = next(i for i, c in enumerate(header) if schema[c] == "label")
-        feat_names = tuple(header[i] for i in feat_cols)
-
+        next(reader)  # the header row, read and checked above
         blocks, sens_raw = [np.empty((0, len(feat_cols)))], []
         labels = [np.empty(0, np.int64)]
         row_no = 2

@@ -4,7 +4,10 @@ Builds a pipeline (data source -> optional missingness injection -> encoding
 method -> fairness intervention), sweeps the intervention's hyperparameter
 grid, repeats over stratified train/test splits, aggregates mean and standard
 error per grid point, and emits raw / summary / Pareto CSV files. Everything
-is a deterministic function of the config and its master seed.
+is a deterministic function of the config and its master seed. The exact
+table (``theorem1`` source, ``samples = 0``) is one repeat of the same shape:
+``exact_table_analysis`` gives one record of ``TABLE_METRICS`` per eqodds
+epsilon, and the sweep's aggregation and CSV writer take those records.
 
 Each repeat runs in two stages:
 
@@ -58,17 +61,13 @@ log = logging.getLogger("fairmiss")
 
 METHODS = ("impute-then-classify", "indicators", "affine", "clustering", "fairmissbag")
 
-RAW_COLUMNS = (
-    "method", "grid_id", "params", "repeat",
-    "train_accuracy", "test_accuracy", "fnr_diff", "fpr_diff", "meo",
-)
+METRIC_NAMES = ("train_accuracy", "test_accuracy", "fnr_diff", "fpr_diff", "meo")
+TABLE_METRICS = ("f_eps_original", "f_eps_imputed_best", "gap", "mi_bits")
 SUMMARY_COLUMNS = ("method", "grid_id", "params", "metric", "mean", "stderr")
 PARETO_COLUMNS = (
     "method", "grid_id", "params",
     "test_accuracy_mean", "test_accuracy_stderr", "meo_mean", "meo_stderr",
 )
-TABLE_METRICS = ("f_eps_original", "f_eps_imputed_best", "gap", "mi_bits")
-TABLE_COLUMNS = ("method", "grid_id", "params", "repeat") + TABLE_METRICS
 
 
 def _fmt(x) -> str:
@@ -274,9 +273,24 @@ def validate_config(cfg: ExperimentConfig) -> None:
         raise ConfigError("test_fraction must lie strictly between 0 and 1")
     if cfg.data.source == "theorem1" and cfg.data.samples < 0:
         raise ConfigError("samples must be >= 0")
-    exact_table = cfg.data.source == "theorem1" and cfg.data.samples == 0
-    if cfg.missingness is not None and not exact_table:  # the table has no rows to mask
-        names = _feature_names(cfg.data)
+    if cfg.data.source == "theorem1" and cfg.data.samples == 0:
+        # a section the exact table would ignore: it has no rows and no model
+        table = "the exact table (source = theorem1, samples = 0)"
+        if cfg.missingness is not None:
+            raise ConfigError(f"[missingness]: {table} has no rows to mask")
+        if cfg.method != MethodConfig():
+            raise ConfigError(f"[method]: {table} trains no model; leave the section out")
+        if cfg.intervention.name == "penalty":
+            raise ConfigError(f"[intervention] name = penalty: {table} takes eqodds or none")
+    if cfg.data.source == "csv":  # the loader's header check, without the rows
+        schema = data.read_schema(cfg.data.schema)
+        data.read_header(cfg.data.path, schema)
+        names = tuple(c for c, role in schema.items() if role == "feature")
+    elif cfg.data.source == "synthetic":
+        names = simulate.SYNTHETIC_FEATURES
+    else:
+        names = simulate.MASKED_POSITIVES_FEATURES
+    if cfg.missingness is not None:
         for e in cfg.missingness.entries:
             columns = {"target": e.target}
             if e.indicator not in (None, simulate.LABEL_INDICATOR):
@@ -285,15 +299,6 @@ def validate_config(cfg: ExperimentConfig) -> None:
                 if col not in names:
                     raise ConfigError(f"missingness {role} column {col!r} is not a feature "
                                       f"of the {cfg.data.source} data: {', '.join(names)}")
-
-
-def _feature_names(d: DataConfig) -> tuple:
-    """The feature columns of the data source, before any is masked."""
-    if d.source == "csv":
-        return tuple(c for c, role in data.read_schema(d.schema).items() if role == "feature")
-    if d.source == "synthetic":
-        return simulate.SYNTHETIC_FEATURES
-    return simulate.MASKED_POSITIVES_FEATURES
 
 
 # ---------------------------------------------------------------------------
@@ -448,9 +453,6 @@ def evaluate_pipeline(fp: FittedPipeline, rep: RepeatFit, seed: int) -> dict:
 # experiment driver
 # ---------------------------------------------------------------------------
 
-METRIC_NAMES = ("train_accuracy", "test_accuracy", "fnr_diff", "fpr_diff", "meo")
-
-
 @dataclass
 class RunResult:
     method: str
@@ -459,12 +461,10 @@ class RunResult:
     aggregated: dict     # gid -> {metric: (mean, stderr)}
     pareto: list         # gids surviving Pareto filtering
     failures: list       # dicts: repeat, grid_id, error
-    table_mode: bool = False
+    metrics: tuple = METRIC_NAMES  # TABLE_METRICS for the exact table
 
     @property
     def succeeded(self) -> bool:
-        if self.table_mode:
-            return bool(self.aggregated)
         done = {rec["grid_id"] for rec in self.raw}
         return all(gp.gid in done for gp in self.grid)
 
@@ -490,29 +490,23 @@ def _masked_positives(d: DataConfig) -> simulate.MaskedPositives:
 def exact_table_analysis(dist: simulate.MaskedPositives, epsilons) -> list:
     """Constrained-accuracy values on the exact table versus its imputations.
 
-    For each tolerance: the exact optimum on the original table, the best
-    optimum over imputations mapping the missing symbol to 1 with probability
-    p on an 11-point grid, and their gap. ``mi_bits`` is the exact mutual
-    information between the missing indicator and the label.
+    One dict of ``TABLE_METRICS`` per tolerance: the exact optimum on the
+    original table, the best optimum over imputations mapping the missing
+    symbol to 1 with probability p on an 11-point grid, and their gap.
+    ``mi_bits`` is the exact mutual information between the missing
+    indicator and the label.
     """
     table = simulate.masked_positives_table(dist)
+    mi_bits = table.mutual_info_my()
     rows = []
-    for i, eps in enumerate(epsilons):
+    for eps in epsilons:
         f_orig, _ = metrics.best_fair_accuracy(table, eps)
         f_imp = max(
             metrics.best_fair_accuracy(table.impute_na(p), eps)[0]
             for p in np.linspace(0.0, 1.0, 11)
         )
-        rows.append(
-            {
-                "grid_id": f"g{i}",
-                "params": f"epsilon={_fmt(eps)}",
-                "f_eps_original": f_orig,
-                "f_eps_imputed_best": f_imp,
-                "gap": f_orig - f_imp,
-                "mi_bits": table.mutual_info_my(),
-            }
-        )
+        rows.append({"f_eps_original": f_orig, "f_eps_imputed_best": f_imp,
+                     "gap": f_orig - f_imp, "mi_bits": mi_bits})
     return rows
 
 
@@ -539,16 +533,19 @@ def sweep_and_aggregate(per_repeat: list) -> dict:
 def run_experiment(cfg: ExperimentConfig) -> RunResult:
     validate_config(cfg)
     source = _load_source(cfg)
-    grid = grid_points(cfg.intervention)
 
-    if isinstance(source, simulate.MaskedPositives):
+    if isinstance(source, simulate.MaskedPositives):  # one exact repeat
         eps = cfg.intervention.epsilon if cfg.intervention.name == "eqodds" else (0.0,)
-        rows = exact_table_analysis(source, eps)
-        aggregated = {r["grid_id"]: {m: (r[m], 0.0) for m in TABLE_METRICS} for r in rows}
-        result = RunResult("exact-table", grid, rows, aggregated, [], [], table_mode=True)
+        grid = grid_points(InterventionConfig("eqodds", epsilon=eps))
+        rows = dict(zip((gp.gid for gp in grid), exact_table_analysis(source, eps)))
+        raw = [{"grid_id": gp.gid, "params": gp.label, "repeat": 0, **rows[gp.gid]}
+               for gp in grid]
+        result = RunResult("exact-table", grid, raw, sweep_and_aggregate([rows]), [], [],
+                           TABLE_METRICS)
         _write_outputs(_output_dir(cfg), result)
         return result
 
+    grid = grid_points(cfg.intervention)
     ds = source
     # a training split has at most the data's groups, so every grid point
     # would fail; beta <= 1/|S| may still hold for a split with fewer groups
@@ -646,28 +643,14 @@ def _output_dir(cfg: ExperimentConfig) -> Path:
 
 def _write_outputs(out: Path, result: RunResult) -> None:
     by_gid = {gp.gid: gp for gp in result.grid}
-
-    if result.table_mode:
-        _write_csv(out / "raw.csv", TABLE_COLUMNS, (
-            ["exact-table", rec["grid_id"], rec["params"], "0"]
-            + [_fmt(rec[m]) for m in TABLE_METRICS]
-            for rec in result.raw
-        ))
-        _write_csv(out / "summary.csv", SUMMARY_COLUMNS, (
-            ["exact-table", rec["grid_id"], rec["params"], m, _fmt(rec[m]), "0"]
-            for rec in result.raw for m in TABLE_METRICS
-        ))
-        _write_csv(out / "pareto.csv", PARETO_COLUMNS, ())
-        return
-
-    _write_csv(out / "raw.csv", RAW_COLUMNS, (
+    _write_csv(out / "raw.csv", ("method", "grid_id", "params", "repeat") + result.metrics, (
         [result.method, rec["grid_id"], rec["params"], str(rec["repeat"])]
-        + [_fmt(rec[m]) for m in METRIC_NAMES]
+        + [_fmt(rec[m]) for m in result.metrics]
         for rec in sorted(result.raw, key=lambda r: (r["grid_id"], r["repeat"]))
     ))
     _write_csv(out / "summary.csv", SUMMARY_COLUMNS, (
         [result.method, gid, by_gid[gid].label, m, *map(_fmt, result.aggregated[gid][m])]
-        for gid in sorted(result.aggregated) for m in METRIC_NAMES
+        for gid in sorted(result.aggregated) for m in result.metrics
     ))
     _write_csv(out / "pareto.csv", PARETO_COLUMNS, (
         [result.method, gid, by_gid[gid].label,

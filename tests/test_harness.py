@@ -11,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 import fairmiss
 from fairmiss import cli, harness
 from fairmiss.data import load_csv, read_schema, write_csv
-from fairmiss.errors import ConfigError
+from fairmiss.errors import ConfigError, FairmissError
 from fairmiss.harness import (
     DataConfig,
     ExperimentConfig,
@@ -136,6 +136,12 @@ class TestConfig:
              "missingness target column 'nosuch' is not a feature of the synthetic data: x1, x2"),
             ("missingness", "mechanism = mar\nentry1 = x2, nosuch, 0.1, 0.2",
              "missingness indicator column 'nosuch' is not a feature of the synthetic data"),
+            ("data", "source = theorem1\n\n[missingness]\nmechanism = mcar\n"
+             "entry1 = x, none, 0.1, 0.1", r"\[missingness\]: the exact table .* no rows"),
+            ("data", "source = theorem1\n\n[method]\nname = clustering",
+             r"\[method\]: the exact table .* trains no model"),
+            ("data", "source = theorem1\n\n[intervention]\nname = penalty\ntau = 1",
+             r"\[intervention\] name = penalty: the exact table"),
         ],
     )
     def test_malformed_setting_is_a_config_error(self, tmp_path, capsys, section, body, match):
@@ -262,6 +268,25 @@ dir = {out}
         assert rec["gap"] == pytest.approx(0.25, abs=1e-6)
         text = (out / "summary.csv").read_text()
         assert "f_eps_original" in text and "f_eps_imputed_best" in text
+
+    def test_exact_table_writes_the_sweep_layout(self, tmp_path):
+        out = tmp_path / "thm"
+        body = (f"[data]\nsource = theorem1\nalpha0 = 0.2\n\n[intervention]\nname = eqodds\n"
+                f"epsilon = 0, 0.05, 0.1\n\n[output]\ndir = {out}\n")
+        run_experiment(load_config(write_config(tmp_path, body)))
+        rows = exact_table_analysis(MaskedPositives((0.2, 0.2), (0.5, 0.5)), (0.0, 0.05, 0.1))
+        metrics = ("f_eps_original", "f_eps_imputed_best", "gap", "mi_bits")
+        keys = [("exact-table", f"g{i}", f"epsilon={eps}")
+                for i, eps in enumerate(("0", "0.05", "0.1"))]
+        raw = (out / "raw.csv").read_text().splitlines()
+        assert raw[0] == "method,grid_id,params,repeat," + ",".join(metrics)
+        assert raw[1:] == [",".join([*key, "0", *(harness._fmt(row[m]) for m in metrics)])
+                           for key, row in zip(keys, rows)]
+        summary = (out / "summary.csv").read_text().splitlines()
+        assert summary[1:] == [",".join([*key, m, harness._fmt(row[m]), "0"])
+                               for key, row in zip(keys, rows) for m in metrics]
+        assert (out / "pareto.csv").read_text() == (
+            "method,grid_id,params,test_accuracy_mean,test_accuracy_stderr,meo_mean,meo_stderr\n")
 
     def test_clustering_on_sampled_worst_case(self, tmp_path):
         # the masked cluster holds only positives: its leaf predicts 1
@@ -516,6 +541,29 @@ class TestCli:
     def test_validate_rejects_bad_config(self, tmp_path, capsys):
         p = write_config(tmp_path, "[data]\nsource = nonsense\n")
         assert cli.main(["validate", str(p)]) == 1
+
+    @pytest.mark.parametrize("schema, header", [
+        ("x1 = feature\nx2 = feat\nsensitive = sensitive\nlabel = label", "x1,x2,sensitive,label"),
+        ("x1 = feature\nx2 = feature\nsensitive = sensitive\nlabel = ignore",
+         "x1,x2,sensitive,label"),
+        ("x1 = feature\nx2 = feature\nx3 = feature\nsensitive = sensitive\nlabel = label",
+         "x1,x2,sensitive,label"),
+        ("x1 = feature\nx2 = feature\nx2 = ignore\nsensitive = sensitive\nlabel = label",
+         "x1,x2,sensitive,label"),
+        ("x1 = feature\nx2 = feature\nsensitive = sensitive\nlabel = label",
+         "x1,x2,x2,sensitive,label"),
+    ], ids=["unknown-role", "no-label", "column-the-csv-lacks", "schema-lists-a-column-twice",
+            "csv-header-repeats-a-column"])
+    def test_validate_checks_the_schema_against_the_csv_header(self, tmp_path, capsys,
+                                                                schema, header):
+        csv_path, schema_path = tmp_path / "d.csv", tmp_path / "d.schema"
+        csv_path.write_text(header + "\n" + ",".join(["0"] * header.count(",")) + ",1\n")
+        schema_path.write_text(schema + "\n")
+        with pytest.raises(FairmissError) as loader:
+            load_csv(csv_path, read_schema(schema_path))
+        body = f"[data]\nsource = csv\npath = {csv_path}\nschema = {schema_path}\n"
+        assert cli.main(["validate", str(write_config(tmp_path, body))]) == 1
+        assert capsys.readouterr().err == f"error: {loader.value}\n"
 
     def test_theorem1_command(self, capsys):
         assert cli.main(["theorem1", "--alpha", "0.25", "--q0", "0.5"]) == 0
