@@ -8,7 +8,8 @@
     fairmiss synthetic --seed S --out PATH
                                   write the built-in synthetic dataset as CSV
 
-FAIRMISS_LOG sets the log level (DEBUG/INFO/WARNING/...).
+FAIRMISS_LOG sets the log level: DEBUG, INFO, WARNING (the default), ERROR
+or CRITICAL, in any case.
 """
 
 from __future__ import annotations
@@ -19,12 +20,16 @@ import os
 import sys
 
 from . import data, harness, simulate
-from .errors import FairmissError
+from .errors import ConfigError, FairmissError
+
+LOG_LEVELS = ("DEBUG", "INFO", "WARNING", "ERROR", "CRITICAL")
 
 
 def _setup_logging() -> None:
-    level = os.environ.get("FAIRMISS_LOG", "WARNING").upper()
-    logging.basicConfig(level=getattr(logging, level, logging.WARNING))
+    value = os.environ.get("FAIRMISS_LOG", "WARNING")
+    if value.upper() not in LOG_LEVELS:
+        raise ConfigError(f"FAIRMISS_LOG={value!r}: expected one of {', '.join(LOG_LEVELS)}")
+    logging.basicConfig(level=value.upper())
 
 
 def _cmd_run(args) -> int:
@@ -120,9 +125,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    _setup_logging()
     args = build_parser().parse_args(argv)
     try:
+        _setup_logging()
         return args.func(args)
     except FairmissError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -53,7 +53,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import classify, data, encode, metrics, simulate
+from . import classify, data, encode, metrics, optim, simulate
 from .errors import ConfigError, FairmissError, ValidationError
 from .impute import make_imputer
 
@@ -546,6 +546,9 @@ def run_experiment(cfg: ExperimentConfig) -> RunResult:
         return result
 
     grid = grid_points(cfg.intervention)
+    # every method fits with L-BFGS-B: a scipy without it is one error, not
+    # one failure per grid point
+    optim.load_lbfgsb()
     ds = source
     # a training split has at most the data's groups, so every grid point
     # would fail; beta <= 1/|S| may still hold for a split with fewer groups

@@ -20,15 +20,27 @@ passes every evaluation through its caching layers: a fit of a few
 evaluations took about twice as long through ``minimize``. The routine is
 private, so ``tests/test_optim.py`` checks that both loops stop at the same
 point with the same bits.
+
+``load_lbfgsb`` loads that routine's extension file on its own, once per
+process, without ``import scipy.optimize``, whose ``__init__`` takes about
+0.4 s and 48 MB of resident memory for the one routine used here. The
+module is registered under its own name, so a later ``import
+scipy.optimize`` uses the same module object.
 """
 
 from __future__ import annotations
 
+import functools
+import importlib.machinery
+import importlib.util
 import logging
+import os
+import sys
+import sysconfig
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import FairmissError, ValidationError
 
 log = logging.getLogger("fairmiss")
 
@@ -46,6 +58,56 @@ EPS = 2.0 ** -52  # float64's machine epsilon: setulb takes FTOL in units of it
 LAM = 1e-4
 TOL = 1e-6
 MAX_ITERS = 5000
+
+# the words for L-BFGS-B's stop codes that descend's WARNING prints, status
+# task[0] and reason task[1], as scipy's ``optimize._lbfgsb_py`` spells them
+STATUS_MESSAGES = {0: "START", 1: "NEW_X", 2: "RESTART", 3: "FG", 4: "CONVERGENCE",
+                   5: "STOP", 6: "WARNING", 7: "ERROR", 8: "ABNORMAL"}
+TASK_MESSAGES = {
+    0: "", 301: "", 302: "",
+    401: "NORM OF PROJECTED GRADIENT <= PGTOL",
+    402: "RELATIVE REDUCTION OF F <= FACTR*EPSMCH",
+    501: "CPU EXCEEDING THE TIME LIMIT",
+    502: "TOTAL NO. OF F,G EVALUATIONS EXCEEDS LIMIT",
+    503: "PROJECTED GRADIENT IS SUFFICIENTLY SMALL",
+    504: "TOTAL NO. OF ITERATIONS REACHED LIMIT",
+    505: "CALLBACK REQUESTED HALT",
+    601: "ROUNDING ERRORS PREVENT PROGRESS", 602: "STP = STPMAX", 603: "STP = STPMIN",
+    604: "XTOL TEST SATISFIED",
+    701: "NO FEASIBLE SOLUTION", 702: "FACTR < 0", 703: "FTOL < 0", 704: "GTOL < 0",
+    705: "XTOL < 0", 706: "STP < STPMIN", 707: "STP > STPMAX", 708: "STPMIN < 0",
+    709: "STPMAX < STPMIN", 710: "INITIAL G >= 0", 711: "M <= 0", 712: "N <= 0",
+    713: "INVALID NBD",
+}
+
+
+def _scipy_dir() -> str:
+    """The installed scipy package's directory, found without importing it."""
+    return os.path.dirname(importlib.util.find_spec("scipy").origin)
+
+
+@functools.cache
+def load_lbfgsb():
+    """scipy's compiled L-BFGS-B module, loaded from its extension file on
+    the first call in a process and registered in ``sys.modules``.
+
+    Raises ``FairmissError`` if the file is not where scipy >= 1.15 puts it.
+    """
+    name = "scipy.optimize._lbfgsb"
+    path = os.path.join(_scipy_dir(), "optimize",
+                        "_lbfgsb" + sysconfig.get_config_var("EXT_SUFFIX"))
+    if not os.path.isfile(path):
+        from importlib.metadata import version
+        raise FairmissError(
+            f"scipy {version('scipy')} has no L-BFGS-B extension at {path}; "
+            "fairmiss needs scipy >= 1.15"
+        )
+    loader = importlib.machinery.ExtensionFileLoader(name, path)
+    module = importlib.util.module_from_spec(
+        importlib.util.spec_from_file_location(name, path, loader=loader))
+    loader.exec_module(module)
+    sys.modules[name] = module
+    return module
 
 
 def logistic(z: np.ndarray):
@@ -134,11 +196,9 @@ def descend(value_and_grad, w0: np.ndarray, tol: float = TOL,
     it, only when the point differs from the last one evaluated. So every fit
     stops where minimize stops, with the same bits.
     """
-    # scipy.optimize is slow to import; setulb is private, with this
-    # signature since scipy 1.15
-    from scipy.optimize._lbfgsb import setulb
-    from scipy.optimize._lbfgsb_py import status_messages, task_messages
-
+    # setulb is private, with this signature since scipy 1.15; it comes
+    # from its extension file, not through scipy.optimize (module docstring)
+    setulb = load_lbfgsb().setulb
     w = w0.astype(np.float64)
     if max_iters <= 0:
         f, _ = value_and_grad(w)
@@ -182,6 +242,6 @@ def descend(value_and_grad, w0: np.ndarray, tol: float = TOL,
             "L-BFGS-B stopped without converging after %d iterations "
             "(gradient max-norm %.3g, tol %g): %s: %s",
             iterations, float(np.max(np.abs(g))), tol,
-            status_messages[task[0]], task_messages[task[1]],
+            STATUS_MESSAGES[task[0]], TASK_MESSAGES[task[1]],
         )
     return w, float(f), iterations

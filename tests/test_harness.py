@@ -1,15 +1,18 @@
+import os
 import re
 import subprocess
 import sys
+import sysconfig
 import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy
 from hypothesis import given, settings, strategies as st
 
 import fairmiss
-from fairmiss import cli, harness
+from fairmiss import cli, harness, optim
 from fairmiss.data import load_csv, read_schema, write_csv
 from fairmiss.errors import ConfigError, FairmissError
 from fairmiss.harness import (
@@ -570,6 +573,18 @@ class TestCli:
         out = capsys.readouterr().out
         assert "gap" in out and "0.250000" in out
 
+    @pytest.mark.parametrize("level", ["basic_format", "bogus"])
+    def test_an_unknown_log_level_is_one_error(self, monkeypatch, capsys, level):
+        monkeypatch.setenv("FAIRMISS_LOG", level)
+        assert cli.main(["theorem1", "--alpha", "0.25"]) == 1
+        assert capsys.readouterr() == (
+            "", f"error: FAIRMISS_LOG={level!r}: expected one of DEBUG, INFO, WARNING, "
+                "ERROR, CRITICAL\n")
+
+    def test_a_log_level_name_is_read_in_any_case(self, monkeypatch, capsys):
+        monkeypatch.setenv("FAIRMISS_LOG", "Error")
+        assert cli.main(["theorem1", "--alpha", "0.25"]) == 0
+
     @pytest.mark.parametrize("args, error", [
         (["--alpha", "nan"], "each per-group rate must lie in [0, 1)"),
         (["--alpha", "0.25", "--alpha1", "nan"], "each per-group rate must lie in [0, 1)"),
@@ -738,14 +753,74 @@ def test_clustering_alpha_below_one_over_the_groups_is_one_config_error(tmp_path
     assert run_experiment(cfg).succeeded
 
 
+def fresh_python(code, *args):
+    """Run ``code`` in a new interpreter that imports fairmiss from this
+    checkout and the test helpers from ``tests/``."""
+    paths = [str(Path(fairmiss.__file__).parents[1]), str(Path(__file__).parent)]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(paths))
+    return subprocess.run([sys.executable, "-c", code, *args], env=env, capture_output=True,
+                          text=True, timeout=300)
+
+
 def test_import_leaves_scipy_optimize_unloaded():
-    # scipy.optimize takes most of the package's import time; only the
-    # solvers load it, when first called
-    src = str(Path(fairmiss.__file__).parents[1])
-    code = "import sys, fairmiss.harness; print('scipy.optimize' in sys.modules)"
-    out = subprocess.run([sys.executable, "-c", code], cwd=src, capture_output=True,
-                         text=True, check=True)
+    # scipy.optimize costs about 0.4 s and 48 MB; only metrics'
+    # best_fair_accuracy imports it, for linprog, when first called
+    out = fresh_python("import sys, fairmiss.harness; print('scipy.optimize' in sys.modules)")
     assert out.stdout.strip() == "False"
+
+
+def test_fairmiss_run_leaves_scipy_optimize_unloaded(tmp_path):
+    # fits load L-BFGS-B's extension file on its own (optim.load_lbfgsb)
+    body = ("[data]\nsource = synthetic\n\n[method]\nname = clustering\nk_min = 200\n\n"
+            "[intervention]\nname = penalty\ntau = 0.1, 10\n\n[sweep]\nrepeats = 1\n\n"
+            f"[output]\ndir = {tmp_path / 'out'}\n")
+    code = ("import sys; from fairmiss import cli; code = cli.main(sys.argv[1:]); "
+            "print('scipy.optimize' in sys.modules); sys.exit(code)")
+    out = fresh_python(code, "run", str(write_config(tmp_path, body)))
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.splitlines()[-1] == "False"
+    for name in ("raw.csv", "summary.csv", "pareto.csv"):
+        assert (tmp_path / "out" / name).is_file()
+
+
+def test_a_fit_then_import_scipy_optimize_share_one_lbfgsb_module():
+    code = """
+import sys
+import numpy as np
+from fairmiss.optim import LAM, descend, load_lbfgsb, make_objective
+rng = np.random.default_rng(3)
+x = rng.normal(size=(80, 3))
+y = (x[:, 0] + rng.normal(size=80) > 0).astype(np.int64)
+objective = make_objective(x, y, LAM)
+w, f, iterations = descend(objective, np.zeros(4))
+assert "scipy.optimize" not in sys.modules
+import scipy.optimize
+from oracles import reference_descend
+w_ref, f_ref, iterations_ref = reference_descend(objective, np.zeros(4))
+print(w.tobytes() == w_ref.tobytes(), f == f_ref, iterations == iterations_ref > 0)
+print(sys.modules["scipy.optimize._lbfgsb"] is load_lbfgsb() is scipy.optimize._lbfgsb_py._lbfgsb)
+"""
+    out = fresh_python(code)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.split() == ["True"] * 4
+
+
+def test_a_scipy_without_the_lbfgsb_extension_is_one_error(tmp_path, monkeypatch, capsys):
+    empty = tmp_path / "scipy"
+    empty.mkdir()
+    monkeypatch.setattr(optim, "_scipy_dir", lambda: str(empty))
+    monkeypatch.setattr(optim, "load_lbfgsb", optim.load_lbfgsb.__wrapped__)  # uncached
+    path = empty / "optimize" / ("_lbfgsb" + sysconfig.get_config_var("EXT_SUFFIX"))
+    message = (f"scipy {scipy.__version__} has no L-BFGS-B extension at {path}; "
+               "fairmiss needs scipy >= 1.15")
+    x = np.array([[0.0], [1.0]])
+    with pytest.raises(FairmissError) as exc:
+        optim.descend(optim.make_objective(x, [0, 1], optim.LAM), np.zeros(2))
+    assert str(exc.value) == message
+    body = BASIC.format(out=tmp_path / "out")
+    assert cli.main(["run", str(write_config(tmp_path, body))]) == 1
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+    assert not (tmp_path / "out").exists()
 
 
 FUZZ_METHODS = {

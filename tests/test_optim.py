@@ -5,9 +5,11 @@ objective the package minimizes."""
 import numpy as np
 from hypothesis import given, strategies as st
 from hypothesis.extra import numpy as hnp
+from scipy.optimize import _lbfgsb_py
 
 from fairmiss.data import Dataset
-from fairmiss.optim import LAM, MAX_ITERS, TOL, descend, make_objective
+from fairmiss.optim import (LAM, MAX_ITERS, STATUS_MESSAGES, TASK_MESSAGES, TOL, descend,
+                            make_objective)
 
 from oracles import reference_descend
 
@@ -46,3 +48,10 @@ def test_descend_stops_where_minimize_stops(case, max_iters, tol):
     w_ref, f_ref, iterations_ref = reference_descend(obj, w0, tol, max_iters)
     assert w.tobytes() == w_ref.tobytes()
     assert f == f_ref and iterations == iterations_ref
+
+
+def test_stop_words_are_scipys():
+    # descend's WARNING prints these for task = (status, reason); a failed line
+    # search stops with (ABNORMAL, 0)
+    assert STATUS_MESSAGES == _lbfgsb_py.status_messages
+    assert TASK_MESSAGES == _lbfgsb_py.task_messages
