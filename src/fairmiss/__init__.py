@@ -43,7 +43,6 @@ from .errors import (
     FairmissError,
     NotFittedError,
     SchemaError,
-    SolverError,
     ValidationError,
 )
 from .harness import ExperimentConfig, RunResult, load_config, run_experiment

@@ -14,7 +14,6 @@ read encoded rows only; the caller encodes.
 
 from __future__ import annotations
 
-import itertools
 import logging
 from dataclasses import dataclass, replace
 
@@ -181,29 +180,10 @@ def eqodds_program(scores, ds) -> EqoddsProgram:
 
 # Rows of the equalized-odds program over v = (a_g0, b_g0, a_g1, b_g1):
 # +/- the TPR gap and +/- the FPR gap (rows 0-3), v_j <= 1 (rows 4-7) and
-# -v_j <= 0 (rows 8-11). A vertex is where 4 linearly independent rows hold
-# with equality. Opposite rows (a gap row and its negation, the two bounds on
-# one coordinate) are parallel, so a basis takes at most one row of each
-# pair; every other basis is singular.
+# -v_j <= 0 (rows 8-11), in the opposite pairs that metrics._bases reads.
 _OPPOSITE = ((0, 1), (2, 3)) + tuple((4 + j, 8 + j) for j in range(4))
-_BASES = np.array([tuple(pair[side] for pair, side in zip(pairs, sides))  # 240
-                   for pairs in itertools.combinations(_OPPOSITE, 4)
-                   for sides in itertools.product((0, 1), repeat=4)])
+_BASES = metrics._bases(_OPPOSITE, 4)  # 240, built once
 _FLIP = np.array([-1.0, 1.0, -1.0, 1.0])  # flip mass, less its constant 2
-_TOL = 1e-13  # slack on every row: rounding, not a looser program
-
-
-def _vertices(rows, rhs) -> np.ndarray:
-    """The basic solutions of _BASES that satisfy every row within _TOL,
-    clipped into the box that rounding may leave them just outside of. Only
-    bases with an exactly zero pivot are skipped (the sign of slogdet does
-    not underflow), so a vertex of a nearly singular basis is found."""
-    m = rows[_BASES]
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        solvable = np.linalg.slogdet(m)[0] != 0.0  # log 0 of a singular basis
-        # far-off solutions of nearly singular bases fail the row test
-        v = np.linalg.solve(m[solvable], rhs[_BASES][solvable][..., None])[..., 0]
-        return np.clip(v[(v @ rows.T <= rhs + _TOL).all(axis=1)], 0.0, 1.0)
 
 
 def postprocess_eqodds(program: EqoddsProgram, epsilon: float) -> PostprocessRates:
@@ -217,20 +197,18 @@ def postprocess_eqodds(program: EqoddsProgram, epsilon: float) -> PostprocessRat
     the one flipping the least mass, so an already fair base predictor stays
     untouched.
 
-    The program is solved by enumerating its vertices: every basis of 4
-    constraint rows that can be nonsingular is solved at once, and the
-    solutions that satisfy every row are compared. The least flip mass over
-    the optimal face is taken at one of its vertices, which are vertices of
-    the polytope, so no second program is needed. Ties in flip mass (within
-    1e-13) go to the more accurate vertex, then to the first basis in the
-    fixed enumeration order.
+    ``metrics._vertices`` lists the polytope's vertices, as it does for the
+    exact oracle. The least flip mass over the optimal face is taken at one
+    of its vertices, which are vertices of the polytope, so no second
+    program is needed. Ties in flip mass (within 1e-13) go to the more
+    accurate vertex, then to the first basis in ``_BASES``' order.
     """
     metrics.check_epsilon(epsilon)
     rows, gain = program.rows, program.gain
     # every gap lies in [-1, 1], so an epsilon above 1 constrains nothing;
     # capping it keeps the vertex arithmetic finite
     rhs = np.concatenate([np.full(4, min(float(epsilon), 2.0)), np.ones(4), np.zeros(4)])
-    vertices = _vertices(rows, rhs)
+    vertices = metrics._vertices(rows, rhs, _BASES)
     accuracy = vertices @ gain
     face = vertices[accuracy >= accuracy.max() - 1e-12]
     mass = face @ _FLIP

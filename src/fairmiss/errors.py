@@ -23,7 +23,3 @@ class NotFittedError(FairmissError):
 
 class ConfigError(FairmissError):
     """Experiment configuration is missing, malformed, or inconsistent."""
-
-
-class SolverError(FairmissError):
-    """A linear program that should always be solvable failed to solve."""

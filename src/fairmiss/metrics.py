@@ -4,12 +4,14 @@ their mask-label mutual information (in bits) and constrained-accuracy oracle.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
+from math import comb
 
 import numpy as np
 
 from .data import Dataset
-from .errors import SolverError, ValidationError
+from .errors import ValidationError
 
 DISPARITY_KINDS = ("fnr-diff", "fpr-diff", "meo")
 
@@ -68,9 +70,6 @@ def check_epsilon(epsilon: float) -> None:
 # ---------------------------------------------------------------------------
 # exact joint tables over (s, x, y)
 # ---------------------------------------------------------------------------
-
-NA = None  # sentinel for a missing feature value inside a JointTable domain
-
 
 @dataclass(frozen=True)
 class JointTable:
@@ -144,15 +143,12 @@ def best_fair_accuracy(table: JointTable, epsilon: float):
     """Exact optimum of accuracy over randomized classifiers h: x -> Pr(y=1|x)
     subject to equalized odds with tolerance ``epsilon``.
 
-    Solved as a linear program with one variable per feature-domain point and
-    a pair of gap constraints per (label, group pair); pairs whose conditioning
-    cell has zero probability are skipped. Returns (value, h) with h the
-    optimal per-value acceptance probabilities.
+    A linear program with one variable per feature-domain point, the box
+    0 <= h <= 1 and a pair of gap rows per (label, group pair); pairs whose
+    conditioning cell has zero probability are skipped. ``_vertices`` solves
+    it; a table needing over ``_MAX_BASES`` bases is a ValidationError.
+    Returns (value, h) with h the first optimal vertex.
     """
-    from scipy.optimize import linprog  # scipy.optimize is slow to import
-
-    if len(table.x_values) > 16:
-        raise ValidationError("feature domain too large for the exact oracle")
     check_epsilon(epsilon)
     n = len(table.x_values)
     p_xy1 = table.probs[:, :, 1].sum(axis=0)
@@ -160,26 +156,53 @@ def best_fair_accuracy(table: JointTable, epsilon: float):
     c = p_xy1 - p_xy0  # coefficient of h_x in the accuracy
     base = float(p_xy0.sum())
 
-    rows, rhs = [], []
     p_sy = table.probs.sum(axis=1)  # (|S|, 2)
-    for y in (0, 1):
-        for i in range(len(table.groups)):
-            for j in range(i + 1, len(table.groups)):
-                if p_sy[i, y] <= 0 or p_sy[j, y] <= 0:
-                    continue
-                a = table.probs[i, :, y] / p_sy[i, y] - table.probs[j, :, y] / p_sy[j, y]
-                rows.append(a)
-                rhs.append(epsilon)
-                rows.append(-a)
-                rhs.append(epsilon)
-    a_ub = np.array(rows) if rows else None
-    b_ub = np.array(rhs) if rows else None
-    res = linprog(-c, A_ub=a_ub, b_ub=b_ub, bounds=[(0.0, 1.0)] * n, method="highs")
-    if not res.success:
-        raise SolverError(f"constrained-accuracy LP failed: {res.message}")
-    h = np.clip(res.x, 0.0, 1.0)
-    value = base + float(c @ h)
-    return value, h
+    gaps = [table.probs[i, :, y] / p_sy[i, y] - table.probs[j, :, y] / p_sy[j, y]
+            for y in (0, 1) for i, j in itertools.combinations(range(len(table.groups)), 2)
+            if p_sy[i, y] > 0 and p_sy[j, y] > 0]
+    k = len(gaps)
+    if comb(k + n, n) * 2 ** n > _MAX_BASES:
+        raise ValidationError(f"table too large for the exact oracle: over {_MAX_BASES} bases")
+    # the gap rows and h <= 1, then their opposites -gap and -h <= 0; every
+    # gap lies in [-1, 1], so capping epsilon keeps the arithmetic finite
+    half = np.vstack(gaps + [np.eye(n)])
+    eps = np.full(k, min(float(epsilon), 2.0))
+    rhs = np.concatenate([eps, np.ones(n), eps, np.zeros(n)])
+    opposite = tuple((i, i + k + n) for i in range(k + n))
+    vertices = _vertices(np.vstack([half, -half]), rhs, _bases(opposite, n))
+    h = vertices[np.argmax(vertices @ c)]
+    return base + float(c @ h), h
+
+
+# ---------------------------------------------------------------------------
+# small linear programs over the unit box, solved by vertex enumeration
+# ---------------------------------------------------------------------------
+
+_TOL = 1e-13  # slack on every row: rounding, not a looser program
+_MAX_BASES = 2 ** 14  # the exact oracle's largest solve peaks at 57 MB
+
+
+def _bases(opposite, n: int) -> np.ndarray:
+    """Every basis of a program in n variables that can be nonsingular: n
+    of its pairs of opposite, parallel rows ``opposite`` (a row and its
+    negation, the two bounds on one coordinate), one row of each."""
+    return np.array([tuple(pair[side] for pair, side in zip(pairs, sides))
+                     for pairs in itertools.combinations(opposite, n)
+                     for sides in itertools.product((0, 1), repeat=n)])
+
+
+def _vertices(rows, rhs, bases) -> np.ndarray:
+    """The basic solutions of ``bases`` (from ``_bases``) that satisfy every
+    row within _TOL, clipped into the unit box that rounding may leave them
+    just outside of. Only bases with an exactly zero pivot are skipped (the
+    sign of slogdet does not underflow), so a vertex of a nearly singular
+    basis is found. Every gap row's bound is >= 0, so v = 0 is among them."""
+    m = rows[bases]
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        solvable = np.linalg.slogdet(m)[0] != 0.0  # log 0 of a singular basis
+        # far-off solutions of nearly singular bases fail the row test
+        v = np.linalg.solve(m[solvable], rhs[bases][solvable][..., None])[..., 0]
+        return np.clip(v[(v @ rows.T <= rhs + _TOL).all(axis=1)], 0.0, 1.0)
 
 
 # ---------------------------------------------------------------------------

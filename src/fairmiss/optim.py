@@ -22,8 +22,8 @@ private, so ``tests/test_optim.py`` checks that both loops stop at the same
 point with the same bits.
 
 ``load_lbfgsb`` loads that routine's extension file on its own, once per
-process, without ``import scipy.optimize``, whose ``__init__`` takes about
-0.4 s and 48 MB of resident memory for the one routine used here. The
+process, without importing ``scipy.optimize``, whose ``__init__`` takes
+about 0.4 s and 48 MB of resident memory for the one routine used here. The
 module is registered under its own name, so a later ``import
 scipy.optimize`` uses the same module object.
 """

@@ -21,7 +21,7 @@ from fairmiss.classify import (
 )
 from fairmiss.data import Dataset, _check_schema, _round_half_up
 from fairmiss.encode import AffineEncoder, ClusterPartition, EncodedDataset, LeafRecord, TreeNode
-from fairmiss.errors import CsvParseError, SchemaError, SolverError, ValidationError
+from fairmiss.errors import CsvParseError, SchemaError, ValidationError
 from fairmiss.harness import _fmt
 from fairmiss.optim import FTOL, MAXCOR, MAX_ITERS, TOL, _contrast
 from fairmiss.simulate import MissingnessSpec
@@ -112,7 +112,7 @@ def reference_eqodds_rates(groups, base: dict, p_sy: dict, epsilon: float) -> Po
     bounds = [(0.0, 1.0)] * 4
     best = linprog(-obj, A_ub=a_gap, b_ub=b_gap, bounds=bounds, method="highs")
     if not best.success:
-        raise SolverError(f"equalized-odds LP failed: {best.message}")
+        raise AssertionError(f"equalized-odds LP failed: {best.message}")
     # flip mass (1 - a_g0) + b_g0 + (1 - a_g1) + b_g1, up to its constant
     least = linprog(
         np.array([-1.0, 1.0, -1.0, 1.0]),
@@ -122,7 +122,7 @@ def reference_eqodds_rates(groups, base: dict, p_sy: dict, epsilon: float) -> Po
         method="highs",
     )
     if not least.success:
-        raise SolverError(f"equalized-odds least-flip LP failed: {least.message}")
+        raise AssertionError(f"equalized-odds least-flip LP failed: {least.message}")
     v = np.clip(least.x, 0.0, 1.0)
     flip = {
         (groups[0], 1): float(1.0 - v[0]),
@@ -171,26 +171,26 @@ def _gap_rows(program: EqoddsProgram, epsilon) -> list:
     return [([Fraction(x) for x in a], Fraction(epsilon)) for a in program.rows[:4]]
 
 
-def _exact_vertices(rows) -> list:
-    """Every vertex of {v in [0, 1]^4 : a . v <= b for each (a, b) in rows},
-    for rational rows: each choice of k rows held with equality and 4 - k
+def _exact_vertices(rows, n=4) -> list:
+    """Every vertex of {v in [0, 1]^n : a . v <= b for each (a, b) in rows},
+    for rational rows: each choice of k rows held with equality and n - k
     coordinates at a bound, solved by Cramer's rule over the integers."""
     scaled = []
     for a, b in rows:  # each row times the least common multiple of its denominators
         m = math.lcm(*(x.denominator for x in (*a, b)))
         scaled.append(([int(x * m) for x in a], int(b * m)))
     out = []
-    for k in range(min(len(rows), 4) + 1):
+    for k in range(min(len(rows), n) + 1):
         for active in itertools.combinations(scaled, k):
-            for free in itertools.combinations(range(4), k):
+            for free in itertools.combinations(range(n), k):
                 system = [[a[j] for j in free] for a, _ in active]
                 d = _det(system)
                 if d == 0:
                     continue
-                fixed = [j for j in range(4) if j not in free]
-                for values in itertools.product((0, 1), repeat=4 - k):
+                fixed = [j for j in range(n) if j not in free]
+                for values in itertools.product((0, 1), repeat=n - k):
                     rhs = [b - sum(a[j] * x for j, x in zip(fixed, values)) for a, b in active]
-                    w = [0] * 4  # d times the vertex
+                    w = [0] * n  # d times the vertex
                     for j, x in zip(fixed, values):
                         w[j] = x * d
                     for i, j in enumerate(free):
@@ -209,6 +209,60 @@ def _det(m) -> int:
         return 1
     return sum((-1) ** j * m[0][j] * _det([r[:j] + r[j + 1:] for r in m[1:]])
                for j in range(len(m)) if m[0][j])
+
+
+# ---------------------------------------------------------------------------
+# the exact theorem-1 oracle as one scipy linear program, as
+# ``metrics.best_fair_accuracy`` solved it before it enumerated vertices, and
+# the same program solved exactly in rational arithmetic
+# ---------------------------------------------------------------------------
+
+def table_gap_rows(table) -> np.ndarray:
+    """One row a per (label, group pair) whose two conditioning cells have
+    positive probability: the equalized-odds gap a . h of acceptance
+    probabilities h over the feature domain."""
+    p_sy = table.probs.sum(axis=1)
+    rows = [table.probs[i, :, y] / p_sy[i, y] - table.probs[j, :, y] / p_sy[j, y]
+            for y in (0, 1)
+            for i, j in itertools.combinations(range(len(table.groups)), 2)
+            if p_sy[i, y] > 0 and p_sy[j, y] > 0]
+    return np.array(rows).reshape(-1, len(table.x_values))
+
+
+def reference_best_fair_accuracy(table, epsilon: float):
+    """(best accuracy, h) of ``metrics.best_fair_accuracy``, solved by
+    HiGHS: maximize accuracy over h in [0, 1]^n with |a . h| <= epsilon for
+    every row a of ``table_gap_rows``."""
+    p_xy1 = table.probs[:, :, 1].sum(axis=0)
+    p_xy0 = table.probs[:, :, 0].sum(axis=0)
+    c = p_xy1 - p_xy0
+    gaps = table_gap_rows(table)  # rows a, -a per gap, in the former order
+    a_ub = np.stack([gaps, -gaps], axis=1).reshape(-1, len(c)) if len(gaps) else None
+    b_ub = np.full(2 * len(gaps), float(epsilon)) if len(gaps) else None
+    # at HiGHS's default feasibility tolerances, 1e-7, a gap row of norm
+    # 6e-5 held two h equal that its epsilon of 1e-12 lets differ by 1.6e-8,
+    # and the optimum fell 5e-9 short; these are its tightest
+    res = linprog(-c, A_ub=a_ub, b_ub=b_ub, bounds=[(0.0, 1.0)] * len(c), method="highs",
+                  options={"primal_feasibility_tolerance": 1e-10,
+                           "dual_feasibility_tolerance": 1e-10})
+    if not res.success:
+        raise AssertionError(f"constrained-accuracy LP failed: {res.message}")
+    h = np.clip(res.x, 0.0, 1.0)
+    return float(p_xy0.sum()) + float(c @ h), h
+
+
+def exact_best_fair_gain(table, epsilon) -> Fraction:
+    """The optimum of ``reference_best_fair_accuracy``'s program less its
+    constant Pr(y = 0), in rational arithmetic, by visiting every vertex:
+    the exact optimum of the program the solver is given, its float rows
+    read as exact numbers."""
+    c = table.probs[:, :, 1].sum(axis=0) - table.probs[:, :, 0].sum(axis=0)
+    rows = []
+    for a in table_gap_rows(table):
+        row = [Fraction(x) for x in a]
+        rows += [(row, Fraction(epsilon)), ([-x for x in row], Fraction(epsilon))]
+    return max(sum(Fraction(x) * y for x, y in zip(c, v))
+               for v in _exact_vertices(rows, len(c)))
 
 
 # ---------------------------------------------------------------------------

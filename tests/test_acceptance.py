@@ -8,11 +8,6 @@ from contextlib import contextmanager
 
 import numpy as np
 import pytest
-# imported here, not inside the first timed criterion: importing
-# scipy.optimize takes about 0.4 s, which fairmiss defers to the first
-# best_fair_accuracy (its linprog; fits load L-BFGS-B without the package),
-# and criterion 1's budget times the solves, not that import
-import scipy.optimize  # noqa: F401
 
 from fairmiss import classify, data, harness, metrics, simulate
 from fairmiss.classify import (

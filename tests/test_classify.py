@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, strategies as st
 from hypothesis.extra import numpy as hnp
 
-from fairmiss import classify
+from fairmiss import classify, metrics
 from fairmiss.classify import (
     ENSEMBLE_MODES,
     EqoddsProgram,
@@ -424,7 +424,7 @@ def test_vertex_solve_is_the_exact_optimum_up_to_its_tolerance(case):
     # tiny norm can leave no vertex that accurate; the solver's vertices
     # then use its row slack, and ``tight`` takes the gap rows of ``loose``.
     # Where the two optima agree, the flips must match them.
-    slack = Fraction(2 * classify._TOL)
+    slack = Fraction(2 * metrics._TOL)
     best = exact_best_accuracy(program, epsilon)
     best_loose = exact_best_accuracy(program, Fraction(epsilon) + slack)
     loose = exact_least_flip(program, Fraction(epsilon) + slack, best - Fraction(1e-12) - slack)

@@ -763,24 +763,35 @@ def fresh_python(code, *args):
 
 
 def test_import_leaves_scipy_optimize_unloaded():
-    # scipy.optimize costs about 0.4 s and 48 MB; only metrics'
-    # best_fair_accuracy imports it, for linprog, when first called
+    # scipy.optimize costs about 0.4 s and 48 MB; no fairmiss module imports
+    # it: fits load L-BFGS-B's extension file on its own, and both small
+    # linear programs are solved by metrics._vertices
     out = fresh_python("import sys, fairmiss.harness; print('scipy.optimize' in sys.modules)")
     assert out.stdout.strip() == "False"
 
 
-def test_fairmiss_run_leaves_scipy_optimize_unloaded(tmp_path):
-    # fits load L-BFGS-B's extension file on its own (optim.load_lbfgsb)
-    body = ("[data]\nsource = synthetic\n\n[method]\nname = clustering\nk_min = 200\n\n"
-            "[intervention]\nname = penalty\ntau = 0.1, 10\n\n[sweep]\nrepeats = 1\n\n"
-            f"[output]\ndir = {tmp_path / 'out'}\n")
+CLUSTERING_RUN = ("[data]\nsource = synthetic\n\n[method]\nname = clustering\nk_min = 200\n\n"
+                  "[intervention]\nname = penalty\ntau = 0.1, 10\n\n[sweep]\nrepeats = 1\n\n")
+EXACT_TABLE_RUN = ("[data]\nsource = theorem1\nalpha0 = 0.2\n\n"
+                   "[intervention]\nname = eqodds\nepsilon = 0, 0.1\n\n")
+
+
+@pytest.mark.parametrize("argv, body", [(["run"], CLUSTERING_RUN),
+                                        (["theorem1", "--alpha", "0.25"], None),
+                                        (["run"], EXACT_TABLE_RUN)],
+                         ids=["clustering", "theorem1", "exact-table"])
+def test_fairmiss_run_leaves_scipy_optimize_unloaded(tmp_path, argv, body):
+    if body is not None:  # a run of this config body, writing to tmp_path/out
+        body += f"[output]\ndir = {tmp_path / 'out'}\n"
+        argv = argv + [str(write_config(tmp_path, body))]
     code = ("import sys; from fairmiss import cli; code = cli.main(sys.argv[1:]); "
             "print('scipy.optimize' in sys.modules); sys.exit(code)")
-    out = fresh_python(code, "run", str(write_config(tmp_path, body)))
+    out = fresh_python(code, *argv)
     assert out.returncode == 0, out.stderr
     assert out.stdout.splitlines()[-1] == "False"
-    for name in ("raw.csv", "summary.csv", "pareto.csv"):
-        assert (tmp_path / "out" / name).is_file()
+    if body is not None:
+        for name in ("raw.csv", "summary.csv", "pareto.csv"):
+            assert (tmp_path / "out" / name).is_file()
 
 
 def test_a_fit_then_import_scipy_optimize_share_one_lbfgsb_module():

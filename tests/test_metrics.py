@@ -1,6 +1,10 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
+from fairmiss import metrics
 from fairmiss.data import Dataset
 from fairmiss.errors import ValidationError
 from fairmiss.metrics import (
@@ -18,9 +22,25 @@ from oracles import (
     bayes_accuracy,
     binary_entropy,
     conditional_entropy,
+    exact_best_fair_gain,
     mutual_info_my,
+    reference_best_fair_accuracy,
+    table_gap_rows,
     table_to_dataset,
 )
+
+
+@st.composite
+def joint_tables(draw, cell):
+    """Tables of 1-3 groups and 2-4 feature values, each cell 0 or drawn
+    from ``cell``, normalized (one cell is 1 before that if all are 0)."""
+    groups, values = draw(st.integers(1, 3)), draw(st.integers(2, 4))
+    size = 2 * groups * values
+    p = np.array(draw(st.lists(st.just(0.0) | cell, min_size=size, max_size=size)))
+    if not p.sum() > 0:
+        p[0] = 1.0
+    return JointTable(tuple(range(groups)), tuple(float(i) for i in range(values)),
+                      p.reshape(groups, values, 2) / p.sum())
 
 
 def eight_sample_dataset():
@@ -165,11 +185,40 @@ class TestExactOracle:
             for lo, hi in zip(values, values[1:]):
                 assert hi >= lo - 1e-9
 
-    def test_domain_cap(self):
-        p = np.full((1, 17, 2), 1.0 / 34)
-        table = JointTable((0,), tuple(float(i) for i in range(17)), p)
-        with pytest.raises(ValidationError):
+    @pytest.mark.parametrize("groups, values", [(1, 17), (5, 6)])
+    def test_domain_cap(self, groups, values, monkeypatch):
+        # 2**17 bases, and comb(26, 6) * 2**6 with 20 gap pairs: both raise
+        # before any basis is built
+        def no_bases(opposite, n):
+            raise AssertionError("bases built past the cap")
+
+        monkeypatch.setattr(metrics, "_bases", no_bases)
+        p = np.full((groups, values, 2), 1.0 / (2 * groups * values))
+        table = JointTable(tuple(range(groups)), tuple(float(i) for i in range(values)), p)
+        with pytest.raises(ValidationError, match="too large for the exact oracle"):
             best_fair_accuracy(table, 0.1)
+
+    # small integer weights: HiGHS's feasibility tolerance, 1e-10 at its
+    # tightest, is absolute, so on a gap row of norm near it HiGHS's optimum
+    # can be off by 0.4 (a table with a 1e-13 cell); the next test covers
+    # such tables exactly
+    @given(joint_tables(st.integers(1, 20).map(float)), st.floats(0.0, 1.0))
+    def test_vertex_solve_matches_lp(self, table, epsilon):
+        value, h = best_fair_accuracy(table, epsilon)
+        expected, _ = reference_best_fair_accuracy(table, epsilon)
+        assert abs(value - expected) <= 1e-9
+        assert h.shape == (len(table.x_values),) and ((0.0 <= h) & (h <= 1.0)).all()
+        assert (np.abs(table_gap_rows(table) @ h) <= epsilon + 2 * metrics._TOL).all()
+
+    @given(joint_tables(st.floats(0.0, 1.0)), st.floats(0.0, 1.0))
+    def test_vertex_solve_is_exact_up_to_its_tolerance(self, table, epsilon):
+        # the solver's vertices hold every row within its slack, so its
+        # optimum lies between the exact optima at epsilon and epsilon + 2 tol
+        value, _ = best_fair_accuracy(table, epsilon)
+        gain = value - float(table.probs[:, :, 0].sum())
+        low = exact_best_fair_gain(table, epsilon)
+        high = exact_best_fair_gain(table, Fraction(epsilon) + Fraction(2 * metrics._TOL))
+        assert float(low) - 1e-12 <= gain <= float(high) + 1e-12
 
     @pytest.mark.parametrize("epsilon", [-0.1, np.nan, np.inf])
     def test_epsilon_must_be_finite_and_non_negative(self, epsilon):
