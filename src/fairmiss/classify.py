@@ -2,14 +2,15 @@
 ensemble for data with missing values.
 
 The in-processing intervention adds a smooth score-disparity penalty to the
-logistic loss; the post-processing intervention solves the small randomized
-equalized-odds linear program exactly, by enumerating its vertices, and
-takes the least-flip vertex among the most accurate ones. Every trained
-model is a ``LinearModel``: logistic weights and, for eqodds, their flip
-rates. The bagging ensemble resamples within (group, label) cells, imputes
-and indicator-encodes each bag separately, trains one LinearModel per bag,
-and aggregates by a uniformly random pick or by score averaging. Predictors
-read encoded rows only; the caller encodes.
+logistic loss; the post-processing intervention tabulates the base
+predictions by (group, base prediction, label), enumerates the vertices of
+that table's randomized equalized-odds program (``metrics.fair_vertices``,
+the exact oracle's program) and takes the least-flip vertex among the most
+accurate ones. Every trained model is a ``LinearModel``: logistic weights
+and, for eqodds, their flip rates. The bagging ensemble resamples within
+(group, label) cells, imputes and indicator-encodes each bag separately,
+trains one LinearModel per bag, and aggregates by a uniformly random pick or
+by score averaging. Predictors read encoded rows only; the caller encodes.
 """
 
 from __future__ import annotations
@@ -122,48 +123,13 @@ class PostprocessRates:
         return table[at, pred.astype(np.intp)]
 
 
-@dataclass(frozen=True)
-class EqoddsProgram:
-    """The epsilon-free inputs of ``postprocess_eqodds`` over v = (a_g0, b_g0,
-    a_g1, b_g1), where a_g and b_g are Pr(output 1 | group g, base prediction
-    1 and 0): the constraint rows from the base predictor's rate table, and
-    the accuracy gain per unit of v from the cell probabilities (``const`` is
-    the accuracy at v = 0)."""
-
-    groups: tuple
-    rows: np.ndarray
-    gain: np.ndarray
-    const: float
-
-    @classmethod
-    def from_rates(cls, groups, base: dict, p_sy: dict) -> "EqoddsProgram":
-        """The program of two groups' base rate table (s, y) -> Pr(base
-        prediction 1 | s, y) and their cell probabilities (s, y) -> Pr(s, y)."""
-
-        def rate_row(s_i, y):
-            r = base[(groups[s_i], y)]
-            row = np.zeros(4)
-            row[2 * s_i] = r
-            row[2 * s_i + 1] = 1.0 - r
-            return row
-
-        tpr0, tpr1 = rate_row(0, 1), rate_row(1, 1)
-        fpr0, fpr1 = rate_row(0, 0), rate_row(1, 0)
-        gain = (
-            p_sy[(groups[0], 1)] * tpr0
-            + p_sy[(groups[1], 1)] * tpr1
-            - p_sy[(groups[0], 0)] * fpr0
-            - p_sy[(groups[1], 0)] * fpr1
-        )
-        rows = np.vstack([tpr0 - tpr1, tpr1 - tpr0, fpr0 - fpr1, fpr1 - fpr0,
-                          np.eye(4), -np.eye(4)])
-        return cls((groups[0], groups[1]), rows, gain,
-                   p_sy[(groups[0], 0)] + p_sy[(groups[1], 0)])
-
-
-def eqodds_program(scores, ds) -> EqoddsProgram:
-    """Validate the scores and build the program of their base predictions
-    (scores at or above THRESHOLD predict 1)."""
+def eqodds_program(scores, ds) -> metrics.JointTable:
+    """Validate the scores and tabulate their base predictions (scores at or
+    above THRESHOLD predict 1): the joint table over (group, x, label) with
+    x = 2 * group index + 1 - base prediction, whose x_values are those
+    (group, base prediction) pairs. A classifier h on it is v = (a_g0, b_g0,
+    a_g1, b_g1), where a_g and b_g are Pr(output 1 | group g, base
+    prediction 1 and 0)."""
     scores = np.asarray(scores, dtype=np.float64)
     if scores.shape != ds.labels.shape:
         raise ValidationError("score length must equal dataset size")
@@ -172,24 +138,24 @@ def eqodds_program(scores, ds) -> EqoddsProgram:
         raise ValidationError("equalized-odds post-processing supports exactly 2 groups")
     if scores.min() < 0.0 or scores.max() > 1.0:
         raise ValidationError("scores must lie in [0, 1]")
-    base = metrics.group_rates((scores >= THRESHOLD).astype(np.int64), ds)
-    n = ds.labels.shape[0]
-    p_sy = {cell: idx.size / n for cell, idx in ds.cells()}
-    return EqoddsProgram.from_rates(groups, base, p_sy)
+    g = np.searchsorted(groups, ds.sensitive)
+    x = 2 * g + 1 - (scores >= THRESHOLD)
+    counts = np.bincount(8 * g + 2 * x + ds.labels, minlength=16).reshape(2, 4, 2)
+    empty = np.argwhere(counts.sum(axis=1) == 0)  # in ds.cells() order
+    if empty.size:
+        s, y = empty[0]
+        raise ValidationError(f"empty cell (s={groups[s]}, y={y}): rates undefined")
+    pairs = tuple((group, b) for group in groups for b in (1, 0))
+    return metrics.JointTable(groups, pairs, counts / ds.labels.shape[0])
 
 
-# Rows of the equalized-odds program over v = (a_g0, b_g0, a_g1, b_g1):
-# +/- the TPR gap and +/- the FPR gap (rows 0-3), v_j <= 1 (rows 4-7) and
-# -v_j <= 0 (rows 8-11), in the opposite pairs that metrics._bases reads.
-_OPPOSITE = ((0, 1), (2, 3)) + tuple((4 + j, 8 + j) for j in range(4))
-_BASES = metrics._bases(_OPPOSITE, 4)  # 240, built once
-_FLIP = np.array([-1.0, 1.0, -1.0, 1.0])  # flip mass, less its constant 2
+_FLIP = np.array([-1.0, 1.0, -1.0, 1.0])  # flip mass of v, less its constant 2
 
 
-def postprocess_eqodds(program: EqoddsProgram, epsilon: float) -> PostprocessRates:
+def postprocess_eqodds(table: metrics.JointTable, epsilon: float) -> PostprocessRates:
     """Exact accuracy-optimal randomized equalized-odds repair for two groups.
 
-    ``program`` is ``eqodds_program(scores, ds)``: the base prediction
+    ``table`` is ``eqodds_program(scores, ds)``: the base prediction
     thresholds the scores at THRESHOLD. The output mixes each (group, base
     prediction) with probabilities v that maximize accuracy on the fitting
     data over the polytope |FPR gap| <= epsilon, |FNR gap| <= epsilon,
@@ -197,34 +163,24 @@ def postprocess_eqodds(program: EqoddsProgram, epsilon: float) -> PostprocessRat
     the one flipping the least mass, so an already fair base predictor stays
     untouched.
 
-    ``metrics._vertices`` lists the polytope's vertices, as it does for the
-    exact oracle. The least flip mass over the optimal face is taken at one
-    of its vertices, which are vertices of the polytope, so no second
-    program is needed. Ties in flip mass (within 1e-13) go to the more
-    accurate vertex, then to the first basis in ``_BASES``' order.
+    ``metrics.fair_vertices`` lists the polytope's vertices: it is the exact
+    oracle's program on this table. The least flip mass over the optimal
+    face is taken at one of its vertices, which are vertices of the
+    polytope, so no second program is needed. Ties in flip mass (within
+    1e-13) go to the more accurate vertex, then to the first basis in
+    ``metrics._bases``' order.
     """
-    metrics.check_epsilon(epsilon)
-    rows, gain = program.rows, program.gain
-    # every gap lies in [-1, 1], so an epsilon above 1 constrains nothing;
-    # capping it keeps the vertex arithmetic finite
-    rhs = np.concatenate([np.full(4, min(float(epsilon), 2.0)), np.ones(4), np.zeros(4)])
-    vertices = metrics._vertices(rows, rhs, _BASES)
-    accuracy = vertices @ gain
+    vertices, c, base = metrics.fair_vertices(table, epsilon)
+    accuracy = vertices @ c
     face = vertices[accuracy >= accuracy.max() - 1e-12]
     mass = face @ _FLIP
     tied = np.flatnonzero(mass <= mass.min() + 1e-13)
-    v = face[tied[np.argmax(face[tied] @ gain)]]
-    g0, g1 = program.groups
-    flip = {
-        (g0, 1): float(1.0 - v[0]),
-        (g0, 0): float(v[1]),
-        (g1, 1): float(1.0 - v[2]),
-        (g1, 0): float(v[3]),
-    }
+    v = face[tied[np.argmax(face[tied] @ c)]]
+    flip = {(g, b): float(1.0 - vx if b else vx) for (g, b), vx in zip(table.x_values, v)}
     log.debug("eqodds solve: epsilon %g, training accuracy %.6f -> %.6f, flip mass "
-              "%.6f, %d vertices examined", epsilon, program.const + gain[0] + gain[2],
-              program.const + float(v @ gain), sum(flip.values()), len(vertices))
-    return PostprocessRates((g0, g1), flip)
+              "%.6f, %d vertices examined", epsilon, base + c[0] + c[2],
+              base + float(v @ c), sum(flip.values()), len(vertices))
+    return PostprocessRates(table.groups, flip)
 
 
 def apply_postprocess(rates: PostprocessRates, base_predictions, sensitive,
@@ -280,14 +236,14 @@ class TrainingSet:
     """An encoded training set that serves a whole intervention grid.
 
     ``train`` fits none and the penalty anew at each call. eqodds
-    post-processes the plain model at every epsilon; that model and its
-    epsilon-free ``EqoddsProgram`` are built at the first eqodds call and kept,
-    so a grid of epsilons trains the model and tallies its rates once.
+    post-processes the plain model at every epsilon; that model and the
+    table of its base predictions are built at the first eqodds call and
+    kept, so a grid of epsilons trains the model and tallies the table once.
     """
 
     def __init__(self, enc: EncodedDataset):
         self.enc = enc
-        self._plain = None  # (plain LinearModel, its EqoddsProgram)
+        self._plain = None  # (plain LinearModel, its eqodds_program table)
 
     def train(self, interv: Intervention) -> LinearModel:
         """The LinearModel of ``train_intervention``."""
@@ -296,8 +252,8 @@ class TrainingSet:
         if self._plain is None:
             model = train_intervention(self.enc, Intervention())
             self._plain = model, eqodds_program(model.scores(self.enc), self.enc)
-        model, program = self._plain
-        return replace(model, rates=postprocess_eqodds(program, interv.epsilon))
+        model, table = self._plain
+        return replace(model, rates=postprocess_eqodds(table, interv.epsilon))
 
 
 @dataclass(frozen=True)

@@ -1,9 +1,12 @@
 """Fairness/accuracy metrics, Pareto filtering, and exact joint tables with
-their mask-label mutual information (in bits) and constrained-accuracy oracle.
+their mask-label mutual information (in bits) and their equalized-odds
+program, which both the constrained-accuracy oracle and eqodds
+post-processing solve.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from math import comb
@@ -139,15 +142,14 @@ class JointTable:
         return JointTable(self.groups, tuple(values), probs)
 
 
-def best_fair_accuracy(table: JointTable, epsilon: float):
-    """Exact optimum of accuracy over randomized classifiers h: x -> Pr(y=1|x)
-    subject to equalized odds with tolerance ``epsilon``.
-
-    A linear program with one variable per feature-domain point, the box
-    0 <= h <= 1 and a pair of gap rows per (label, group pair); pairs whose
-    conditioning cell has zero probability are skipped. ``_vertices`` solves
-    it; a table needing over ``_MAX_BASES`` bases is a ValidationError.
-    Returns (value, h) with h the first optimal vertex.
+def fair_vertices(table: JointTable, epsilon: float):
+    """The equalized-odds program of ``table``: randomized classifiers h: x ->
+    Pr(output 1 | x), with the box 0 <= h <= 1 and a pair of gap rows
+    |a . h| <= epsilon per (label, group pair), a the difference of the two
+    groups' Pr(x | s, y); pairs whose conditioning cell has zero probability
+    are skipped. Returns (vertices, c, base): the program's vertices from
+    ``_vertices``, in ``_bases``' order, and the accuracy base + c . h. A
+    table needing over ``_BASIS_CAP`` bases is a ValidationError.
     """
     check_epsilon(epsilon)
     n = len(table.x_values)
@@ -161,15 +163,22 @@ def best_fair_accuracy(table: JointTable, epsilon: float):
             for y in (0, 1) for i, j in itertools.combinations(range(len(table.groups)), 2)
             if p_sy[i, y] > 0 and p_sy[j, y] > 0]
     k = len(gaps)
-    if comb(k + n, n) * 2 ** n > _MAX_BASES:
-        raise ValidationError(f"table too large for the exact oracle: over {_MAX_BASES} bases")
+    if comb(k + n, n) * 2 ** n > _BASIS_CAP:
+        raise ValidationError(f"table too large for the exact oracle: over {_BASIS_CAP} bases")
     # the gap rows and h <= 1, then their opposites -gap and -h <= 0; every
     # gap lies in [-1, 1], so capping epsilon keeps the arithmetic finite
     half = np.vstack(gaps + [np.eye(n)])
     eps = np.full(k, min(float(epsilon), 2.0))
     rhs = np.concatenate([eps, np.ones(n), eps, np.zeros(n)])
-    opposite = tuple((i, i + k + n) for i in range(k + n))
-    vertices = _vertices(np.vstack([half, -half]), rhs, _bases(opposite, n))
+    return _vertices(np.vstack([half, -half]), rhs, _bases(k, n)), c, base
+
+
+def best_fair_accuracy(table: JointTable, epsilon: float):
+    """Exact optimum of accuracy over randomized classifiers h: x -> Pr(y=1|x)
+    subject to equalized odds with tolerance ``epsilon``: the program of
+    ``fair_vertices``. Returns (value, h) with h the first optimal vertex.
+    """
+    vertices, c, base = fair_vertices(table, epsilon)
     h = vertices[np.argmax(vertices @ c)]
     return base + float(c @ h), h
 
@@ -179,16 +188,21 @@ def best_fair_accuracy(table: JointTable, epsilon: float):
 # ---------------------------------------------------------------------------
 
 _TOL = 1e-13  # slack on every row: rounding, not a looser program
-_MAX_BASES = 2 ** 14  # the exact oracle's largest solve peaks at 57 MB
+_BASIS_CAP = 2 ** 14  # the exact oracle's largest solve peaks at 57 MB
 
 
-def _bases(opposite, n: int) -> np.ndarray:
-    """Every basis of a program in n variables that can be nonsingular: n
-    of its pairs of opposite, parallel rows ``opposite`` (a row and its
-    negation, the two bounds on one coordinate), one row of each."""
-    return np.array([tuple(pair[side] for pair, side in zip(pairs, sides))
-                     for pairs in itertools.combinations(opposite, n)
-                     for sides in itertools.product((0, 1), repeat=n)])
+@functools.cache
+def _bases(k: int, n: int) -> np.ndarray:
+    """Every basis that can be nonsingular of a program in n variables with
+    k gap rows, laid out as in ``fair_vertices``: n of its opposite pairs
+    (i, i + k + n) (a row and its negation, or the two bounds on one
+    coordinate), one row of each. Cached per (k, n), so read-only."""
+    opposite = [(i, i + k + n) for i in range(k + n)]
+    bases = np.array([tuple(pair[side] for pair, side in zip(pairs, sides))
+                      for pairs in itertools.combinations(opposite, n)
+                      for sides in itertools.product((0, 1), repeat=n)])
+    bases.setflags(write=False)
+    return bases
 
 
 def _vertices(rows, rhs, bases) -> np.ndarray:

@@ -13,7 +13,6 @@ from scipy.optimize import linprog, minimize
 
 from fairmiss import metrics
 from fairmiss.classify import (
-    EqoddsProgram,
     Intervention,
     LinearModel,
     PostprocessRates,
@@ -54,7 +53,8 @@ def uniform_mixture_rates(rate_tables) -> dict:
 # ---------------------------------------------------------------------------
 # equalized-odds post-processing as two scipy linear programs, as
 # ``classify.postprocess_eqodds`` solved it before it enumerated vertices, and
-# the same two programs solved exactly in rational arithmetic
+# the same two programs on its (group, base prediction) table solved exactly
+# in rational arithmetic
 # ---------------------------------------------------------------------------
 
 def reference_postprocess_eqodds(scores, ds, epsilon: float) -> PostprocessRates:
@@ -133,42 +133,45 @@ def reference_eqodds_rates(groups, base: dict, p_sy: dict, epsilon: float) -> Po
     return PostprocessRates((groups[0], groups[1]), flip)
 
 
-def exact_best_accuracy(program: EqoddsProgram, epsilon) -> Fraction:
-    """The optimum of the accuracy program of ``postprocess_eqodds``, in
-    rational arithmetic, by visiting every vertex: the exact optimum of the
+def rates_table(groups, base: dict, p_sy: dict) -> metrics.JointTable:
+    """The ``classify.eqodds_program`` table of two groups' base rate table
+    (s, y) -> Pr(base prediction 1 | s, y) and their cell probabilities
+    (s, y) -> Pr(s, y)."""
+    probs = np.zeros((2, 4, 2))
+    for si, s in enumerate(groups):
+        for y in (0, 1):
+            probs[si, 2 * si, y] = p_sy[(s, y)] * base[(s, y)]
+            probs[si, 2 * si + 1, y] = p_sy[(s, y)] * (1.0 - base[(s, y)])
+    return metrics.JointTable(groups, tuple((s, b) for s in groups for b in (1, 0)), probs)
+
+
+def exact_best_accuracy(table, epsilon) -> Fraction:
+    """The optimum of the accuracy program of ``postprocess_eqodds`` on an
+    ``eqodds_program`` table, in rational arithmetic: the exact optimum of the
     program the solver is given, its float rows read as exact numbers."""
-    return max(map(_exact_accuracy(program), _exact_vertices(_gap_rows(program, epsilon))))
+    return _exact_program(table, epsilon)[2] + exact_best_fair_gain(table, epsilon)
 
 
-def exact_least_flip(program: EqoddsProgram, epsilon, floor) -> list:
+def exact_least_flip(table, epsilon, floor) -> list:
     """[(flip mass, accuracy, v) for every vertex of {gaps <= epsilon,
     accuracy >= floor}], the former second program of ``postprocess_eqodds``
     (least flip mass above an accuracy cut) with its cut at ``floor``, all
     exact, with v = (a_g0, b_g0, a_g1, b_g1). Its least flip mass is at most
     that of any point of the program at or above the cut."""
-    accuracy = _exact_accuracy(program)
-    cut = ([-Fraction(x) for x in program.gain], Fraction(program.const) - Fraction(floor))
-    return [(2 - v[0] + v[1] - v[2] + v[3], accuracy(v), v)
-            for v in _exact_vertices(_gap_rows(program, epsilon) + [cut])]
+    rows, c, base = _exact_program(table, epsilon)
+    cut = ([-x for x in c], base - Fraction(floor))
+    return [(2 - v[0] + v[1] - v[2] + v[3], base + _dot(c, v), v)
+            for v in _exact_vertices(rows + [cut])]
 
 
-def exact_face_least_flip(program: EqoddsProgram, epsilon, floor) -> list:
+def exact_face_least_flip(table, epsilon, floor) -> list:
     """[(flip mass, accuracy, v) for every vertex of {gaps <= epsilon} whose
     accuracy is at least ``floor``], all exact: the vertices that
     ``postprocess_eqodds`` picks its least flip from, with its face at
     ``floor``."""
-    accuracy = _exact_accuracy(program)
-    return [(2 - v[0] + v[1] - v[2] + v[3], accuracy(v), v)
-            for v in _exact_vertices(_gap_rows(program, epsilon)) if accuracy(v) >= floor]
-
-
-def _exact_accuracy(program: EqoddsProgram):
-    gain = [Fraction(x) for x in program.gain]
-    return lambda v: Fraction(program.const) + sum(x * y for x, y in zip(gain, v))
-
-
-def _gap_rows(program: EqoddsProgram, epsilon) -> list:
-    return [([Fraction(x) for x in a], Fraction(epsilon)) for a in program.rows[:4]]
+    rows, c, base = _exact_program(table, epsilon)
+    out = [(2 - v[0] + v[1] - v[2] + v[3], base + _dot(c, v), v) for v in _exact_vertices(rows)]
+    return [entry for entry in out if entry[1] >= floor]
 
 
 def _exact_vertices(rows, n=4) -> list:
@@ -252,17 +255,29 @@ def reference_best_fair_accuracy(table, epsilon: float):
 
 
 def exact_best_fair_gain(table, epsilon) -> Fraction:
-    """The optimum of ``reference_best_fair_accuracy``'s program less its
-    constant Pr(y = 0), in rational arithmetic, by visiting every vertex:
-    the exact optimum of the program the solver is given, its float rows
-    read as exact numbers."""
-    c = table.probs[:, :, 1].sum(axis=0) - table.probs[:, :, 0].sum(axis=0)
+    """The optimum of ``metrics.fair_vertices``' program less its constant
+    Pr(y = 0), in rational arithmetic, by visiting every vertex: the exact
+    optimum of the program the solver is given, its float rows read as exact
+    numbers."""
+    rows, c, _ = _exact_program(table, epsilon)
+    return max(_dot(c, v) for v in _exact_vertices(rows, len(c)))
+
+
+def _exact_program(table, epsilon):
+    """``metrics.fair_vertices``' program as exact numbers: the rows (a,
+    epsilon) and (-a, epsilon) per row a of ``table_gap_rows``, the accuracy
+    gain c per unit of h and the accuracy at h = 0."""
+    p_xy0 = table.probs[:, :, 0].sum(axis=0)
+    c = [Fraction(x) for x in table.probs[:, :, 1].sum(axis=0) - p_xy0]
     rows = []
     for a in table_gap_rows(table):
         row = [Fraction(x) for x in a]
         rows += [(row, Fraction(epsilon)), ([-x for x in row], Fraction(epsilon))]
-    return max(sum(Fraction(x) * y for x, y in zip(c, v))
-               for v in _exact_vertices(rows, len(c)))
+    return rows, c, Fraction(float(p_xy0.sum()))
+
+
+def _dot(a, b):
+    return sum(x * y for x, y in zip(a, b))
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,6 @@ from hypothesis.extra import numpy as hnp
 from fairmiss import classify, metrics
 from fairmiss.classify import (
     ENSEMBLE_MODES,
-    EqoddsProgram,
     FairEnsemble,
     Intervention,
     LinearModel,
@@ -44,6 +43,7 @@ from oracles import (
     mixed_rate_table,
     model_from_text,
     model_to_text,
+    rates_table,
     reference_objective,
     sigmoid,
     train_logreg,
@@ -403,8 +403,8 @@ def flips_of(v):
           {(0, 0): 0.2, (0, 1): 0.2, (1, 0): 0.2, (1, 1): 0.4}, 0.0))
 def test_vertex_solve_is_the_exact_optimum_up_to_its_tolerance(case):
     base, p_sy, epsilon = case
-    program = EqoddsProgram.from_rates((0, 1), base, p_sy)
-    flip = postprocess_eqodds(program, epsilon).flip
+    table = rates_table((0, 1), base, p_sy)
+    flip = postprocess_eqodds(table, epsilon).flip
     acc, mass = accuracy_and_mass(flip, base, p_sy)
     mixed = mixed_rate_table(PostprocessRates((0, 1), flip), base)
     assert all(0.0 <= f <= 1.0 for f in flip.values())
@@ -425,12 +425,12 @@ def test_vertex_solve_is_the_exact_optimum_up_to_its_tolerance(case):
     # then use its row slack, and ``tight`` takes the gap rows of ``loose``.
     # Where the two optima agree, the flips must match them.
     slack = Fraction(2 * metrics._TOL)
-    best = exact_best_accuracy(program, epsilon)
-    best_loose = exact_best_accuracy(program, Fraction(epsilon) + slack)
-    loose = exact_least_flip(program, Fraction(epsilon) + slack, best - Fraction(1e-12) - slack)
+    best = exact_best_accuracy(table, epsilon)
+    best_loose = exact_best_accuracy(table, Fraction(epsilon) + slack)
+    loose = exact_least_flip(table, Fraction(epsilon) + slack, best - Fraction(1e-12) - slack)
     floor = best_loose - Fraction(1e-12) + slack
-    tight = (exact_face_least_flip(program, epsilon, floor)
-             or exact_face_least_flip(program, Fraction(epsilon) + slack, floor))
+    tight = (exact_face_least_flip(table, epsilon, floor)
+             or exact_face_least_flip(table, Fraction(epsilon) + slack, floor))
     assert float(best - Fraction(1e-12) - slack) <= acc <= float(best_loose) + 1e-15
     least = min(m for m, _, _ in tight)
     assert float(min(m for m, _, _ in loose)) - 1e-15 <= mass <= float(least) + 1e-12
@@ -446,10 +446,10 @@ def test_solves_what_the_scipy_programs_called_infeasible():
     # the least-flip program infeasible, so the intervention failed
     base = {(0, 0): 0.0, (0, 1): 0.0, (1, 0): 0.0, (1, 1): 1e-09}
     p_sy = {(0, 0): 2 / 410, (0, 1): 2 / 410, (1, 0): 204 / 410, (1, 1): 202 / 410}
-    program = EqoddsProgram.from_rates((0, 1), base, p_sy)
-    flip = postprocess_eqodds(program, 0.0).flip
-    best = exact_best_accuracy(program, 0.0)
-    least = min(m for m, _, _ in exact_least_flip(program, 0.0, best - Fraction(1e-12)))
+    table = rates_table((0, 1), base, p_sy)
+    flip = postprocess_eqodds(table, 0.0).flip
+    best = exact_best_accuracy(table, 0.0)
+    least = min(m for m, _, _ in exact_least_flip(table, 0.0, best - Fraction(1e-12)))
     acc, mass = accuracy_and_mass(flip, base, p_sy)
     assert abs(acc - float(best)) <= 1e-12 and abs(mass - float(least)) <= 1e-12
 
@@ -461,12 +461,12 @@ def test_least_flip_is_stable_under_rounding_of_the_cell_probabilities():
     # the cell probabilities
     base = {(0, 0): 0.0, (0, 1): 0.0, (1, 0): 1.0, (1, 1): 1 - 1e-9}
     p_sy = {(0, 0): 1 / 6, (0, 1): 1 / 6, (1, 0): 1 / 6, (1, 1): 1 / 2}
-    flip = postprocess_eqodds(EqoddsProgram.from_rates((0, 1), base, p_sy), 0.02).flip
+    flip = postprocess_eqodds(rates_table((0, 1), base, p_sy), 0.02).flip
     assert flip[(1, 0)] == 1.0
     rng = np.random.default_rng(0)
     for _ in range(200):
         nudged = {c: p + int(rng.integers(-4, 5)) * np.spacing(p) for c, p in p_sy.items()}
-        moved = postprocess_eqodds(EqoddsProgram.from_rates((0, 1), base, nudged), 0.02).flip
+        moved = postprocess_eqodds(rates_table((0, 1), base, nudged), 0.02).flip
         assert all(abs(moved[k] - flip[k]) <= 1e-12 for k in flip)
 
 
@@ -557,6 +557,16 @@ class TestPostprocess:
         want = mixed_rate_table(rates, group_rates((scores >= 0.5).astype(int), ds))
         for k in want:
             assert got[k] == pytest.approx(want[k], abs=0.03)
+
+    @pytest.mark.parametrize("cell", [(0, 0), (0, 1), (1, 0), (1, 1)])
+    def test_empty_cell_has_undefined_rates(self, cell):
+        sens = np.array([0, 0, 0, 0, 1, 1, 1, 1])
+        labels = np.array([0, 0, 1, 1, 0, 0, 1, 1])
+        keep = np.flatnonzero((sens != cell[0]) | (labels != cell[1]))
+        ds = Dataset(np.zeros((keep.size, 1)), sens[keep], labels[keep])
+        with pytest.raises(ValidationError, match=re.escape(
+                f"empty cell (s={cell[0]}, y={cell[1]}): rates undefined")):
+            eqodds_program(np.full(keep.size, 0.5), ds)
 
     def test_more_than_two_groups_rejected(self, rng):
         ds = Dataset(np.zeros((6, 1)), [0, 1, 2, 0, 1, 2], [0, 0, 0, 1, 1, 1])

@@ -764,8 +764,8 @@ def fresh_python(code, *args):
 
 def test_import_leaves_scipy_optimize_unloaded():
     # scipy.optimize costs about 0.4 s and 48 MB; no fairmiss module imports
-    # it: fits load L-BFGS-B's extension file on its own, and both small
-    # linear programs are solved by metrics._vertices
+    # it: fits load L-BFGS-B's extension file on its own, and the one
+    # equalized-odds program is solved by metrics.fair_vertices
     out = fresh_python("import sys, fairmiss.harness; print('scipy.optimize' in sys.modules)")
     assert out.stdout.strip() == "False"
 

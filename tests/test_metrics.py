@@ -189,7 +189,7 @@ class TestExactOracle:
     def test_domain_cap(self, groups, values, monkeypatch):
         # 2**17 bases, and comb(26, 6) * 2**6 with 20 gap pairs: both raise
         # before any basis is built
-        def no_bases(opposite, n):
+        def no_bases(k, n):
             raise AssertionError("bases built past the cap")
 
         monkeypatch.setattr(metrics, "_bases", no_bases)
