@@ -136,7 +136,7 @@ def eqodds_program(scores, ds) -> metrics.JointTable:
     groups = ds.group_set
     if len(groups) != 2:
         raise ValidationError("equalized-odds post-processing supports exactly 2 groups")
-    if scores.min() < 0.0 or scores.max() > 1.0:
+    if not ((scores >= 0.0) & (scores <= 1.0)).all():  # NaN fails too
         raise ValidationError("scores must lie in [0, 1]")
     g = np.searchsorted(groups, ds.sensitive)
     x = 2 * g + 1 - (scores >= THRESHOLD)

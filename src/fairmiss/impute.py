@@ -103,10 +103,11 @@ class MeanImputer(Imputer):
 
 # Twice the entries of one block of KNNImputer's screen. A block holds cells of
 # one feature, one float32 entry per (cell, distinct training row observing the
-# feature), or one cell where it alone needs more; the screen holds about four
-# such arrays at once (128 KB each). A block only screens, so larger blocks save
-# a fixed number of numpy calls per block but leave the cache. The exact stage's
-# float64 distances go in chunks of a quarter as many (pair, coordinate) entries.
+# feature), or one cell where it alone needs more; the screen holds the values,
+# their used counts and one comparison mask at once (128 KB, 128 KB and 32 KB).
+# A block only screens, so larger blocks save a fixed number of numpy calls per
+# block but leave the cache. The exact stage's float64 distances go in chunks of
+# a quarter as many (pair, coordinate) entries.
 _KNN_BLOCK_ENTRIES = 1 << 16
 # donors in one segment of the screen, whose threshold is the k-th smallest of
 # a cell's segment minima
@@ -125,17 +126,18 @@ class KNNImputer(Imputer):
     The search screens the byte-distinct training rows (a bootstrap bag
     repeats about a third of its rows) in float32, one feature at a time:
     blocks of a feature's missing cells against the distinct rows observing
-    it. One matrix product per block gives every masked squared distance,
-    and an explicit rounding bound, which covers the float32 inputs, the
-    product form and the float64 search's own rounding, widens each into an
-    interval that holds the exact search's. A cell keeps the donors whose
-    lower end does not exceed the k-th smallest of its segment minima of
-    the upper ends, ``_KNN_SEGMENT`` donors to a segment. That threshold is
-    no tighter than the k-th smallest upper end over distinct rows, itself
-    no tighter than over all training rows, so the shortlist holds all k
-    nearest donors, ties included. Where the values are too large for
-    float32, the screen keeps every distinct row sharing a coordinate with
-    the query row instead.
+    it. One matrix product per block gives every masked squared distance as
+    one float32 value. An explicit rounding bound, which covers the float32
+    inputs, the product form and the float64 search's own rounding, puts
+    the exact search's value within a relative error plus a radius that
+    depends on the query row alone. A cell's threshold is the k-th smallest
+    of its segment minima of the values, ``_KNN_SEGMENT`` donors to a
+    segment, widened by the bound: it is no smaller than the k-th smallest
+    exact value over distinct rows, itself no smaller than over all
+    training rows. The cell keeps every donor whose value the bound allows
+    below that, so the shortlist holds all k nearest donors, ties included.
+    Where the values are too large for float32, the screen keeps every
+    distinct row sharing a coordinate with the query row instead.
 
     One exact stage then takes every block's shortlist at once. It computes
     each shortlisted (cell, distinct row) distance once, with the arithmetic
@@ -239,96 +241,91 @@ class KNNImputer(Imputer):
         # The bound. Take u = eps32 / 2, and eta = the smallest normal float32,
         # which bounds the error of one float32 rounding below the normal
         # range, gradual or flushed to zero. For a pair sharing coordinates S,
-        # E = sum over S of (t - q)^2 and P = sum over S of q^2 + t^2 on the
-        # float64 inputs (E <= 2P). With d < 2^20, gamma(3d) = 3du / (1 - 3du)
-        # <= 3.7du. The screen's s lies within these of E:
+        # E = sum over S of (t - q)^2, Q = sum over S of q^2 and P = sum over S
+        # of q^2 + t^2 on the float64 inputs; t^2 <= 2q^2 + 2(t - q)^2 gives
+        # P <= 3Q + 2E. With d < 2^16, gamma(3d) = 3du / (1 - 3du) <= 3.04du.
+        # The screen's s lies within these of E:
         # - 4.01 u P + 3d eta from rounding q and t to float32, subnormal
         #   inputs included;
         # - 1.01 u P + 2d eta from rounding q^2 and t^2 (P32 <= (1 + 2.01u) P);
-        # - gamma(3d) (2 + u) P32 + 6.5d eta <= 7.41 d u P + 6.5d eta from
+        # - gamma(3d) (2 + u) P32 + 6.5d eta <= 6.1 d u P + 6.5d eta from
         #   summing the 3d products of [q^2, q_obs, -2q] and [t_obs, t^2, t]
         #   in any order, with or without FMA, where each of the 6d
         #   operations may underflow once.
         # The float64 search's own sum E64 lies within 0.01 u P + d eta of E:
-        # it rounds d + 2 times at u64 <= 2^-29 u. Rounding s - slack and
-        # s + slack and scaling them by d / used (>= 1) in float32, against
-        # the float64 search's two roundings of its scaling, moves each end by
-        # at most 3.01 u E64 + 2 eta <= 6.05 u P + 2 eta. So lo <= the exact
-        # search's scaled E64 <= hi once the slack exceeds (7.41d + 11.1) u P
-        # + 14.5d eta. The slack is 8 (d + 2) u on |q|^2 + |t|^2 >= P, plus
-        # 16d eta, rounded to float32 twice (a factor 1 - 2.01u, and eta),
-        # which covers that; 16d eta also keeps hi a normal float32.
+        # it rounds d + 2 times at u64 <= 2^-29 u. So |s - E64| <= b P + 12.5d
+        # eta with b = (6.1d + 5.03) u <= 0.024, and P <= (3Q + 2 E64 + 2d eta)
+        # (1 + 0.03u). Scaling by c = d / used in [1, d], in float32 for the
+        # screen's v and in float64 for the search's D, costs 2.01 u |s| c +
+        # 2.01 eta and 2.01 u64 E64 c; and c Q <= d M, with M the largest q^2
+        # of the query row. Together, with a = 8 (d + 2) u (rel below),
+        #     |v - D| <= (6.2d + 5.1) u 3d M + (12.2d + 12.1) u D
+        #                + (12.6 d^2 + 2.01) eta <= 0.92 (2a D + radius),
+        # radius = d (3a M + 16 d eta): the donor's own norm drops out, so a
+        # far donor widens no cell's threshold. The 8% margin covers the
+        # float64 roundings of the radius and the threshold.
         # Overflow: with B the largest |value|, the product form's partial
-        # sums stay below 5d B^2 and the slack below 2d B^2 (8 (d + 2) u < 1),
-        # so each value of the screen, s * d included, stays below 7.01 d^2 B^2,
-        # under the float32 maximum where 8 d^2 B^2 is.
+        # sums stay below 5d B^2, so each value of the screen, v and its
+        # threshold included, stays below 6 d^2 B^2, under the float32 maximum
+        # where 8 d^2 B^2 is.
         f32 = np.finfo(np.float32)
         big = max(np.abs(t_zero).max(initial=0.0), np.abs(q_zero).max(initial=0.0))
-        if d < 1 << 20 and big <= np.sqrt(f32.max / 8) / d:
+        if d < 1 << 16 and big <= np.sqrt(f32.max / 8) / d:
             rel = 4.0 * (d + 2) * f32.eps
-            q_slack = rel * (q_zero * q_zero).sum(axis=1)
-            t_slack = rel * (t_zero * t_zero).sum(axis=1) + 16.0 * d * f32.tiny
+            radius = d * (3.0 * rel * np.square(q_zero).max(axis=1) + 16.0 * d * f32.tiny)
             q_zero, t_zero = q_zero.astype(np.float32), t_zero.astype(np.float32)
         else:
-            # no value is cast: s = 0 and an infinite slack make lo 0 where
-            # used > 0, so every distinct row sharing a coordinate passes
-            q_slack, t_slack = np.zeros(query.size), np.full(m, np.inf)
+            # no value is cast: v = 0 where used > 0 and an infinite radius,
+            # so every distinct row sharing a coordinate passes
+            rel, radius = 0.0, np.full(query.size, np.inf)
             q_zero, t_zero = np.zeros_like(q_zero, np.float32), np.zeros_like(t_zero, np.float32)
-        q_slack, t_slack = q_slack.astype(np.float32), t_slack.astype(np.float32)
-        # [q^2, q_obs, -2q] @ right[:3d] sums q^2 + t^2 - 2qt over shared
-        # coordinates; right[3d] is the distinct rows' slack
-        right = np.vstack([t_obs.T, (t_zero * t_zero).T, t_zero.T, t_slack])
+        grow = 1.0 / (1.0 - 2.0 * rel)  # at least 1 + 2a
+        # [q^2, q_obs, -2q] @ right sums q^2 + t^2 - 2qt over shared coordinates
+        right = np.vstack([t_obs.T, (t_zero * t_zero).T, t_zero.T])
         left = np.hstack([q_zero * q_zero, q_obs, -2 * q_zero])
         # Each feature's cells are screened against the distinct rows observing
         # it, padded with zero columns to whole segments: a pad shares no
-        # coordinate with any row, so it never passes and its hi is +inf.
+        # coordinate with any row, so its v is NaN and it never passes.
         pairs = [np.empty(0, np.int64)]
         for j in np.unique(cell_col):
             cells, donors = np.flatnonzero(cell_col == j), np.flatnonzero(t_obs[:, j])
             segments = -(-donors.size // _KNN_SEGMENT)
             width = segments * _KNN_SEGMENT
-            cols = np.zeros((3 * d + 1, width), np.float32)
+            cols = np.zeros((3 * d, width), np.float32)
             cols[:, :donors.size] = right[:, donors]
             step = max(1, _KNN_BLOCK_ENTRIES // (2 * width))
             for a in range(0, cells.size, step):
                 block = cells[a:a + step]
                 rows = left[cell_row[block]]
-                # [lo, hi] holds the squared distance of each (cell, donor)
-                # pair, scaled as the exact search scales it. lo is NaN
-                # exactly where used is 0 (0 / 0), so those never pass; hi is
-                # +inf there (fmin turns NaN into +inf).
+                # v is the squared distance of each (cell, donor) pair, scaled
+                # as the exact search scales it; it is NaN exactly where used
+                # is 0 (0 / 0), so those never pass
                 with np.errstate(divide="ignore", invalid="ignore"):
-                    s = rows @ cols[:3 * d]
-                    slack = q_slack[cell_row[block], None] + cols[3 * d]
-                    lo = s - slack
-                    s += slack
-                    del slack
-                    used = rows[:, d:2 * d] @ cols[:d]
-                    lo = _scale(np.fmax(lo, 0.0, out=lo), d, used)
-                    hi = np.fmin(_scale(s, d, used), np.inf, out=s)
-                del used
-                # A cell's threshold is the k-th smallest of its segment minima,
-                # donor i in segment i % segments (+inf with fewer than k
-                # segments): k donors observing the feature have hi at most
-                # that. The exact search compares rounded square roots, and a
-                # donor whose root ties the threshold's can still win on index,
-                # so the cell keeps every donor with lo below the square of the
-                # next double after sqrt(threshold), rounded up. That widening
-                # runs in float64 on the exactly converted threshold; rounding
-                # the result up to a float32 then passes exactly the float32 lo
-                # it passes.
+                    v = _scale(rows @ cols, d, rows[:, d:2 * d] @ cols[:d])
+                # A cell's threshold starts at the k-th smallest of its segment
+                # minima, donor i in segment i % segments (fmin skips NaN; +inf
+                # with fewer than k segments that reach the cell): k donors
+                # have v at most that, so (top + radius) * grow is at least the
+                # k-th smallest D. The exact search compares rounded square
+                # roots, and a donor whose root ties the threshold's can still
+                # win on index, so every donor it picks has D below the square
+                # of the next double after sqrt(threshold), rounded up, and v
+                # at most that times grow plus the radius. Rounding the result
+                # up to a float32 then passes exactly the float32 v it passes.
                 if k <= segments:
-                    top = hi.reshape(block.size, _KNN_SEGMENT, segments).min(axis=1)
+                    top = np.fmin.reduce(v.reshape(block.size, _KNN_SEGMENT, segments), axis=1)
                     top.partition(k - 1, axis=1)
-                    top = top[:, k - 1].astype(np.float64)
+                    top = np.fmin(top[:, k - 1].astype(np.float64), np.inf)
                 else:
                     top = np.full(block.size, np.inf)
-                top = np.nextafter(np.square(np.nextafter(np.sqrt(top), np.inf)), np.inf)
+                r = radius[cell_row[block]]
+                top = np.sqrt((top + r) * grow)
+                top = np.nextafter(np.square(np.nextafter(top, np.inf)), np.inf) * grow + r
                 top32 = top.astype(np.float32)
                 top32 = np.where(top32 < top, np.nextafter(top32, np.float32(np.inf)), top32)
-                cell, col = np.divmod(np.flatnonzero(lo <= top32[:, None]), width)
+                cell, col = np.divmod(np.flatnonzero(v <= top32[:, None]), width)
                 pairs.append(block[cell] * m + donors[col])
-                del lo, hi  # before the next block's intervals are made
+                del v  # before the next block's values are made
         return np.sort(np.concatenate(pairs))
 
 

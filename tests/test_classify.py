@@ -568,6 +568,14 @@ class TestPostprocess:
                 f"empty cell (s={cell[0]}, y={cell[1]}): rates undefined")):
             eqodds_program(np.full(keep.size, 0.5), ds)
 
+    @pytest.mark.parametrize("bad", [np.nan, -0.1, 1.5])
+    def test_scores_outside_the_unit_interval_rejected(self, bad):
+        sens = [0, 0, 0, 0, 1, 1, 1, 1]
+        labels = [0, 0, 1, 1, 0, 0, 1, 1]
+        ds = Dataset(np.zeros((8, 1)), sens, labels)
+        with pytest.raises(ValidationError, match=re.escape("scores must lie in [0, 1]")):
+            eqodds_program([bad, 0.9, 0.2, 0.8, 0.1, 0.1, 0.8, 0.8], ds)
+
     def test_more_than_two_groups_rejected(self, rng):
         ds = Dataset(np.zeros((6, 1)), [0, 1, 2, 0, 1, 2], [0, 0, 0, 1, 1, 1])
         with pytest.raises(ValidationError):

@@ -140,12 +140,15 @@ def assert_fill_matches_reference(imp: KNNImputer, ds: Dataset) -> None:
     assert got.tobytes() == want.tobytes()  # bit for bit, signed zeros too
 
 
-def assert_shortlist_holds_the_nearest(imp: KNNImputer, ds: Dataset) -> int:
+def assert_shortlist_holds_the_nearest(imp: KNNImputer, ds: Dataset,
+                                       at_most: float | None = None) -> int:
     """The screen's invariant: every cell's shortlist holds the distinct rows
     of its k nearest donors and of every donor tying the k-th, by the exact
     search's distances, and only distinct rows that observe the cell's
     feature and share a coordinate with its row (so no padding column
-    leaks). Returns the number of cells with such a tie."""
+    leaks). With ``at_most``, the shortlist also holds at most that many
+    times the pairs it must hold. Returns the number of cells with such a
+    tie."""
     query = np.flatnonzero(ds.mask.any(axis=1))
     cell_row, cell_col = np.nonzero(ds.mask[query])
     with warnings.catch_warnings():
@@ -161,7 +164,7 @@ def assert_shortlist_holds_the_nearest(imp: KNNImputer, ds: Dataset) -> int:
     shortlisted = set(got.tolist())
     distinct_of = np.empty(len(imp.train_), int)
     distinct_of[imp.members_] = np.repeat(np.arange(m), imp.counts_)
-    ties = 0
+    needed, ties = set(), 0
     for c, (i, j) in enumerate(zip(query[cell_row], cell_col)):
         donors = np.flatnonzero(~np.isnan(imp.train_[:, j]))
         with np.errstate(invalid="ignore"):  # no shared coordinate: 0 / 0
@@ -171,8 +174,11 @@ def assert_shortlist_holds_the_nearest(imp: KNNImputer, ds: Dataset) -> int:
         if donors.size == 0:
             continue
         near = dist <= np.sort(dist)[min(imp.k, donors.size) - 1]
-        assert {c * m + r for r in distinct_of[donors[near]].tolist()} <= shortlisted
+        needed |= {c * m + r for r in distinct_of[donors[near]].tolist()}
         ties += np.count_nonzero(near) > imp.k
+    assert needed <= shortlisted
+    if at_most is not None:
+        assert len(shortlisted) <= at_most * len(needed)
     return ties
 
 
@@ -228,8 +234,8 @@ class TestKnnMatchesRowByRowSearch:
 
         monkeypatch.setattr(impute, "_scale", spy)
         assert_fill_matches_reference(imp, ds_from(queries))
-        # _scale runs twice per block, on (cells, padded donors) intervals
-        assert len(scaled) == 2 * -(-m // block)
+        # _scale runs once per block, on its (cells, padded donors) values
+        assert len(scaled) == -(-m // block)
         assert all(shape[1] == segments * impute._KNN_SEGMENT for shape in scaled)
 
     @pytest.mark.parametrize("k", [1, 5, N_TRAIN])
@@ -314,6 +320,9 @@ class TestKnnMatchesRowByRowSearch:
         block = impute._KNN_BLOCK_ENTRIES // (2 * segments * impute._KNN_SEGMENT)
         assert (queries.mask.sum(axis=0)[3:] > 2 * block[3:]).all()
         assert_fill_matches_reference(imp, queries)
+        # the screen is tight: a radius too loose would pass every check above
+        assert_shortlist_holds_the_nearest(imp, queries, at_most=1.6)
+        assert_shortlist_holds_the_nearest(imp, bag, at_most=1.6)
 
     @pytest.mark.parametrize("k", [1, 5, 60])
     def test_bootstrap_bag_on_a_coarse_grid_breaks_ties_by_index(self, rng, k):
@@ -372,7 +381,7 @@ class TestKnnMatchesRowByRowSearch:
         queries = Dataset(queries, np.zeros(60, int), np.zeros(60, int))
         assert tied_cells_interleaving_distinct_rows(imp, queries) >= 10
 
-        # blocks of a few cells; _scale runs twice per block
+        # blocks of a few cells; _scale runs once per block
         monkeypatch.setattr(impute, "_KNN_BLOCK_ENTRIES", 4 * len(imp.distinct_))
         scaled = []
 
@@ -382,7 +391,7 @@ class TestKnnMatchesRowByRowSearch:
 
         monkeypatch.setattr(impute, "_scale", spy)
         assert_fill_matches_reference(imp, queries)
-        assert len(scaled) // 2 >= 15
+        assert len(scaled) >= 15
         assert_fill_matches_reference(imp, bag)
 
     @pytest.mark.parametrize("offset, scale", [(1e8, 1.0), (0.0, 1e-162), (1.2e154, 1e145)])
