@@ -61,22 +61,13 @@ class EncodedDataset:
     cells = Dataset.cells
 
 
-def _zero_imputed(ds: Dataset) -> np.ndarray:
-    x = ds.features.copy()
-    x[ds.mask] = 0.0
-    return x
-
-
 def encode_indicators(ds: Dataset, imputer: Imputer = None) -> EncodedDataset:
     """d imputed originals followed by d missing indicators (2d columns).
 
     Zero imputation by default; a fitted imputer may fill the value columns
     instead (the indicator columns always reflect the original mask).
     """
-    if imputer is None:
-        values = _zero_imputed(ds)
-    else:
-        values = imputer.transform(ds).features
+    values = (imputer or ZeroImputer()).transform(ds).features
     cols = [f"orig:{n}" for n in ds.feature_names] + [
         f"ind:{n}" for n in ds.feature_names
     ]
@@ -108,8 +99,8 @@ class AffineEncoder:
         if ds.feature_names != self.names_:
             raise ValidationError("dataset features do not match the fitted encoder")
         base = encode_indicators(ds)
-        mask = ds.mask.astype(np.float64)
-        values = _zero_imputed(ds)
+        values = base.matrix[:, :ds.dimension]  # zero-filled
+        mask = base.matrix[:, ds.dimension:]
         cross_cols, cross_tags = [], []
         for k in self.miss_features_:
             for j in range(ds.dimension):
@@ -237,7 +228,7 @@ def cluster_missing_patterns(
     if not 0.0 <= val_fraction < 1.0:
         raise ValidationError("val_fraction must lie in [0, 1)")
 
-    x = _zero_imputed(train)
+    x = ZeroImputer().transform(train).features
     y = train.labels
     mask = train.mask
     all_idx = np.arange(train.n_samples)

@@ -24,7 +24,12 @@ log = logging.getLogger("fairmiss")
 
 
 class Imputer:
-    """Base class; subclasses fill ``_fill`` and may extend ``fit``."""
+    """Base class. A subclass learns its state in ``_fit`` and decides fill
+    values in ``_fill(ds)``, which returns one value per missing cell of
+    ``ds``, in the row-major order of ``ds.mask``; ``transform`` writes them
+    into a copy of the features. KNN and iterative imputation refine the mean
+    fill: each starts from ``MeanImputer``'s values for the same cells.
+    """
 
     name = "base"
 
@@ -51,9 +56,8 @@ class Imputer:
         mask = ds.mask
         if not mask.any():
             return ds
-        filled = self._fill(ds)
         out = ds.features.copy()
-        out[mask] = filled[mask]
+        out[mask] = self._fill(ds)
         return ds.with_features(out)
 
     def _fit(self, train: Dataset) -> None:
@@ -68,15 +72,6 @@ def _reject_infinite(ds: Dataset) -> None:
                      "has an infinite observed value")
 
 
-def _require_observed(train: Dataset) -> None:
-    counts = (~train.mask).sum(axis=0)
-    if (counts == 0).any():
-        j = int(np.flatnonzero(counts == 0)[0])
-        raise ValidationError(
-            f"feature {train.feature_names[j]!r} has no observed training values"
-        )
-
-
 class ZeroImputer(Imputer):
     """Missing cells become 0. Needs no statistics, so it is born fitted."""
 
@@ -87,18 +82,18 @@ class ZeroImputer(Imputer):
         self._fitted = True
 
     def _fill(self, ds: Dataset) -> np.ndarray:
-        return np.zeros_like(ds.features)
+        return np.zeros(np.count_nonzero(ds.mask))
 
 
 class MeanImputer(Imputer):
     name = "mean"
 
     def _fit(self, train: Dataset) -> None:
-        _require_observed(train)
+        _reject_features(train.mask.all(axis=0), train, "has no observed training values")
         self.means_ = np.nanmean(train.features, axis=0)
 
     def _fill(self, ds: Dataset) -> np.ndarray:
-        return np.broadcast_to(self.means_, ds.features.shape)
+        return self.means_[np.nonzero(ds.mask)[1]]
 
 
 # Twice the entries of one block of KNNImputer's screen. A block holds cells of
@@ -114,7 +109,7 @@ _KNN_BLOCK_ENTRIES = 1 << 16
 _KNN_SEGMENT = 8
 
 
-class KNNImputer(Imputer):
+class KNNImputer(MeanImputer):
     """Fill each missing cell with the mean of its k nearest donors.
 
     Distance between two rows is Euclidean over the coordinates observed in
@@ -156,13 +151,12 @@ class KNNImputer(Imputer):
         self.k = int(k)
 
     def _fit(self, train: Dataset) -> None:
-        _require_observed(train)
+        super()._fit(train)
         if self.k > train.n_samples:
             raise ValidationError(
                 f"k={self.k} exceeds the {train.n_samples} training rows"
             )
         self.train_ = train.features.copy()
-        self.means_ = np.nanmean(train.features, axis=0)
         # Rows merge only when their bytes are equal, so 0.0 and -0.0, or two
         # NaN payloads, stay apart; that costs the screen some speed, never a
         # donor. Distinct row i stands for the training rows
@@ -175,11 +169,11 @@ class KNNImputer(Imputer):
         self.starts_ = np.cumsum(self.counts_) - self.counts_
 
     def _fill(self, ds: Dataset) -> np.ndarray:
-        out = np.tile(self.means_, (ds.n_samples, 1))
+        out = super()._fill(ds)  # the fill of a cell with no reachable donor
         query = np.flatnonzero(ds.mask.any(axis=1))
         if query.size == 0:
             return out
-        # the missing cells, row by row
+        # the missing cells, row by row: cell c is out[c]
         cell_row, cell_col = np.nonzero(ds.mask[query])
         cell, near = np.divmod(self._shortlist(ds, query, cell_row, cell_col),
                                len(self.distinct_))
@@ -224,7 +218,7 @@ class KNNImputer(Imputer):
         for c in np.unique(count[count > 0]):
             filled = count == c
             means = np.mean(values[filled[cell]].reshape(-1, c), axis=1)
-            out[query[cell_row[filled]], cell_col[filled]] = means
+            out[filled] = means
         return out
 
     def _shortlist(self, ds: Dataset, query: np.ndarray, cell_row: np.ndarray,
@@ -354,7 +348,7 @@ def _masked_distance(q: np.ndarray, t: np.ndarray, q_rows, t_rows) -> np.ndarray
     return dist
 
 
-class IterativeImputer(Imputer):
+class IterativeImputer(MeanImputer):
     """Round-robin ridge regression on mean-initialized data.
 
     Fitting runs ``rounds`` passes; each pass re-estimates every feature (in
@@ -385,11 +379,10 @@ class IterativeImputer(Imputer):
         return coef[:-1], float(coef[-1])
 
     def _fit(self, train: Dataset) -> None:
-        _require_observed(train)
-        self.means_ = np.nanmean(train.features, axis=0)
+        super()._fit(train)
         mask = train.mask
         x = train.features.copy()
-        x[mask] = np.broadcast_to(self.means_, x.shape)[mask]
+        x[mask] = super()._fill(train)
         d = train.dimension
         self.coefs_ = [(np.zeros(d - 1), float(self.means_[j])) for j in range(d)]
         if d == 1:
@@ -417,12 +410,13 @@ class IterativeImputer(Imputer):
             last_delta = delta
 
     def _fill(self, ds: Dataset) -> np.ndarray:
-        mask = ds.mask
-        x = ds.features.copy()
-        x[mask] = np.broadcast_to(self.means_, x.shape)[mask]
+        start = super()._fill(ds)
         d = ds.dimension
         if d == 1:
-            return x
+            return start
+        mask = ds.mask
+        x = ds.features.copy()
+        x[mask] = start
         others = [np.array([k for k in range(d) if k != j]) for j in range(d)]
         for _ in range(self.rounds):
             for j in range(d):
@@ -433,7 +427,7 @@ class IterativeImputer(Imputer):
                     # other rows transformed with it; a BLAS matrix-vector
                     # product rounds each row by the batch's shape
                     x[miss, j] = (x[np.ix_(miss, others[j])] * w).sum(axis=1) + b
-        return x
+        return x[mask]
 
 
 def make_imputer(spec: str) -> Imputer:

@@ -36,7 +36,6 @@ import importlib.util
 import logging
 import os
 import sys
-import sysconfig
 
 import numpy as np
 
@@ -91,21 +90,20 @@ def load_lbfgsb():
     """scipy's compiled L-BFGS-B module, loaded from its extension file on
     the first call in a process and registered in ``sys.modules``.
 
-    Raises ``FairmissError`` if the file is not where scipy >= 1.15 puts it.
+    Raises ``FairmissError`` if scipy's ``optimize`` directory has no
+    ``_lbfgsb`` module; scipy ships one from 1.15 on.
     """
     name = "scipy.optimize._lbfgsb"
-    path = os.path.join(_scipy_dir(), "optimize",
-                        "_lbfgsb" + sysconfig.get_config_var("EXT_SUFFIX"))
-    if not os.path.isfile(path):
+    where = os.path.join(_scipy_dir(), "optimize")
+    spec = importlib.machinery.PathFinder.find_spec(name, [where])
+    if spec is None:
         from importlib.metadata import version
         raise FairmissError(
-            f"scipy {version('scipy')} has no L-BFGS-B extension at {path}; "
+            f"scipy {version('scipy')} has no L-BFGS-B extension in {where}; "
             "fairmiss needs scipy >= 1.15"
         )
-    loader = importlib.machinery.ExtensionFileLoader(name, path)
-    module = importlib.util.module_from_spec(
-        importlib.util.spec_from_file_location(name, path, loader=loader))
-    loader.exec_module(module)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
     sys.modules[name] = module
     return module
 

@@ -164,35 +164,39 @@ def exact_least_flip(table, epsilon, floor) -> list:
             for v in _exact_vertices(rows + [cut])]
 
 
-def exact_face_least_flip(table, epsilon, floor) -> list:
-    """[(flip mass, accuracy, v) for every vertex of {gaps <= epsilon} whose
-    accuracy is at least ``floor``], all exact: the vertices that
-    ``postprocess_eqodds`` picks its least flip from, with its face at
-    ``floor``."""
+def exact_face_least_flip(table, epsilon, floor, slack=0) -> list:
+    """[(flip mass, accuracy, v) for every basic solution of {gaps <=
+    epsilon} that meets each row, the box's too, within ``slack``, clipped
+    into the box, whose accuracy is at least ``floor``], all exact: the
+    vertices that ``postprocess_eqodds`` picks its least flip from, with its
+    face at ``floor`` and its row test at ``slack``."""
     rows, c, base = _exact_program(table, epsilon)
-    out = [(2 - v[0] + v[1] - v[2] + v[3], base + _dot(c, v), v) for v in _exact_vertices(rows)]
+    out = [(2 - v[0] + v[1] - v[2] + v[3], base + _dot(c, v), v)
+           for v in _exact_vertices(rows, slack=Fraction(slack))]
     return [entry for entry in out if entry[1] >= floor]
 
 
-def _exact_vertices(rows, n=4) -> list:
-    """Every vertex of {v in [0, 1]^n : a . v <= b for each (a, b) in rows},
-    for rational rows: each choice of k rows held with equality and n - k
-    coordinates at a bound, solved by Cramer's rule over the integers."""
+def _exact_vertices(rows, n=4, slack=0) -> list:
+    """Every basic solution of {v in [0, 1]^n : a . v <= b for each (a, b)
+    in rows}, for rational rows, that meets each row and the box within
+    ``slack``, clipped into the box; at slack 0, every vertex. Each is a
+    choice of k rows held with equality and n - k coordinates at a bound,
+    solved by Cramer's rule over the integers."""
     scaled = []
     for a, b in rows:  # each row times the least common multiple of its denominators
         m = math.lcm(*(x.denominator for x in (*a, b)))
-        scaled.append(([int(x * m) for x in a], int(b * m)))
+        scaled.append(([int(x * m) for x in a], int(b * m), slack * m))
     out = []
     for k in range(min(len(rows), n) + 1):
         for active in itertools.combinations(scaled, k):
             for free in itertools.combinations(range(n), k):
-                system = [[a[j] for j in free] for a, _ in active]
+                system = [[a[j] for j in free] for a, _, _ in active]
                 d = _det(system)
                 if d == 0:
                     continue
                 fixed = [j for j in range(n) if j not in free]
                 for values in itertools.product((0, 1), repeat=n - k):
-                    rhs = [b - sum(a[j] * x for j, x in zip(fixed, values)) for a, b in active]
+                    rhs = [b - sum(a[j] * x for j, x in zip(fixed, values)) for a, b, _ in active]
                     w = [0] * n  # d times the vertex
                     for j, x in zip(fixed, values):
                         w[j] = x * d
@@ -200,9 +204,11 @@ def _exact_vertices(rows, n=4) -> list:
                         w[j] = _det([r[:i] + [c] + r[i + 1:] for r, c in zip(system, rhs)])
                     if d < 0:
                         w = [-x for x in w]
-                    if all(0 <= x <= abs(d) for x in w) and all(
-                            sum(x * y for x, y in zip(a, w)) <= b * abs(d) for a, b in scaled):
-                        out.append([Fraction(x, abs(d)) for x in w])
+                    if all(-slack * abs(d) <= x <= (1 + slack) * abs(d) for x in w) and all(
+                            sum(x * y for x, y in zip(a, w)) <= (b + s) * abs(d)
+                            for a, b, s in scaled):
+                        out.append([min(max(Fraction(x, abs(d)), Fraction(0)), Fraction(1))
+                                    for x in w])
     return out
 
 

@@ -401,6 +401,12 @@ def flips_of(v):
 # optimum by 4e-6, past any cut the exact program at epsilon can reach
 @example(({(0, 0): 0.0, (0, 1): 0.0, (1, 0): 0.0, (1, 1): 2.13202917769205e-12},
           {(0, 0): 0.2, (0, 1): 0.2, (1, 0): 0.2, (1, 1): 0.4}, 0.0))
+# group 1's base TPR falls 1e-9 short of its FPR: the all-ones vertex misses
+# a gap row by 1e-16 and is the solver's answer, while the program relaxed by
+# the slack has a vertex flipping 4e-4 less that no basis at epsilon reaches
+@example(({(0, 0): 0.0, (0, 1): 0.0, (1, 0): 1.0, (1, 1): 0.999999999},
+          {(0, 0): 0.009433962264150943, (0, 1): 0.009433962264150943,
+           (1, 0): 0.10377358490566038, (1, 1): 0.8773584905660378}, 0.0))
 def test_vertex_solve_is_the_exact_optimum_up_to_its_tolerance(case):
     base, p_sy, epsilon = case
     table = rates_table((0, 1), base, p_sy)
@@ -417,20 +423,22 @@ def test_vertex_solve_is_the_exact_optimum_up_to_its_tolerance(case):
     # within rounding. So its answer must lie in the program with the gap
     # rows and an accuracy cut relaxed by twice the slack, and flip no less
     # than that program's optimum (``loose``, which holds the solver's
-    # whole face). It must flip no more than the least-flip exact vertex of
-    # the accuracy program whose accuracy is at least 1e-12 below the
-    # relaxed accuracy optimum, raised by twice the slack (``tight``): every
-    # such vertex is one the solver compares. Held at epsilon, a gap row of
-    # tiny norm can leave no vertex that accurate; the solver's vertices
-    # then use its row slack, and ``tight`` takes the gap rows of ``loose``.
+    # whole face). Its vertices are the basic solutions of the program at
+    # epsilon that pass its row test at the slack: exactly, every one
+    # within half the slack of each row and none beyond twice the slack. So
+    # it must flip no more than the least-flip of the former whose accuracy
+    # is at least 1e-12 below the best of the latter, raised by twice the
+    # slack (``tight``): every such vertex is one the solver compares. Held
+    # at epsilon, a gap row of tiny norm can leave no exact vertex that
+    # accurate, and a vertex of the program relaxed by the slack that holds
+    # such a row at its slack is one the solver never sees.
     # Where the two optima agree, the flips must match them.
     slack = Fraction(2 * metrics._TOL)
     best = exact_best_accuracy(table, epsilon)
     best_loose = exact_best_accuracy(table, Fraction(epsilon) + slack)
     loose = exact_least_flip(table, Fraction(epsilon) + slack, best - Fraction(1e-12) - slack)
-    floor = best_loose - Fraction(1e-12) + slack
-    tight = (exact_face_least_flip(table, epsilon, floor)
-             or exact_face_least_flip(table, Fraction(epsilon) + slack, floor))
+    top = max(a for _, a, _ in exact_face_least_flip(table, epsilon, 0, slack))
+    tight = exact_face_least_flip(table, epsilon, top - Fraction(1e-12) + slack, slack / 4)
     assert float(best - Fraction(1e-12) - slack) <= acc <= float(best_loose) + 1e-15
     least = min(m for m, _, _ in tight)
     assert float(min(m for m, _, _ in loose)) - 1e-15 <= mass <= float(least) + 1e-12

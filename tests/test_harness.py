@@ -2,7 +2,6 @@ import os
 import re
 import subprocess
 import sys
-import sysconfig
 import tempfile
 from pathlib import Path
 
@@ -13,7 +12,7 @@ from hypothesis import given, settings, strategies as st
 
 import fairmiss
 from fairmiss import cli, harness, optim
-from fairmiss.data import load_csv, read_schema, write_csv
+from fairmiss.data import Dataset, balance_cells, load_csv, read_schema, write_csv
 from fairmiss.errors import ConfigError, FairmissError
 from fairmiss.harness import (
     DataConfig,
@@ -30,7 +29,9 @@ from fairmiss.harness import (
     run_experiment,
     sweep_and_aggregate,
 )
-from fairmiss.simulate import MaskedPositives, MissingEntry, MissingnessSpec, gen_synthetic
+from fairmiss.simulate import (
+    MaskedPositives, MissingEntry, MissingnessSpec, gen_synthetic, inject_missing,
+)
 
 from conftest import random_dataset
 
@@ -437,6 +438,79 @@ dir = {tmp_path / "fail"}
         assert cli.main(["run", str(tmp_path / "fail.cfg")]) == 1
 
 
+class TestPreprocessingEqualsAPreparedCsv:
+    """A run's preprocessing writes the CSVs that a run on the data prepared
+    beforehand and written back does."""
+
+    SCHEMA = "x1 = feature\nx2 = feature\nx3 = feature\nsensitive = sensitive\nlabel = label\n"
+    OUTPUTS = ("raw.csv", "summary.csv", "pareto.csv")
+
+    @staticmethod
+    def short_decimal_csv(path, n=240, seed=4):
+        # two decimals survive write_csv and load_csv exactly; x1, which an
+        # MNAR entry reads, stays observed; group 1 is rarer, so balancing
+        # drops rows
+        rng = np.random.default_rng(seed)
+        x = np.round(rng.normal(size=(n, 3)), 2)
+        x[:, 1:][rng.random((n, 2)) < 0.1] = np.nan
+        s = (rng.random(n) < 0.3).astype(int)
+        y = (np.nan_to_num(x[:, 0]) + 0.5 * s + rng.normal(size=n) > 0).astype(int)
+        write_csv(Dataset(x, s, y), path)
+
+    def run(self, tmp_path, name, csv_path, data_lines="", sweep_lines="", sections=""):
+        """Run a config on ``csv_path``; returns it and its CSVs' bytes."""
+        (tmp_path / "schema.txt").write_text(self.SCHEMA)
+        body = f"""
+[data]
+source = csv
+path = {csv_path}
+schema = {tmp_path / "schema.txt"}
+{data_lines}
+[method]
+name = indicators
+
+[intervention]
+name = penalty
+tau = 0.1, 10
+
+[sweep]
+repeats = 1
+test_fraction = 0.3
+seed = 7
+{sweep_lines}
+[output]
+dir = {tmp_path / name}
+{sections}"""
+        cfg = load_config(write_config(tmp_path, body, f"{name}.cfg"))
+        assert run_experiment(cfg).succeeded
+        return cfg, [(tmp_path / name / out).read_bytes() for out in self.OUTPUTS]
+
+    def test_inject_before_split_masks_the_data_then_splits(self, tmp_path):
+        csv_path = tmp_path / "d.csv"
+        self.short_decimal_csv(csv_path)
+        cfg, injected = self.run(
+            tmp_path, "inject", csv_path, sweep_lines="inject_before_split = true",
+            sections="[missingness]\nmechanism = mnar\n"
+                     "entry1 = x2, label, 0.1, 0.5\nentry2 = x3, x1<0.2, 0.05, 0.4\n")
+        assert cfg.sweep.inject_before_split
+        ds = load_csv(csv_path, read_schema(tmp_path / "schema.txt"))
+        masked = inject_missing(ds, cfg.missingness, cfg.sweep.seed * 1000)
+        assert masked.mask.sum() > ds.mask.sum()
+        write_csv(masked, tmp_path / "masked.csv")
+        assert self.run(tmp_path, "masked", tmp_path / "masked.csv")[1] == injected
+
+    def test_balance_downsamples_the_data_before_the_sweep(self, tmp_path):
+        csv_path = tmp_path / "d.csv"
+        self.short_decimal_csv(csv_path)
+        cfg, balanced_in_run = self.run(tmp_path, "balance", csv_path, data_lines="balance = true")
+        assert cfg.data.balance
+        ds = load_csv(csv_path, read_schema(tmp_path / "schema.txt"))
+        balanced = balance_cells(ds, cfg.sweep.seed)
+        assert balanced.n_samples < ds.n_samples
+        write_csv(balanced, tmp_path / "balanced.csv")
+        assert self.run(tmp_path, "balanced", tmp_path / "balanced.csv")[1] == balanced_in_run
+
+
 class TestLeafPolicy:
     @pytest.mark.parametrize(
         "intervention, error",
@@ -821,8 +895,7 @@ def test_a_scipy_without_the_lbfgsb_extension_is_one_error(tmp_path, monkeypatch
     empty.mkdir()
     monkeypatch.setattr(optim, "_scipy_dir", lambda: str(empty))
     monkeypatch.setattr(optim, "load_lbfgsb", optim.load_lbfgsb.__wrapped__)  # uncached
-    path = empty / "optimize" / ("_lbfgsb" + sysconfig.get_config_var("EXT_SUFFIX"))
-    message = (f"scipy {scipy.__version__} has no L-BFGS-B extension at {path}; "
+    message = (f"scipy {scipy.__version__} has no L-BFGS-B extension in {empty / 'optimize'}; "
                "fairmiss needs scipy >= 1.15")
     x = np.array([[0.0], [1.0]])
     with pytest.raises(FairmissError) as exc:
