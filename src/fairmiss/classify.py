@@ -167,8 +167,8 @@ def postprocess_eqodds(table: metrics.JointTable, epsilon: float) -> Postprocess
     oracle's program on this table. The least flip mass over the optimal
     face is taken at one of its vertices, which are vertices of the
     polytope, so no second program is needed. Ties in flip mass (within
-    1e-13) go to the more accurate vertex, then to the first basis in
-    ``metrics._bases``' order.
+    1e-13) go to the more accurate vertex, then to the first vertex in
+    ``metrics._vertices``' order.
     """
     vertices, c, base = metrics.fair_vertices(table, epsilon)
     accuracy = vertices @ c

@@ -6,7 +6,6 @@ post-processing solve.
 
 from __future__ import annotations
 
-import functools
 import itertools
 from dataclasses import dataclass
 from math import comb
@@ -147,9 +146,9 @@ def fair_vertices(table: JointTable, epsilon: float):
     Pr(output 1 | x), with the box 0 <= h <= 1 and a pair of gap rows
     |a . h| <= epsilon per (label, group pair), a the difference of the two
     groups' Pr(x | s, y); pairs whose conditioning cell has zero probability
-    are skipped. Returns (vertices, c, base): the program's vertices from
-    ``_vertices``, in ``_bases``' order, and the accuracy base + c . h. A
-    table needing over ``_BASIS_CAP`` bases is a ValidationError.
+    are skipped. Returns (vertices, c, base): the program's vertices, in
+    ``_vertices``' order, and the accuracy base + c . h. A table needing over
+    ``_BASIS_CAP`` bases is a ValidationError.
     """
     check_epsilon(epsilon)
     n = len(table.x_values)
@@ -165,12 +164,8 @@ def fair_vertices(table: JointTable, epsilon: float):
     k = len(gaps)
     if comb(k + n, n) * 2 ** n > _BASIS_CAP:
         raise ValidationError(f"table too large for the exact oracle: over {_BASIS_CAP} bases")
-    # the gap rows and h <= 1, then their opposites -gap and -h <= 0; every
-    # gap lies in [-1, 1], so capping epsilon keeps the arithmetic finite
-    half = np.vstack(gaps + [np.eye(n)])
-    eps = np.full(k, min(float(epsilon), 2.0))
-    rhs = np.concatenate([eps, np.ones(n), eps, np.zeros(n)])
-    return _vertices(np.vstack([half, -half]), rhs, _bases(k, n)), c, base
+    # every gap lies in [-1, 1], so capping epsilon keeps the arithmetic finite
+    return _vertices(np.reshape(gaps, (k, n)), min(float(epsilon), 2.0)), c, base
 
 
 def best_fair_accuracy(table: JointTable, epsilon: float):
@@ -188,35 +183,55 @@ def best_fair_accuracy(table: JointTable, epsilon: float):
 # ---------------------------------------------------------------------------
 
 _TOL = 1e-13  # slack on every row: rounding, not a looser program
-_BASIS_CAP = 2 ** 14  # the exact oracle's largest solve peaks at 57 MB
+_BASIS_CAP = 2 ** 14  # tracemalloc peaks: 9.5 MB at 14 values, 24 MB at 2 values and 89
+# gap rows, 2.1 GB at 1 value and 8190 gap rows (the row test's solutions x rows array)
 
 
-@functools.cache
-def _bases(k: int, n: int) -> np.ndarray:
-    """Every basis that can be nonsingular of a program in n variables with
-    k gap rows, laid out as in ``fair_vertices``: n of its opposite pairs
-    (i, i + k + n) (a row and its negation, or the two bounds on one
-    coordinate), one row of each. Cached per (k, n), so read-only."""
-    opposite = [(i, i + k + n) for i in range(k + n)]
-    bases = np.array([tuple(pair[side] for pair, side in zip(pairs, sides))
-                      for pairs in itertools.combinations(opposite, n)
-                      for sides in itertools.product((0, 1), repeat=n)])
-    bases.setflags(write=False)
-    return bases
-
-
-def _vertices(rows, rhs, bases) -> np.ndarray:
-    """The basic solutions of ``bases`` (from ``_bases``) that satisfy every
-    row within _TOL, clipped into the unit box that rounding may leave them
-    just outside of. Only bases with an exactly zero pivot are skipped (the
-    sign of slogdet does not underflow), so a vertex of a nearly singular
-    basis is found. Every gap row's bound is >= 0, so v = 0 is among them."""
-    m = rows[bases]
+def _vertices(gaps, eps) -> np.ndarray:
+    """The basic solutions of |gaps . h| <= eps, 0 <= h <= 1 within _TOL of
+    every row, clipped into the box; eps >= 0, so v = 0 is among them. A basis
+    holds g gap rows at +-eps and fixes the other n - g coordinates at exactly
+    0 or 1, so only its g x g system is solved, and refined once, for each of
+    its 2^n sides (row signs, then fixed values; + and 1 first), by descending
+    g, then gap rows, then fixed coordinates. Only bases with an exactly zero
+    pivot are skipped (slogdet's sign does not underflow): a nearly singular
+    one's vertex counts."""
+    k, n = gaps.shape
+    sides = np.array(list(itertools.product((1.0, 0.0), repeat=n)))
+    # a gap in [-1, 1] is a multiple of 2^-22 plus a rest of at most 2^-22, and
+    # eps in [0, 2] one of 2^-47 plus a rest: against solutions rounded to
+    # multiples of 2^-26, a residual's leading part is an exact sum of multiples
+    # of 2^-48, so one refinement step leaves a nearly singular basis's error
+    # (1e-7 at a pivot near 1e-9) times its condition number times 2^-53
+    high, eps_high = (2.0 ** 31 + gaps) - 2.0 ** 31, (32.0 + eps) - 32.0
+    parts = np.stack([high, gaps - high])
+    eps_signs = np.array([eps_high, eps - eps_high])[:, None, None, None] * (2.0 * sides.T - 1.0)
+    found = []
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        solvable = np.linalg.slogdet(m)[0] != 0.0  # log 0 of a singular basis
+        for g in range(min(k, n), 0, -1):
+            # each basis's gap rows, then its coordinates: the free ones, then the
+            # fixed; the i-th fixed set in lexicographic order leaves the i-th last free
+            cols = [free + fixed for free, fixed in zip(
+                reversed(list(itertools.combinations(range(n), g))),
+                itertools.combinations(range(n), n - g))]
+            ix = np.array([held + c for held in itertools.combinations(range(k), g)
+                           for c in cols], dtype=np.intp)
+            a = gaps[ix[:, :g, None], ix[:, None, g:2 * g]]
+            solvable = np.linalg.slogdet(a)[0] != 0.0  # log 0 of a singular basis
+            inverse, ix = np.linalg.inv(a[solvable]), ix[solvable]
+            rows = parts[:, ix[:, :g, None], ix[:, None, g:]]
+            rhs = eps_signs[..., :g, :] - rows[..., g:] @ sides[:, g:].T
+            x = (2.0 ** 27 + inverse @ (rhs[0] + rhs[1])) - 2.0 ** 27
+            residual = rhs - rows[..., :g] @ x
+            x += inverse @ (residual[0] + residual[1])
+            # each side as a corner of the box, its free coordinates then solved
+            v = sides[:, np.argsort(ix[:, g:], axis=1)].swapaxes(0, 1)
+            v[np.arange(len(ix))[:, None], :, ix[:, g:2 * g]] = x
+            found.append(v.reshape(-1, n))
+        v = np.concatenate(found + [sides])  # g = 0: the corners
         # far-off solutions of nearly singular bases fail the row test
-        v = np.linalg.solve(m[solvable], rhs[bases][solvable][..., None])[..., 0]
-        return np.clip(v[(v @ rows.T <= rhs + _TOL).all(axis=1)], 0.0, 1.0)
+        feasible = (np.abs(v @ gaps.T) <= eps + _TOL).all(axis=1)
+        return np.clip(v[feasible & ((-_TOL <= v) & (v <= 1.0 + _TOL)).all(axis=1)], 0.0, 1.0)
 
 
 # ---------------------------------------------------------------------------

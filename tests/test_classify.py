@@ -407,6 +407,21 @@ def flips_of(v):
 @example(({(0, 0): 0.0, (0, 1): 0.0, (1, 0): 1.0, (1, 1): 0.999999999},
           {(0, 0): 0.009433962264150943, (0, 1): 0.009433962264150943,
            (1, 0): 0.10377358490566038, (1, 1): 0.8773584905660378}, 0.0))
+# cell sizes (m, 9m, m, m) with one positive base prediction in cell (0, 1):
+# the exact least flip holds a coordinate at 0.99999994449 through a pivot
+# near 1e-9, which a solve mixing the box rows into it missed by 3.5e-8
+@example(({(0, 0): 0.25, (0, 1): 1 / 9, (1, 0): 1.0, (1, 1): 0.999999999},
+          {(0, 0): 1 / 12, (0, 1): 9 / 12, (1, 0): 1 / 12, (1, 1): 1 / 12}, 0.0))
+@example(({(0, 0): 0.25, (0, 1): 1 / 81, (1, 0): 1.0, (1, 1): 0.999999999},
+          {(0, 0): 9 / 108, (0, 1): 81 / 108, (1, 0): 9 / 108, (1, 1): 9 / 108}, 0.0))
+# the same pivot in group 0 on sizes (1, 1, 1, 45): one rounding of the fixed
+# coordinates' terms (near 1, summing to near 1e-9) moved the solution by 1e-7
+@example(({(0, 0): 1.0, (0, 1): 0.999999999, (1, 0): 0.0, (1, 1): 1 / 45},
+          {(0, 0): 1 / 48, (0, 1): 1 / 48, (1, 0): 1 / 48, (1, 1): 45 / 48}, 0.0))
+# at epsilon 0.02 that vertex holds both gap rows, and a solve of the 2 x 2
+# system rounds 0.999999999 * 0.98 on the way: 2e-8 off without refinement
+@example(({(0, 0): 1.0, (0, 1): 0.999999999, (1, 0): 0.0, (1, 1): 1 / 39},
+          {(0, 0): 1 / 42, (0, 1): 1 / 42, (1, 0): 1 / 42, (1, 1): 39 / 42}, 0.02))
 def test_vertex_solve_is_the_exact_optimum_up_to_its_tolerance(case):
     base, p_sy, epsilon = case
     table = rates_table((0, 1), base, p_sy)

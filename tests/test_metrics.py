@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from fairmiss import metrics
 from fairmiss.data import Dataset
@@ -188,11 +188,11 @@ class TestExactOracle:
     @pytest.mark.parametrize("groups, values", [(1, 17), (5, 6)])
     def test_domain_cap(self, groups, values, monkeypatch):
         # 2**17 bases, and comb(26, 6) * 2**6 with 20 gap pairs: both raise
-        # before any basis is built
-        def no_bases(k, n):
-            raise AssertionError("bases built past the cap")
+        # before any vertex is built
+        def no_vertices(gaps, eps):
+            raise AssertionError("vertices built past the cap")
 
-        monkeypatch.setattr(metrics, "_bases", no_bases)
+        monkeypatch.setattr(metrics, "_vertices", no_vertices)
         p = np.full((groups, values, 2), 1.0 / (2 * groups * values))
         table = JointTable(tuple(range(groups)), tuple(float(i) for i in range(values)), p)
         with pytest.raises(ValidationError, match="too large for the exact oracle"):
@@ -219,6 +219,18 @@ class TestExactOracle:
         low = exact_best_fair_gain(table, epsilon)
         high = exact_best_fair_gain(table, Fraction(epsilon) + Fraction(2 * metrics._TOL))
         assert float(low) - 1e-12 <= gain <= float(high) + 1e-12
+
+    @given(joint_tables(st.floats(0.0, 1.0)), st.floats(0.0, 1.0))
+    # one solve of the gap and box rows together left a coordinate held at 0
+    # by its box row at 3.5e-19 on this table
+    @example(JointTable((0, 1), (0.0, 1.0, 2.0),
+                        np.array([[[0, 0], [2, 0], [0, 1]], [[2, 4], [0, 3], [4, 4]]]) / 20), 0.1)
+    def test_vertices_are_interior_in_at_most_one_coordinate_per_gap_row(self, table, epsilon):
+        # a vertex holds some gap rows and fixes every other coordinate at
+        # exactly 0 or 1, which rounding must not move off 0 or 1
+        vertices, _, _ = metrics.fair_vertices(table, epsilon)
+        interior = ((0.0 < vertices) & (vertices < 1.0)).sum(axis=1)
+        assert (interior <= len(table_gap_rows(table))).all()
 
     @pytest.mark.parametrize("epsilon", [-0.1, np.nan, np.inf])
     def test_epsilon_must_be_finite_and_non_negative(self, epsilon):
