@@ -71,10 +71,13 @@ class Dataset:
         """The sorted group ids, computed once: the arrays are read-only."""
         return tuple(np.unique(self.sensitive).tolist())
 
-    @property
+    @cached_property
     def mask(self) -> np.ndarray:
-        """(n, d) boolean matrix, True where the feature is missing."""
-        return np.isnan(self.features)
+        """(n, d) read-only boolean matrix, True where the feature is
+        missing, computed once as ``group_set`` is."""
+        mask = np.isnan(self.features)
+        mask.setflags(write=False)
+        return mask
 
     def subset(self, indices) -> "Dataset":
         idx = np.asarray(indices, dtype=np.int64)

@@ -146,7 +146,6 @@ class LeafRecord:
     cluster: int
     size: int
     group_fractions: dict
-    from_split: bool
 
 
 @dataclass(frozen=True)
@@ -295,12 +294,5 @@ def cluster_missing_patterns(
         else:
             q = len(part.leaves)
             part.nodes[node_id].cluster = q
-            part.leaves.append(
-                LeafRecord(
-                    cluster=q,
-                    size=int(len(idx)),
-                    group_fractions=_group_fractions(train, idx),
-                    from_split=node_id != 0,
-                )
-            )
+            part.leaves.append(LeafRecord(q, int(len(idx)), _group_fractions(train, idx)))
     return part

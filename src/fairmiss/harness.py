@@ -460,7 +460,8 @@ class RunResult:
     raw: list            # dicts: grid_id, params, repeat, metrics...
     aggregated: dict     # gid -> {metric: (mean, stderr)}
     pareto: list         # gids surviving Pareto filtering
-    failures: list       # dicts: repeat, grid_id, error
+    failures: list       # dicts: repeat, grid_id, error; one per (repeat, grid
+    # point) without a raw record
     metrics: tuple = METRIC_NAMES  # TABLE_METRICS for the exact table
 
     @property
@@ -517,17 +518,16 @@ def _mean_stderr(vals) -> tuple:
     return mean, stderr
 
 
-def sweep_and_aggregate(per_repeat: list) -> dict:
-    """Mean and standard error (sample stddev / sqrt(n)) per grid point.
-
-    ``per_repeat`` maps, for each repeat, grid id -> metric dict. A grid
-    point is averaged over the repeats that cover it.
+def sweep_and_aggregate(raw: list, names=METRIC_NAMES) -> dict:
+    """Mean and standard error (sample stddev / sqrt(n)) of each metric in
+    ``names``, per grid id of the ``raw`` records. A grid point is averaged
+    over the records that cover it, in their order in ``raw``.
     """
-    out = {}
-    for gid in sorted({gid for rep in per_repeat for gid in rep}):
-        vals = [rep[gid] for rep in per_repeat if gid in rep]
-        out[gid] = {m: _mean_stderr([v[m] for v in vals]) for m in vals[0]}
-    return out
+    by_gid = {}
+    for rec in raw:
+        by_gid.setdefault(rec["grid_id"], []).append(rec)
+    return {gid: {m: _mean_stderr([rec[m] for rec in by_gid[gid]]) for m in names}
+            for gid in sorted(by_gid)}
 
 
 def run_experiment(cfg: ExperimentConfig) -> RunResult:
@@ -537,11 +537,10 @@ def run_experiment(cfg: ExperimentConfig) -> RunResult:
     if isinstance(source, simulate.MaskedPositives):  # one exact repeat
         eps = cfg.intervention.epsilon if cfg.intervention.name == "eqodds" else (0.0,)
         grid = grid_points(InterventionConfig("eqodds", epsilon=eps))
-        rows = dict(zip((gp.gid for gp in grid), exact_table_analysis(source, eps)))
-        raw = [{"grid_id": gp.gid, "params": gp.label, "repeat": 0, **rows[gp.gid]}
-               for gp in grid]
-        result = RunResult("exact-table", grid, raw, sweep_and_aggregate([rows]), [], [],
-                           TABLE_METRICS)
+        raw = [{"grid_id": gp.gid, "params": gp.label, "repeat": 0, **rec}
+               for gp, rec in zip(grid, exact_table_analysis(source, eps))]
+        result = RunResult("exact-table", grid, raw, sweep_and_aggregate(raw, TABLE_METRICS),
+                           [], [], TABLE_METRICS)
         _write_outputs(_output_dir(cfg), result)
         return result
 
@@ -563,7 +562,6 @@ def run_experiment(cfg: ExperimentConfig) -> RunResult:
 
     out = _output_dir(cfg)  # before the sweep, which may run long
     raw, failures = [], []
-    per_repeat = []
 
     def fail(r, gid, exc):
         log.warning("repeat %d grid %s aborted: %s", r, gid, exc)
@@ -579,31 +577,21 @@ def run_experiment(cfg: ExperimentConfig) -> RunResult:
             if cfg.missingness is not None and not cfg.sweep.inject_before_split:
                 train = simulate.inject_missing(train, cfg.missingness, seed_r * 1000)
                 test = simulate.inject_missing(test, cfg.missingness, seed_r * 1000 + 500)
-        except FairmissError as exc:
-            log.warning("repeat %d aborted: %s", r, exc)
-            failures.append({"repeat": r, "grid_id": "", "error": str(exc)})
-            continue
-        try:
             rep = fit_repeat(train, test, cfg, seed_r)
         except FairmissError as exc:
-            # every grid point would fit this stage and fail the same way
+            # every grid point would split, mask and fit this stage alike
             for gp in grid:
                 fail(r, gp.gid, exc)
             continue
-        rep_metrics = {}
         for g_idx, gp in enumerate(grid):
             try:
                 fitted = fit_pipeline(rep, gp, seed_r)
-                eval_seed = seed_r * 1000 + 700 + g_idx
-                rep_metrics[gp.gid] = evaluate_pipeline(fitted, rep, eval_seed)
+                scores = evaluate_pipeline(fitted, rep, seed_r * 1000 + 700 + g_idx)
+                raw.append({"grid_id": gp.gid, "params": gp.label, "repeat": r, **scores})
             except FairmissError as exc:
                 fail(r, gp.gid, exc)
-                continue
-            raw.append({"grid_id": gp.gid, "params": gp.label, "repeat": r,
-                        **rep_metrics[gp.gid]})
-        per_repeat.append(rep_metrics)
 
-    aggregated = sweep_and_aggregate(per_repeat)
+    aggregated = sweep_and_aggregate(raw)
     pareto_gids = _pareto_gids(grid, aggregated)
     result = RunResult(cfg.method.name, grid, raw, aggregated, pareto_gids, failures)
     _write_outputs(out, result)

@@ -183,8 +183,11 @@ def best_fair_accuracy(table: JointTable, epsilon: float):
 # ---------------------------------------------------------------------------
 
 _TOL = 1e-13  # slack on every row: rounding, not a looser program
-_BASIS_CAP = 2 ** 14  # tracemalloc peaks: 9.5 MB at 14 values, 24 MB at 2 values and 89
-# gap rows, 2.1 GB at 1 value and 8190 gap rows (the row test's solutions x rows array)
+_BASIS_CAP = 2 ** 14  # tracemalloc peaks of fair_vertices on random tables under it:
+# 11-12 MB at 9 groups and 2 values (72 gap rows, 10804 bases), 2.1 MB at 2 groups
+# and 8 values (2 gap rows, 11520 bases), and 2.5 MB at 91 groups and 1 value (8190
+# gap rows, 16382 bases), where each Pr(x | s, y) is 1, every gap 0 and every
+# basis singular, so only the 2 box corners remain
 
 
 def _vertices(gaps, eps) -> np.ndarray:

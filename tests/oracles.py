@@ -560,10 +560,7 @@ def partition_from_text(text: str) -> ClusterPartition:
             clusters.add(int(toks[2]))
         else:
             raise ValidationError(f"bad partition line: {ln!r}")
-    part.leaves = [
-        LeafRecord(cluster=q, size=0, group_fractions={}, from_split=False)
-        for q in sorted(clusters)
-    ]
+    part.leaves = [LeafRecord(cluster=q, size=0, group_fractions={}) for q in sorted(clusters)]
     return part
 
 

@@ -512,3 +512,12 @@ def test_balance_equalizes_cells(rng):
     sizes = {cell: len(idx) for cell, idx in out.cells()}
     assert len(set(sizes.values())) == 1
     assert min(len(idx) for _, idx in ds.cells()) == next(iter(sizes.values()))
+
+
+def test_mask_is_computed_once_and_read_only(rng):
+    ds = random_dataset(rng, n=30, d=3, missing_rate=0.3)
+    mask = ds.mask
+    assert ds.mask is mask
+    assert np.array_equal(mask, np.isnan(ds.features))
+    with pytest.raises(ValueError, match="read-only"):
+        mask[0, 0] = not mask[0, 0]

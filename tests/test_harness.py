@@ -190,29 +190,35 @@ class TestConfig:
         assert cfg2.missingness == cfg.missingness
 
 
+def raw_records(*repeats):
+    """Raw records of the given repeats, each a grid id -> metric dict, in the
+    repeat-major order ``run_experiment`` appends them."""
+    return [{"grid_id": gid, "params": "", "repeat": r, **values}
+            for r, rep in enumerate(repeats) for gid, values in rep.items()]
+
+
 class TestAggregate:
     def test_two_values(self):
-        per_repeat = [{"g0": {"m": 0.8}}, {"g0": {"m": 0.9}}]
-        out = sweep_and_aggregate(per_repeat)
+        out = sweep_and_aggregate(raw_records({"g0": {"m": 0.8}}, {"g0": {"m": 0.9}}), ("m",))
         mean, stderr = out["g0"]["m"]
         assert mean == pytest.approx(0.85)
         assert stderr == pytest.approx(np.std([0.8, 0.9], ddof=1) / np.sqrt(2))
         assert stderr == pytest.approx(0.05)
 
     def test_single_repeat_stderr_zero(self):
-        out = sweep_and_aggregate([{"g0": {"m": 0.7}}])
+        out = sweep_and_aggregate(raw_records({"g0": {"m": 0.7}}), ("m",))
         assert out["g0"]["m"] == (0.7, 0.0)
 
     def test_constant_metric_stderr_zero(self):
-        out = sweep_and_aggregate([{"g0": {"m": 0.5}}] * 10)
+        out = sweep_and_aggregate(raw_records(*[{"g0": {"m": 0.5}}] * 10), ("m",))
         assert out["g0"]["m"][1] == pytest.approx(0.0)
 
     def test_grid_point_missing_from_a_repeat(self):
-        out = sweep_and_aggregate([
+        out = sweep_and_aggregate(raw_records(
             {"g0": {"m": 0.8}, "g1": {"m": 0.2}},
             {"g0": {"m": 0.9}},
             {"g0": {"m": 1.0}, "g1": {"m": 0.4}},
-        ])
+        ), ("m",))
         assert out["g0"]["m"][0] == pytest.approx(0.9)
         mean, stderr = out["g1"]["m"]
         assert mean == pytest.approx(0.3)
@@ -436,6 +442,50 @@ dir = {tmp_path / "fail"}
         assert not result.succeeded
         assert len(result.failures) == 2
         assert cli.main(["run", str(tmp_path / "fail.cfg")]) == 1
+
+    def test_a_repeat_that_cannot_be_split_fails_each_grid_point(self, tmp_path, capsys):
+        # the (s = 1, y = 1) cell has one row, so no repeat can be split
+        rows = ["x1,x2,sensitive,label"] + [f"{i % 5}.5,{i % 3},{i % 2},0" for i in range(20)]
+        rows += [f"{i}.25,,0,1" for i in range(10)] + ["1.0,2.0,1,1"]
+        (tmp_path / "d.csv").write_text("\n".join(rows) + "\n")
+        (tmp_path / "schema.txt").write_text(
+            "x1 = feature\nx2 = feature\nsensitive = sensitive\nlabel = label\n"
+        )
+        body = f"""
+[data]
+source = csv
+path = {tmp_path / "d.csv"}
+schema = {tmp_path / "schema.txt"}
+
+[method]
+name = indicators
+
+[intervention]
+name = penalty
+tau = 0.1, 10
+
+[sweep]
+repeats = 2
+
+[output]
+dir = {tmp_path / "out"}
+"""
+        cfg_path = write_config(tmp_path, body)
+        result = run_experiment(load_config(cfg_path))
+        assert sorted((f["repeat"], f["grid_id"]) for f in result.failures) == [
+            (0, "g0"), (0, "g1"), (1, "g0"), (1, "g1")]
+        assert all(f["error"] == "cell (s=1, y=1) has fewer than 2 samples, cannot split"
+                   for f in result.failures)
+        assert result.raw == [] and result.aggregated == {} and not result.succeeded
+        headers = {"raw.csv": "method,grid_id,params,repeat," + ",".join(harness.METRIC_NAMES),
+                   "summary.csv": ",".join(harness.SUMMARY_COLUMNS),
+                   "pareto.csv": ",".join(harness.PARETO_COLUMNS)}
+        for name, header in headers.items():
+            assert (tmp_path / "out" / name).read_text() == header + "\n"
+        capsys.readouterr()
+        assert cli.main(["run", str(cfg_path)]) == 1
+        out = capsys.readouterr().out
+        assert out.count("failed repeat=") == 4 and "grid=:" not in out
 
 
 class TestPreprocessingEqualsAPreparedCsv:
@@ -972,11 +1022,7 @@ def test_tiny_random_data_gives_results_or_recorded_failures(method, interventio
         result = run_experiment(load_config(write_config(tmp, body)))
         for name in ("raw.csv", "summary.csv", "pareto.csv"):
             assert (tmp / "out" / name).is_file()
-    # every (repeat, grid point) has a result or a recorded failure, never both
-    done = {(rec["repeat"], rec["grid_id"]) for rec in result.raw}
-    failed = {(rec["repeat"], rec["grid_id"]) for rec in result.failures}
-    assert not done & failed
-    for r in range(2):
-        for gp in result.grid:
-            assert (r, gp.gid) in done or (r, gp.gid) in failed or (r, "") in failed
+    # exactly one outcome per (repeat, grid point): a result or a recorded failure
+    outcomes = sorted((rec["repeat"], rec["grid_id"]) for rec in result.raw + result.failures)
+    assert outcomes == sorted((r, gp.gid) for r in range(2) for gp in result.grid)
     assert all(isinstance(rec["error"], str) and rec["error"] for rec in result.failures)

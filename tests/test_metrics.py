@@ -1,3 +1,4 @@
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -197,6 +198,21 @@ class TestExactOracle:
         table = JointTable(tuple(range(groups)), tuple(float(i) for i in range(values)), p)
         with pytest.raises(ValidationError, match="too large for the exact oracle"):
             best_fair_accuracy(table, 0.1)
+
+    def test_most_gap_rows_under_the_cap_leave_the_box_corners(self):
+        # 91 groups give 2 * C(91, 2) = 8190 gap rows and 16382 bases, the
+        # most under the cap; with one value each Pr(x | s, y) is exactly 1, so
+        # every gap is 0 and every basis singular. Measured peak: 2.5 MB
+        p = np.arange(1.0, 183.0).reshape(91, 1, 2)
+        table = JointTable(tuple(range(91)), (0.0,), p / p.sum())
+        tracemalloc.start()
+        try:
+            vertices, _, _ = metrics.fair_vertices(table, 0.05)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert vertices.tolist() == [[1.0], [0.0]]
+        assert peak < 10e6
 
     # small integer weights: HiGHS's feasibility tolerance, 1e-10 at its
     # tightest, is absolute, so on a gap row of norm near it HiGHS's optimum
