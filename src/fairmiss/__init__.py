@@ -32,7 +32,6 @@ from .data import (
 from .encode import (
     AffineEncoder,
     ClusterPartition,
-    EncodedDataset,
     cluster_missing_patterns,
     encode_indicators,
     encode_plain,

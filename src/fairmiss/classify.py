@@ -10,7 +10,9 @@ accurate ones. Every trained model is a ``LinearModel``: logistic weights
 and, for eqodds, their flip rates. The bagging ensemble resamples within
 (group, label) cells, imputes and indicator-encodes each bag separately,
 trains one LinearModel per bag, and aggregates by a uniformly random pick or
-by score averaging. Predictors read encoded rows only; the caller encodes.
+by score averaging. Predictors read encoded rows only: a ``Dataset`` with no
+missing cell whose feature names are its column tags (``fairmiss.encode``).
+The caller encodes.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ import numpy as np
 
 from . import metrics
 from .data import Dataset, fair_resample
-from .encode import EncodedDataset, encode_indicators
+from .encode import encode_indicators
 from .errors import ValidationError
 from .impute import Imputer, make_imputer
 from .optim import LAM, descend, logistic, make_objective
@@ -53,16 +55,21 @@ class LinearModel:
         object.__setattr__(self, "weights", w)
         object.__setattr__(self, "columns", tuple(self.columns))
 
-    def _base(self, enc: EncodedDataset) -> np.ndarray:
+    def _base(self, enc: Dataset) -> np.ndarray:
         """The logistic score of each row, before any flip."""
-        if enc.matrix.shape[1] != self.weights.shape[0]:
+        if enc.dimension != self.weights.shape[0]:
             raise ValidationError("matrix width does not match the model")
         # summed row by row, so a row's score does not depend on the other
         # rows scored with it; a BLAS matrix-vector product rounds each row
         # by the batch's shape
-        return logistic((enc.matrix * self.weights).sum(axis=1) + self.bias)[0]
+        z = (enc.features * self.weights).sum(axis=1) + self.bias
+        undefined = np.isnan(z)  # a missing cell always makes its row's z NaN
+        if undefined.any():
+            raise ValidationError(f"row {int(np.argmax(undefined))} has a missing or "
+                                  "infinite cell, so it has no score")
+        return logistic(z)[0]
 
-    def scores(self, enc: EncodedDataset) -> np.ndarray:
+    def scores(self, enc: Dataset) -> np.ndarray:
         """Pr(output = 1) of each encoded row."""
         s = self._base(enc)
         if self.rates is None:
@@ -71,7 +78,7 @@ class LinearModel:
         flip = self.rates.flip_probs(enc.sensitive, base)
         return np.where(base == 1, 1.0 - flip, flip)
 
-    def predict(self, enc: EncodedDataset, seed: int) -> np.ndarray:
+    def predict(self, enc: Dataset, seed: int) -> np.ndarray:
         """The labels of the encoded rows; eqodds flips draw with ``seed``."""
         preds = (self._base(enc) >= THRESHOLD).astype(np.int64)
         if self.rates is not None:
@@ -79,22 +86,22 @@ class LinearModel:
         return preds
 
 
-def _check_training_data(enc: EncodedDataset) -> None:
-    if not np.isfinite(enc.matrix).all():
+def _check_training_data(enc: Dataset) -> None:
+    if not np.isfinite(enc.features).all():
         raise ValidationError("training matrix contains non-finite values")
     if len(np.unique(enc.labels)) < 2:
         raise ValidationError("training data must contain both labels")
 
 
-def _train(enc: EncodedDataset, tau: float, constraint: str) -> LinearModel:
+def _train(enc: Dataset, tau: float, constraint: str) -> LinearModel:
     _check_training_data(enc)
     if tau > 0 and len(enc.group_set) < 2:
         raise ValidationError("disparity penalty requires at least two groups")
-    w0 = np.zeros(enc.matrix.shape[1] + 1)
-    obj = make_objective(enc.matrix, enc.labels, LAM, tau, enc.cells(),
+    w0 = np.zeros(enc.dimension + 1)
+    obj = make_objective(enc.features, enc.labels, LAM, tau, enc.cells(),
                          PENALTY_LABELS[constraint])
     w, _, _ = descend(obj, w0)
-    return LinearModel(w[:-1], float(w[-1]), enc.columns)
+    return LinearModel(w[:-1], float(w[-1]), enc.feature_names)
 
 
 # ---------------------------------------------------------------------------
@@ -217,7 +224,7 @@ class Intervention:
         metrics.check_epsilon(self.epsilon)
 
 
-def train_intervention(enc: EncodedDataset, interv: Intervention) -> LinearModel:
+def train_intervention(enc: Dataset, interv: Intervention) -> LinearModel:
     """Fit the intervention's logistic model, with its flip rates for eqodds.
 
     The penalty is tau times the squared gap of per-group mean sigmoid scores
@@ -241,7 +248,7 @@ class TrainingSet:
     kept, so a grid of epsilons trains the model and tallies the table once.
     """
 
-    def __init__(self, enc: EncodedDataset):
+    def __init__(self, enc: Dataset):
         self.enc = enc
         self._plain = None  # (plain LinearModel, its eqodds_program table)
 
@@ -291,10 +298,10 @@ class Bag:
 
     rows: np.ndarray
     imputer: Imputer
-    train_encoded: EncodedDataset
+    train_encoded: Dataset
     training: TrainingSet
 
-    def encode(self, ds: Dataset) -> EncodedDataset:
+    def encode(self, ds: Dataset) -> Dataset:
         return encode_indicators(ds, imputer=self.imputer)
 
 

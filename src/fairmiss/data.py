@@ -1,8 +1,10 @@
 """Dataset container, CSV ingestion, scaling, stratified splitting, fair resampling.
 
-Missing feature values are represented as NaN inside a float matrix; the
-missingness mask is always derivable as ``np.isnan``. Datasets are immutable
-after construction (arrays are marked read-only) so they can be shared freely.
+A ``Dataset`` holds the rows (x, s, y) at every stage: as loaded, where NaN
+marks a missing cell (the mask is ``np.isnan`` of the features), and as
+encoded, where the encoders of ``fairmiss.encode`` leave no missing cell and
+name each column by its tag. Datasets are immutable after construction
+(arrays are marked read-only) so they can be shared freely.
 """
 
 from __future__ import annotations
@@ -26,9 +28,10 @@ ROLES = ("feature", "sensitive", "label", "ignore")
 class Dataset:
     """Immutable collection of samples sharing a feature space.
 
-    features : (n, d) float64 matrix, NaN marks a missing cell
-    sensitive: (n,) integer group ids
-    labels   : (n,) integers in {0, 1}
+    features     : (n, d) float64 matrix, NaN marks a missing cell
+    sensitive    : (n,) integer group ids
+    labels       : (n,) integers in {0, 1}
+    feature_names: d distinct names; an encoding's are its column tags
     """
 
     features: np.ndarray
@@ -40,17 +43,20 @@ class Dataset:
         fx = np.asarray(self.features, dtype=np.float64)
         if fx.ndim != 2:
             raise ValidationError("features must be a 2-D matrix")
-        s = np.asarray(self.sensitive, dtype=np.int64)
-        y = np.asarray(self.labels, dtype=np.int64)
+        s = _integers(self.sensitive, "sensitive")
+        y = _integers(self.labels, "labels")
         if s.shape != (fx.shape[0],) or y.shape != (fx.shape[0],):
             raise ValidationError("sensitive/labels length must match feature rows")
-        if fx.shape[0] and not np.isin(y, (0, 1)).all():
+        if not ((y == 0) | (y == 1)).all():
             raise ValidationError("labels must be binary (0/1)")
         names = tuple(self.feature_names) or tuple(
             f"x{j + 1}" for j in range(fx.shape[1])
         )
         if len(names) != fx.shape[1]:
             raise ValidationError("feature_names length must match dimension")
+        if len(set(names)) != len(names):
+            dup = next(n for n in names if names.count(n) > 1)
+            raise ValidationError(f"feature name {dup!r} appears more than once")
         for arr in (fx, s, y):
             arr.setflags(write=False)
         object.__setattr__(self, "features", fx)
@@ -98,6 +104,23 @@ class Dataset:
                 idx = np.flatnonzero((self.sensitive == s) & (self.labels == y))
                 out.append(((int(s), y), idx))
         return out
+
+
+def _integers(values, name: str) -> np.ndarray:
+    """``values`` as an int64 array, not copied when it is one already. A
+    value the cast would change (a fraction, NaN, infinite or out of range)
+    raises instead of being truncated."""
+    arr = np.asarray(values)
+    if arr.dtype == np.int64:
+        return arr
+    if arr.dtype.kind not in "biuf":
+        raise ValidationError(f"{name} must be integers, got {arr.dtype} values")
+    with np.errstate(invalid="ignore"):
+        out = arr.astype(np.int64)
+    changed = out != arr
+    if changed.any():
+        raise ValidationError(f"{name} must be integers, got {arr[changed][0].item()!r}")
+    return out
 
 
 def read_text(path, error) -> str:

@@ -3,7 +3,10 @@
 Three transformations: appending per-feature missing indicators, appending
 indicator-by-value cross terms (an affinely adaptive linear model in disguise),
 and recursive partitioning of missing patterns into clusters that each get
-their own downstream model. Encoders never leave NaN in their output.
+their own downstream model. An encoding is a ``Dataset`` with the input's
+groups and labels and no missing cell; its feature names are the column
+tags ``orig:<name>``, ``ind:<name>`` and ``cross:<value name>|miss:<indicator
+name>``, each naming where its column comes from.
 """
 
 from __future__ import annotations
@@ -18,50 +21,7 @@ from .impute import Imputer, ZeroImputer
 from .optim import LAM, descend, logistic, make_objective
 
 
-@dataclass(frozen=True)
-class EncodedDataset:
-    """A complete (NaN-free) feature matrix plus carried-through s and y.
-
-    ``columns`` records each column's provenance: ``orig:<name>``,
-    ``ind:<name>``, or ``cross:<value name>|miss:<indicator name>``.
-    """
-
-    matrix: np.ndarray
-    sensitive: np.ndarray
-    labels: np.ndarray
-    columns: tuple
-
-    def __post_init__(self):
-        m = np.asarray(self.matrix, dtype=np.float64)
-        if np.isnan(m).any():
-            raise ValidationError("encoded matrix must not contain NaN")
-        if len(self.columns) != m.shape[1]:
-            raise ValidationError("column tags must match matrix width")
-        if len(set(self.columns)) != len(self.columns):
-            raise ValidationError("column tags must be unique")
-        s, y = np.asarray(self.sensitive), np.asarray(self.labels)
-        for arr in (m, s, y):
-            arr.setflags(write=False)
-        object.__setattr__(self, "matrix", m)
-        object.__setattr__(self, "sensitive", s)
-        object.__setattr__(self, "labels", y)
-        object.__setattr__(self, "columns", tuple(self.columns))
-
-    @property
-    def n_samples(self) -> int:
-        return self.matrix.shape[0]
-
-    def subset(self, indices) -> "EncodedDataset":
-        idx = np.asarray(indices, dtype=np.int64)
-        return EncodedDataset(self.matrix[idx], self.sensitive[idx], self.labels[idx],
-                              self.columns)
-
-    # the Dataset definitions, over the carried-through (read-only) s and y
-    group_set = Dataset.group_set
-    cells = Dataset.cells
-
-
-def encode_indicators(ds: Dataset, imputer: Imputer = None) -> EncodedDataset:
+def encode_indicators(ds: Dataset, imputer: Imputer = None) -> Dataset:
     """d imputed originals followed by d missing indicators (2d columns).
 
     Zero imputation by default; a fitted imputer may fill the value columns
@@ -72,7 +32,7 @@ def encode_indicators(ds: Dataset, imputer: Imputer = None) -> EncodedDataset:
         f"ind:{n}" for n in ds.feature_names
     ]
     matrix = np.hstack([values, ds.mask.astype(np.float64)])
-    return EncodedDataset(matrix, ds.sensitive, ds.labels, tuple(cols))
+    return Dataset(matrix, ds.sensitive, ds.labels, tuple(cols))
 
 
 class AffineEncoder:
@@ -93,14 +53,14 @@ class AffineEncoder:
         self.names_ = train.feature_names
         return self
 
-    def transform(self, ds: Dataset) -> EncodedDataset:
+    def transform(self, ds: Dataset) -> Dataset:
         if self.miss_features_ is None:
             raise NotFittedError("affine encoder used before fit")
         if ds.feature_names != self.names_:
             raise ValidationError("dataset features do not match the fitted encoder")
         base = encode_indicators(ds)
-        values = base.matrix[:, :ds.dimension]  # zero-filled
-        mask = base.matrix[:, ds.dimension:]
+        values = base.features[:, :ds.dimension]  # zero-filled
+        mask = base.features[:, ds.dimension:]
         cross_cols, cross_tags = [], []
         for k in self.miss_features_:
             for j in range(ds.dimension):
@@ -108,25 +68,17 @@ class AffineEncoder:
                     continue
                 cross_cols.append(mask[:, k] * (1.0 - mask[:, j]) * values[:, j])
                 cross_tags.append(f"cross:{self.names_[j]}|miss:{self.names_[k]}")
-        if cross_cols:
-            matrix = np.hstack([base.matrix, np.column_stack(cross_cols)])
-        else:
-            matrix = base.matrix
-        return EncodedDataset(
-            matrix, ds.sensitive, ds.labels, base.columns + tuple(cross_tags)
-        )
+        if not cross_cols:
+            return base
+        return Dataset(np.hstack([base.features, np.column_stack(cross_cols)]),
+                       ds.sensitive, ds.labels, base.feature_names + tuple(cross_tags))
 
 
-def encode_plain(ds: Dataset, imputer: Imputer = None) -> EncodedDataset:
+def encode_plain(ds: Dataset, imputer: Imputer = None) -> Dataset:
     """Imputed originals only - the impute-then-classify representation."""
-    imputer = imputer or ZeroImputer()
-    values = imputer.transform(ds).features
-    return EncodedDataset(
-        values,
-        ds.sensitive,
-        ds.labels,
-        tuple(f"orig:{n}" for n in ds.feature_names),
-    )
+    values = (imputer or ZeroImputer()).transform(ds).features
+    return Dataset(values, ds.sensitive, ds.labels,
+                   tuple(f"orig:{n}" for n in ds.feature_names))
 
 
 # ---------------------------------------------------------------------------

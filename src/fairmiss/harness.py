@@ -16,9 +16,11 @@ Each repeat runs in two stages:
   scaler, then the imputer or encoder (impute-then-classify, indicators,
   affine) or each bag's resample and imputer (fairmissbag,
   ``classify.draw_bags``). It encodes the training and test splits once (per
-  bag for fairmissbag, zero-imputed for clustering), and returns them with
-  the method's trainer, which maps an ``Intervention`` to a predictor whose
-  ``predict(input, seed)`` reads a split as ``fit_repeat`` encoded it:
+  bag for fairmissbag, zero-imputed for clustering), each encoding a
+  ``data.Dataset`` with no missing cell whose feature names are its column
+  tags. It returns them with the method's trainer, which maps an
+  ``Intervention`` to a predictor whose ``predict(input, seed)`` reads a
+  split as ``fit_repeat`` encoded it:
   - impute-then-classify, indicators and affine train a
     ``classify.LinearModel`` (``classify.TrainingSet.train``), whose eqodds
     flips draw with the given seed. eqodds post-processes one plain model per
@@ -332,7 +334,7 @@ class ConstantPredictor:
 
     label: int
 
-    def predict(self, enc: encode.EncodedDataset, seed: int) -> np.ndarray:
+    def predict(self, enc: data.Dataset, seed: int) -> np.ndarray:
         return np.full(enc.n_samples, self.label, dtype=np.int64)
 
 
@@ -362,14 +364,14 @@ class ClusterRouter:
         return preds
 
 
-def _fit_leaf(enc: encode.EncodedDataset, interv: classify.Intervention):
+def _fit_leaf(enc: data.Dataset, interv: classify.Intervention):
     labels = np.unique(enc.labels)
     if labels.size == 1:
         return ConstantPredictor(int(labels[0]))
     return classify.train_intervention(enc, interv)
 
 
-def _train_clusters(train: data.Dataset, enc: encode.EncodedDataset, method: MethodConfig,
+def _train_clusters(train: data.Dataset, enc: data.Dataset, method: MethodConfig,
                     seed: int, interv: classify.Intervention) -> ClusterRouter:
     """Search the missing-pattern partition of the scaled training split and
     fit one leaf per cluster on its rows of the zero-imputed encoding."""
@@ -605,11 +607,8 @@ def _pareto_gids(grid, aggregated) -> list:
             continue
         agg = aggregated[gp.gid]
         points.append(
-            metrics.TradeoffPoint(
-                min(max(agg["test_accuracy"][0], 0.0), 1.0),
-                min(max(agg["meo"][0], 0.0), 1.0),
-                provenance=(("grid_id", gp.gid),),
-            )
+            metrics.TradeoffPoint(agg["test_accuracy"][0], agg["meo"][0],
+                                  provenance=(("grid_id", gp.gid),))
         )
     frontier = metrics.pareto_frontier(points)
     kept = {dict(p.provenance)["grid_id"] for p in frontier}

@@ -19,7 +19,7 @@ from fairmiss.classify import (
     train_intervention,
 )
 from fairmiss.data import Dataset, _check_schema, _round_half_up
-from fairmiss.encode import AffineEncoder, ClusterPartition, EncodedDataset, LeafRecord, TreeNode
+from fairmiss.encode import AffineEncoder, ClusterPartition, LeafRecord, TreeNode
 from fairmiss.errors import CsvParseError, SchemaError, ValidationError
 from fairmiss.harness import _fmt
 from fairmiss.optim import FTOL, MAXCOR, MAX_ITERS, TOL, _contrast
@@ -493,13 +493,13 @@ def _read_row(reader, path, line_no):
 # shorthands that only tests use
 # ---------------------------------------------------------------------------
 
-def train_logreg(enc: EncodedDataset) -> LinearModel:
+def train_logreg(enc: Dataset) -> LinearModel:
     """Fit the plain L2-regularized logistic model (deterministic L-BFGS-B
     from zero weights)."""
     return train_intervention(enc, Intervention("none"))
 
 
-def encode_affine(ds: Dataset) -> EncodedDataset:
+def encode_affine(ds: Dataset) -> Dataset:
     """Fit the cross-term column set on ``ds`` itself and transform it."""
     return AffineEncoder().fit(ds).transform(ds)
 

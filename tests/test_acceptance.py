@@ -15,7 +15,7 @@ from fairmiss.classify import (
     Intervention,
     train_intervention,
 )
-from fairmiss.encode import EncodedDataset, cluster_missing_patterns, encode_indicators, encode_plain
+from fairmiss.encode import cluster_missing_patterns, encode_indicators, encode_plain
 from fairmiss.impute import ZeroImputer
 from fairmiss.optim import make_objective
 from fairmiss.metrics import (
@@ -223,8 +223,8 @@ def test_criterion_6_information_preservation_and_fano():
             ds = data.Dataset(x, rng.integers(0, 2, n), y)
             enc = encode_indicators(ds)
             orig_cols = [x[:, j] for j in range(d)]
-            enc_cols = [enc.matrix[:, j] for j in range(2 * d)]
-            imputed_only = [enc.matrix[:, j] for j in range(d)]
+            enc_cols = [enc.features[:, j] for j in range(2 * d)]
+            imputed_only = [enc.features[:, j] for j in range(d)]
             h_y = entropy(y)
             mi_orig = h_y - conditional_entropy(y, orig_cols)
             mi_enc = h_y - conditional_entropy(y, enc_cols)
@@ -268,14 +268,14 @@ def test_criterion_7_mechanical_invariants():
             assert got == oracle
 
         # (c) analytic gradients match central differences at 20 points each
-        enc = EncodedDataset(
+        enc = data.Dataset(
             rng.normal(size=(50, 3)),
             rng.integers(0, 2, 50),
             rng.integers(0, 2, 50),
             ("orig:a", "orig:b", "orig:c"),
         )
         for tau, constraint in ((0.0, "mean-equalized-odds"), (3.0, "mean-equalized-odds")):
-            f = make_objective(enc.matrix, enc.labels, 1e-4, tau, enc.cells(),
+            f = make_objective(enc.features, enc.labels, 1e-4, tau, enc.cells(),
                                PENALTY_LABELS[constraint])
             for _ in range(20):
                 w = rng.normal(scale=0.7, size=4)
@@ -289,7 +289,7 @@ def test_criterion_7_mechanical_invariants():
 
         # (d) tau = 0 penalty training is bit-identical to plain training
         for _ in range(5):
-            enc = EncodedDataset(
+            enc = data.Dataset(
                 rng.normal(size=(40, 2)),
                 rng.integers(0, 2, 40),
                 rng.integers(0, 2, 40),

@@ -25,7 +25,7 @@ from fairmiss.classify import (
     train_intervention,
 )
 from fairmiss.data import Dataset, fair_resample
-from fairmiss.encode import EncodedDataset, encode_indicators
+from fairmiss.encode import encode_indicators
 from fairmiss.errors import ValidationError
 from fairmiss.impute import make_imputer
 from fairmiss.metrics import accuracy, disparity, group_rates
@@ -54,7 +54,7 @@ from oracles import (
 def encoded(matrix, sens, labels):
     matrix = np.asarray(matrix, dtype=float)
     cols = tuple(f"orig:x{j+1}" for j in range(matrix.shape[1]))
-    return EncodedDataset(matrix, np.asarray(sens), np.asarray(labels), cols)
+    return Dataset(matrix, np.asarray(sens), np.asarray(labels), cols)
 
 
 def random_encoded(rng, n=60, d=3):
@@ -111,6 +111,13 @@ class TestLinearModel:
         flip = model.rates.flip_probs(enc.sensitive, base)
         assert np.array_equal(model.scores(enc), np.where(base == 1, 1.0 - flip, flip))
 
+    def test_a_row_with_a_missing_cell_has_no_score(self, rng):
+        model = LinearModel(np.ones(2), 0.0, ("orig:x1", "orig:x2"))
+        enc = encoded([[0.0, 1.0], [np.nan, 1.0]], [0, 1], [0, 1])
+        for read in (model.scores, lambda e: model.predict(e, 0)):
+            with pytest.raises(ValidationError, match="row 1 has a missing"):
+                read(enc)
+
     def test_width_mismatch_errors(self, rng):
         model = LinearModel(np.zeros(2), 0.0, ("orig:x1", "orig:x2"))
         enc = random_encoded(rng, n=5, d=3)
@@ -128,10 +135,10 @@ class TestTrainLogreg:
 
     def test_zero_iterations_returns_zero_weights(self, rng):
         enc = random_encoded(rng)
-        w, _, iters = descend(make_objective(enc.matrix, enc.labels, 1e-4), np.zeros(4),
+        w, _, iters = descend(make_objective(enc.features, enc.labels, 1e-4), np.zeros(4),
                               max_iters=0)
         assert np.all(w == 0.0) and iters == 0
-        model = LinearModel(w[:-1], float(w[-1]), enc.columns)
+        model = LinearModel(w[:-1], float(w[-1]), enc.feature_names)
         # constant score 0.5 predicts 1 everywhere at the threshold
         assert model.predict(enc, 0).all()
 
@@ -153,7 +160,7 @@ class TestTrainLogreg:
 
     def test_iteration_cap_logs_one_warning(self, rng, caplog):
         enc = random_encoded(rng)
-        objective = make_objective(enc.matrix, enc.labels, 1e-4)
+        objective = make_objective(enc.features, enc.labels, 1e-4)
         with caplog.at_level(logging.WARNING, logger="fairmiss"):
             w, _, _ = descend(objective, np.zeros(4), max_iters=1)
         assert len(caplog.records) == 1
@@ -172,7 +179,7 @@ class TestTrainLogreg:
 
     def test_stop_meets_the_gradient_tolerance(self, rng):
         enc = random_encoded(rng)
-        f = make_objective(enc.matrix, enc.labels, 1e-4)
+        f = make_objective(enc.features, enc.labels, 1e-4)
         w, value, iters = descend(f, np.zeros(4), 1e-8, 500)
         assert 0 < iters < 500
         assert value == f(w)[0]
@@ -195,7 +202,7 @@ class TestGradients:
     ])
     def test_analytic_matches_central_differences(self, rng, tau, constraint):
         enc = random_encoded(rng, n=50, d=3)
-        f = make_objective(enc.matrix, enc.labels, 1e-4, tau, enc.cells(),
+        f = make_objective(enc.features, enc.labels, 1e-4, tau, enc.cells(),
                            PENALTY_LABELS[constraint])
         for _ in range(20):
             w = rng.normal(scale=0.8, size=4)
@@ -231,12 +238,12 @@ class TestGradients:
         enc = encoded(rng.normal(size=(n, d)), rng.integers(0, 3, n), rng.integers(0, 2, n))
         assert len(enc.group_set) == 3
         labels = PENALTY_LABELS[constraint]
-        f = make_objective(enc.matrix, enc.labels, 1e-3, 4.0, enc.cells(), labels)
+        f = make_objective(enc.features, enc.labels, 1e-3, 4.0, enc.cells(), labels)
         for _ in range(20):
             w = rng.normal(scale=0.8, size=d + 1)
             value, grad = f(w)
             ref_value, ref_grad = self.per_cell_objective(
-                enc.matrix, enc.labels.astype(float), 1e-3, 4.0, enc.cells(), labels, w)
+                enc.features, enc.labels.astype(float), 1e-3, 4.0, enc.cells(), labels, w)
             assert abs(value - ref_value) <= 1e-10 * abs(ref_value)
             assert np.linalg.norm(grad - ref_grad) <= 1e-10 * np.linalg.norm(ref_grad)
 
@@ -276,7 +283,7 @@ def objective_case(draw):
 @given(objective_case())
 def test_objective_has_the_bits_of_the_two_exponential_objective(case):
     enc, w, lam, tau, constraint = case
-    args = (enc.matrix, enc.labels, lam, tau, enc.cells(), PENALTY_LABELS[constraint])
+    args = (enc.features, enc.labels, lam, tau, enc.cells(), PENALTY_LABELS[constraint])
     value, grad = make_objective(*args)(w)
     ref_value, ref_grad = reference_objective(*args)(w)
     assert np.float64(value).tobytes() == np.float64(ref_value).tobytes()
@@ -327,7 +334,7 @@ class TestPenalty:
         plain = train_logreg(enc)
         pen = train_intervention(enc, Intervention("penalty", tau=5.0))
         assert np.linalg.norm(pen.weights - plain.weights) <= 1e-3
-        f = make_objective(enc.matrix, enc.labels, 1e-4, 5.0, enc.cells())
+        f = make_objective(enc.features, enc.labels, 1e-4, 5.0, enc.cells())
         _, grad = f(np.concatenate([pen.weights, [pen.bias]]))
         assert np.linalg.norm(grad) <= 1e-5
 
@@ -680,7 +687,7 @@ class TestFairBagging:
         train = random_dataset(rng, n=50, d=2, missing_rate=0.0)
         for bag in draw_bags(train, 3, "mean", seed=1):
             enc = encode_indicators(train, imputer=bag.imputer)
-            assert (enc.matrix[:, 2:] == 0).all()
+            assert (enc.features[:, 2:] == 0).all()
 
     def test_score_average_arithmetic(self):
         # bag scores (0.3, 0.55, 0.6) average to 0.4833 and predict 0, where a
@@ -773,7 +780,7 @@ def rated_ensembles(draw):
         enc = encoded(draw(hnp.arrays(np.float64, (n, d), elements=values)), sens, labels)
         rates = PostprocessRates((0, 1), {c: draw(st.floats(0, 1)) for c in cells})
         weights = draw(hnp.arrays(np.float64, d, elements=values))
-        bags.append(LinearModel(weights, draw(values), enc.columns, rates))
+        bags.append(LinearModel(weights, draw(values), enc.feature_names, rates))
         encs.append(enc)
     return FairEnsemble(tuple(bags), "score-average"), tuple(encs), draw(st.integers(0, 2**32 - 1))
 

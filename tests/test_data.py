@@ -521,3 +521,26 @@ def test_mask_is_computed_once_and_read_only(rng):
     assert np.array_equal(mask, np.isnan(ds.features))
     with pytest.raises(ValueError, match="read-only"):
         mask[0, 0] = not mask[0, 0]
+
+
+@pytest.mark.parametrize("sens, labels, bad", [
+    ([0, 1.5, 1], [0, 1, 1], "sensitive must be integers, got 1.5"),
+    ([0, 1, 1], [0.5, 1.7, 1], "labels must be integers, got 0.5"),
+    ([0, 1, 1], [0, np.nan, 1], "labels must be integers, got nan"),
+])
+def test_groups_and_labels_that_an_integer_cast_would_change_raise(sens, labels, bad):
+    with pytest.raises(ValidationError, match=bad):
+        Dataset(np.zeros((3, 1)), sens, labels)
+
+
+def test_integral_groups_and_labels_are_read_and_int64_input_is_kept():
+    ds = Dataset(np.zeros((3, 1)), np.array([0.0, 2.0, 1.0]), [True, False, True])
+    assert ds.sensitive.tolist() == [0, 2, 1] and ds.labels.tolist() == [1, 0, 1]
+    assert ds.sensitive.dtype == ds.labels.dtype == np.int64
+    groups = np.array([0, 2, 1])
+    assert Dataset(np.zeros((3, 1)), groups, [0, 1, 1]).sensitive is groups
+
+
+def test_duplicate_feature_names_raise():
+    with pytest.raises(ValidationError, match="'b' appears more than once"):
+        Dataset(np.zeros((2, 3)), [0, 1], [0, 1], ("a", "b", "b"))

@@ -1,13 +1,17 @@
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from fairmiss.data import Dataset
 from fairmiss.encode import (
     AffineEncoder,
     cluster_missing_patterns,
     encode_indicators,
+    encode_plain,
 )
 from fairmiss.errors import ValidationError
+from fairmiss.impute import make_imputer
 from fairmiss.simulate import gen_synthetic
 
 from conftest import random_dataset
@@ -29,24 +33,55 @@ def ds_from(matrix, sens=None, labels=None):
     return Dataset(matrix, sens, labels)
 
 
+@st.composite
+def holes_and_imputer(draw):
+    """Rows with NaN holes, each feature observed at least once as every
+    imputer's fit needs, and an imputer spec for them."""
+    n = draw(st.integers(1, 12))
+    d = draw(st.integers(1, 4))
+    x = draw(hnp.arrays(np.float64, (n, d), elements=st.floats(-1e3, 1e3)))
+    holes = draw(hnp.arrays(bool, (n, d)))
+    holes[draw(st.integers(0, n - 1)), :] = False
+    x[holes] = np.nan
+    sens = draw(hnp.arrays(np.int64, n, elements=st.integers(0, 2)))
+    labels = draw(hnp.arrays(np.int64, n, elements=st.integers(0, 1)))
+    spec = draw(st.sampled_from(
+        ["zero", "mean", f"knn:{draw(st.integers(1, n))}", "iterative:3"]))
+    return Dataset(x, sens, labels), spec
+
+
+@given(holes_and_imputer())
+def test_every_encoding_is_a_complete_dataset_of_the_same_rows(case):
+    ds, spec = case
+    imputer = make_imputer(spec).fit(ds)
+    encodings = (encode_plain(ds, imputer), encode_indicators(ds, imputer),
+                 encode_indicators(ds), AffineEncoder().fit(ds).transform(ds))
+    for enc in encodings:
+        assert isinstance(enc, Dataset)
+        assert not np.isnan(enc.features).any()
+        assert len(set(enc.feature_names)) == enc.dimension
+        assert np.array_equal(enc.sensitive, ds.sensitive)
+        assert np.array_equal(enc.labels, ds.labels)
+
+
 class TestIndicators:
     def test_definition(self):
         ds = ds_from([[np.nan, 2.0]])
         enc = encode_indicators(ds)
-        assert enc.matrix[0].tolist() == [0.0, 2.0, 1.0, 0.0]
-        assert enc.columns == ("orig:x1", "orig:x2", "ind:x1", "ind:x2")
+        assert enc.features[0].tolist() == [0.0, 2.0, 1.0, 0.0]
+        assert enc.feature_names == ("orig:x1", "orig:x2", "ind:x1", "ind:x2")
 
     def test_complete_row_gets_zero_indicators(self):
         ds = ds_from([[1.0, 2.0]])
-        assert encode_indicators(ds).matrix[0].tolist() == [1.0, 2.0, 0.0, 0.0]
+        assert encode_indicators(ds).features[0].tolist() == [1.0, 2.0, 0.0, 0.0]
 
     def test_all_missing_row(self):
         ds = ds_from([[np.nan, np.nan]])
-        assert encode_indicators(ds).matrix[0].tolist() == [0.0, 0.0, 1.0, 1.0]
+        assert encode_indicators(ds).features[0].tolist() == [0.0, 0.0, 1.0, 1.0]
 
     def test_column_count(self, rng):
         ds = random_dataset(rng, n=20, d=5)
-        assert encode_indicators(ds).matrix.shape[1] == 10
+        assert encode_indicators(ds).features.shape[1] == 10
 
 
 class TestAffine:
@@ -54,37 +89,37 @@ class TestAffine:
         # both features miss somewhere in the data, so both get cross columns
         ds = ds_from([[np.nan, 3.0], [1.0, np.nan]])
         enc = encode_affine(ds)
-        assert enc.matrix[0].tolist() == [0.0, 3.0, 1.0, 0.0, 3.0, 0.0]
-        assert enc.columns[4:] == ("cross:x2|miss:x1", "cross:x1|miss:x2")
+        assert enc.features[0].tolist() == [0.0, 3.0, 1.0, 0.0, 3.0, 0.0]
+        assert enc.feature_names[4:] == ("cross:x2|miss:x1", "cross:x1|miss:x2")
 
     def test_complete_dataset_equals_indicator_encoding(self, rng):
         ds = random_dataset(rng, n=15, d=3, missing_rate=0.0)
         enc = encode_affine(ds)
         base = encode_indicators(ds)
-        assert enc.columns == base.columns
-        assert np.array_equal(enc.matrix, base.matrix)
+        assert enc.feature_names == base.feature_names
+        assert np.array_equal(enc.features, base.features)
 
     def test_column_count_formula(self):
         # d = 3 with exactly one missing-capable feature: 2*3 + 1*2 = 8
         ds = ds_from([[np.nan, 1.0, 2.0], [0.5, 1.5, 2.5]])
-        assert encode_affine(ds).matrix.shape[1] == 8
+        assert encode_affine(ds).features.shape[1] == 8
 
     def test_first_2d_columns_match_indicators(self, rng):
         ds = random_dataset(rng, n=30, d=4, missing_rate=0.3)
         enc = encode_affine(ds)
         base = encode_indicators(ds)
         d2 = 2 * ds.dimension
-        assert enc.columns[:d2] == base.columns
-        assert np.array_equal(enc.matrix[:, :d2], base.matrix)
+        assert enc.feature_names[:d2] == base.feature_names
+        assert np.array_equal(enc.features[:, :d2], base.features)
 
     def test_test_time_only_missingness_adds_no_columns(self, rng):
         train = ds_from([[np.nan, 1.0, 2.0], [0.5, 1.5, 2.5]])
         encoder = AffineEncoder().fit(train)
         test = ds_from([[1.0, np.nan, 2.0]])  # feature 2 missing only here
         enc = encoder.transform(test)
-        assert enc.matrix.shape[1] == 8
+        assert enc.features.shape[1] == 8
         # its mask still shows through the indicator column
-        assert enc.matrix[0, 3 + 1] == 1.0
+        assert enc.features[0, 3 + 1] == 1.0
 
 
 class TestInformationPreservation:
@@ -99,7 +134,7 @@ class TestInformationPreservation:
             ds = Dataset(x, rng.integers(0, 2, n), y)
             enc = encode_indicators(ds)
             orig_cols = [x[:, j] for j in range(d)]  # NaN is its own symbol
-            enc_cols = [enc.matrix[:, j] for j in range(2 * d)]
+            enc_cols = [enc.features[:, j] for j in range(2 * d)]
             h_y = entropy(y)
             mi_orig = h_y - conditional_entropy(y, orig_cols)
             mi_enc = h_y - conditional_entropy(y, enc_cols)

@@ -645,7 +645,7 @@ class TestLeakage:
             members = models if not bags else [bag for p in models for bag in p.bags]
             states.append((
                 rep.train.features.tobytes(),  # the fitted scaler's effect
-                [enc.matrix.tobytes() for enc in train_inputs],
+                [enc.features.tobytes() for enc in train_inputs],
                 [bag.rows.tobytes() for bag in bags],
                 [(m.weights.tobytes(), m.bias, m.rates.flip) for m in members],
             ))
