@@ -93,11 +93,15 @@ class TreeNode:
     cluster: int = None  # leaf id
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LeafRecord:
     cluster: int
-    size: int
+    rows: np.ndarray  # the leaf's training rows, ascending
     group_fractions: dict
+
+    @property
+    def size(self) -> int:
+        return len(self.rows)
 
 
 @dataclass(frozen=True)
@@ -139,11 +143,6 @@ class ClusterPartition:
         return out
 
 
-def _group_fractions(ds: Dataset, idx: np.ndarray) -> dict:
-    sens = ds.sensitive[idx]
-    return {int(s): float(np.mean(sens == s)) for s in ds.group_set}
-
-
 def cluster_missing_patterns(
     train: Dataset,
     k_min: int,
@@ -183,6 +182,10 @@ def cluster_missing_patterns(
     y = train.labels
     mask = train.mask
     all_idx = np.arange(train.n_samples)
+    group_idx = np.unique(train.sensitive, return_inverse=True)[1]
+
+    def group_fractions(idx: np.ndarray) -> np.ndarray:
+        return np.bincount(group_idx[idx], minlength=n_groups) / idx.size
 
     if val_fraction > 0.0:
         fit_idx, _ = stratified_split_indices(train, val_fraction, seed)
@@ -193,8 +196,6 @@ def cluster_missing_patterns(
 
     def cluster_loss(idx: np.ndarray) -> float:
         fit_rows = idx[fit_flags[idx]]
-        if fit_rows.size == 0:
-            return np.inf
         n = fit_rows.size
         obj = make_objective(x[fit_rows], y[fit_rows], LAM / n)
         w, mean_loss, _ = descend(obj, np.zeros(x.shape[1] + 1))
@@ -217,16 +218,9 @@ def cluster_missing_patterns(
             left = idx[~mask[idx, j]]
             if len(left) < k_min or len(right) < k_min:
                 continue
-            ok = True
-            for child in (left, right):
-                for frac in _group_fractions(train, child).values():
-                    if not beta <= frac <= alpha:
-                        ok = False
-            if not ok:
-                continue
-            if val_fraction > 0.0 and (
-                fit_flags[left].sum() == 0 or fit_flags[right].sum() == 0
-            ):
+            fractions = np.concatenate([group_fractions(left), group_fractions(right)])
+            if not (beta <= fractions.min() and fractions.max() <= alpha
+                    and fit_flags[left].any() and fit_flags[right].any()):
                 continue
             left_loss, right_loss = cluster_loss(left), cluster_loss(right)
             split_loss = left_loss + right_loss
@@ -246,5 +240,6 @@ def cluster_missing_patterns(
         else:
             q = len(part.leaves)
             part.nodes[node_id].cluster = q
-            part.leaves.append(LeafRecord(q, int(len(idx)), _group_fractions(train, idx)))
+            part.leaves.append(LeafRecord(
+                q, idx, dict(zip(train.group_set, group_fractions(idx).tolist()))))
     return part

@@ -30,14 +30,14 @@ Each repeat runs in two stages:
   - clustering searches the missing-pattern partition of the training split
     with the repeat's seed and gives a ``ClusterRouter``: one leaf predictor
     per cluster, leaf q drawing with seed + q. A leaf is a LinearModel
-    trained on its rows of the zero-imputed training encoding, or, when
-    those rows carry a single label, a ``ConstantPredictor`` of that label
-    (no model can be trained there, so neither the penalty nor eqodds
-    applies to that leaf). The partition does not depend on the
-    intervention, yet it is still searched at every grid point: searching it
-    once per repeat changes which layer dominates the benchmark's clustering
-    workload, and that move waits for the change that re-pins it (ROADMAP
-    item 2).
+    trained on the rows of the zero-imputed training encoding that the search
+    assigned it, or, when those rows carry a single label, a
+    ``ConstantPredictor`` of that label (no model can be trained there, so
+    neither the penalty nor eqodds applies to that leaf). The partition does
+    not depend on the intervention, yet it is still searched at every grid
+    point: searching it once per repeat changes which layer dominates the
+    benchmark's clustering workload, and that move waits for the change that
+    re-pins it (ROADMAP item 2).
 - ``fit_pipeline``, once per grid point, calls the trainer with the grid
   point's intervention and scores the predictor on the training split.
 
@@ -374,14 +374,11 @@ def _fit_leaf(enc: data.Dataset, interv: classify.Intervention):
 def _train_clusters(train: data.Dataset, enc: data.Dataset, method: MethodConfig,
                     seed: int, interv: classify.Intervention) -> ClusterRouter:
     """Search the missing-pattern partition of the scaled training split and
-    fit one leaf per cluster on its rows of the zero-imputed encoding."""
+    fit each leaf on the zero-imputed encoding of the rows the search gave it."""
     part = encode.cluster_missing_patterns(train, method.k_min, method.alpha, method.beta,
                                            val_fraction=method.val_fraction, seed=seed)
-    assignments = part.assign_dataset(train)
-    return ClusterRouter(part, tuple(
-        _fit_leaf(enc.subset(np.flatnonzero(assignments == q)), interv)
-        for q in range(part.n_clusters)
-    ))
+    return ClusterRouter(part, tuple(_fit_leaf(enc.subset(leaf.rows), interv)
+                                     for leaf in part.leaves))
 
 
 @dataclass

@@ -560,7 +560,8 @@ def partition_from_text(text: str) -> ClusterPartition:
             clusters.add(int(toks[2]))
         else:
             raise ValidationError(f"bad partition line: {ln!r}")
-    part.leaves = [LeafRecord(cluster=q, size=0, group_fractions={}) for q in sorted(clusters)]
+    part.leaves = [LeafRecord(cluster=q, rows=np.empty(0, dtype=np.int64), group_fractions={})
+                   for q in sorted(clusters)]
     return part
 
 
