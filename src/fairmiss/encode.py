@@ -143,6 +143,16 @@ class ClusterPartition:
         return out
 
 
+def check_group_bounds(alpha: float, beta: float, n_groups: int) -> None:
+    """Every group's fraction of a cluster must lie in [beta, alpha]; a
+    partition exists only when 0 <= beta <= 1/|S| <= alpha <= 1."""
+    if not (0.0 <= beta <= 1.0 / n_groups <= alpha <= 1.0):
+        raise ValidationError(
+            f"bounded representation needs 0 <= beta <= 1/|S| <= alpha <= 1 "
+            f"(got alpha={alpha}, beta={beta}, |S|={n_groups})"
+        )
+
+
 def cluster_missing_patterns(
     train: Dataset,
     k_min: int,
@@ -168,11 +178,7 @@ def cluster_missing_patterns(
     if train.n_samples == 0:
         raise ValidationError("cannot cluster an empty training set")
     n_groups = len(train.group_set)
-    if not (0.0 <= beta <= 1.0 / n_groups <= alpha <= 1.0):
-        raise ValidationError(
-            f"bounded representation needs 0 <= beta <= 1/|S| <= alpha <= 1 "
-            f"(got alpha={alpha}, beta={beta}, |S|={n_groups})"
-        )
+    check_group_bounds(alpha, beta, n_groups)
     if k_min < 1:
         raise ValidationError("minimum cluster size must be >= 1")
     if not 0.0 <= val_fraction < 1.0:

@@ -11,16 +11,17 @@ epsilon, and the sweep's aggregation and CSV writer take those records.
 
 Each repeat runs in two stages:
 
-- ``fit_repeat``, once per repeat, is the only code that looks at the method
-  name. It fits what no grid point changes on the training split: the
-  scaler, then the imputer or encoder (impute-then-classify, indicators,
-  affine) or each bag's resample and imputer (fairmissbag,
-  ``classify.draw_bags``). It encodes the training and test splits once (per
-  bag for fairmissbag, zero-imputed for clustering), each encoding a
-  ``data.Dataset`` with no missing cell whose feature names are its column
-  tags. It returns them with the method's trainer, which maps an
-  ``Intervention`` to a predictor whose ``predict(input, seed)`` reads a
-  split as ``fit_repeat`` encoded it:
+- ``fit_repeat``, once per repeat, is the only code that fits by the method
+  name (``run_experiment`` also reads it, to check clustering's group bounds
+  against the data's groups before the sweep). It fits what no grid point
+  changes on the training split: the scaler, then the imputer or encoder
+  (impute-then-classify, indicators, affine) or each bag's resample and
+  imputer (fairmissbag, ``classify.draw_bags``). It encodes the training
+  and test splits once (per bag for fairmissbag, zero-imputed for
+  clustering), each encoding a ``data.Dataset`` with no missing cell whose
+  feature names are its column tags. It returns them with the method's
+  trainer, which maps an ``Intervention`` to a predictor whose
+  ``predict(input, seed)`` reads a split as ``fit_repeat`` encoded it:
   - impute-then-classify, indicators and affine train a
     ``classify.LinearModel`` (``classify.TrainingSet.train``), whose eqodds
     flips draw with the given seed. eqodds post-processes one plain model per
@@ -254,8 +255,7 @@ def validate_config(cfg: ExperimentConfig) -> None:
         raise ConfigError(f"bags must be >= 1, got {m.bags}")
     if not 0.0 <= m.val_fraction < 1.0:
         raise ConfigError(f"val_fraction must lie in [0, 1), got {m.val_fraction}")
-    # the 1/|S| bound between them needs the data: run_experiment checks
-    # alpha, and cluster_missing_patterns both
+    # the 1/|S| bound between them needs the data: run_experiment checks it
     if not 0.0 <= m.beta <= m.alpha <= 1.0:
         raise ConfigError(f"need 0 <= beta <= alpha <= 1, got alpha={m.alpha}, beta={m.beta}")
     try:
@@ -548,14 +548,14 @@ def run_experiment(cfg: ExperimentConfig) -> RunResult:
     # one failure per grid point
     optim.load_lbfgsb()
     ds = source
-    # a training split has at most the data's groups, so every grid point
-    # would fail; beta <= 1/|S| may still hold for a split with fewer groups
-    n_groups = len(ds.group_set)
-    if cfg.method.name == "clustering" and n_groups and cfg.method.alpha < 1.0 / n_groups:
-        raise ConfigError(
-            f"clustering needs alpha >= 1/|S| = 1/{n_groups} for the data's "
-            f"groups, got alpha={cfg.method.alpha}"
-        )
+    # a stratified training split holds every group of the data (each
+    # non-empty (group, label) cell gives it a row), so bounds that rule the
+    # data's groups out would fail every grid point of every repeat
+    if cfg.method.name == "clustering" and ds.n_samples:
+        try:
+            encode.check_group_bounds(cfg.method.alpha, cfg.method.beta, len(ds.group_set))
+        except ValidationError as exc:
+            raise ConfigError(f"clustering: {exc}") from None
     if cfg.data.balance:
         ds = data.balance_cells(ds, cfg.sweep.seed)
 

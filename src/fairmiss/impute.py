@@ -7,7 +7,9 @@ is filled from that row and the fitted state alone, so the transform of a
 subset of rows equals those rows of the whole transform, bit for bit (fair
 bagging relies on this to encode a training split once per bag). Observed
 values must be finite: ``fit`` and ``transform`` raise ``ValidationError``
-naming the first feature that holds an infinite value.
+naming the first feature that holds an infinite value. So must fills: an
+overflowing mean or ridge prediction makes ``transform`` raise naming the
+first feature it would fill, and a singular ridge system raises in ``fit``.
 """
 
 from __future__ import annotations
@@ -56,8 +58,13 @@ class Imputer:
         mask = ds.mask
         if not mask.any():
             return ds
+        fill = self._fill(ds)
+        if not np.isfinite(fill).all():
+            cols = np.nonzero(mask)[1][~np.isfinite(fill)]
+            _reject_features(np.bincount(cols, minlength=ds.dimension) > 0, ds,
+                             f"gets a non-finite fill from the {self.name} imputer")
         out = ds.features.copy()
-        out[mask] = self._fill(ds)
+        out[mask] = fill
         return ds.with_features(out)
 
     def _fit(self, train: Dataset) -> None:
@@ -370,12 +377,18 @@ class IterativeImputer(MeanImputer):
         self.lam = float(lam)
 
     @staticmethod
-    def _ridge(a: np.ndarray, b: np.ndarray, lam: float):
+    def _ridge(a: np.ndarray, b: np.ndarray, lam: float, name: str):
+        """Ridge coefficients and bias regressing feature ``name`` (b) on
+        the others (a)."""
         ones = np.ones((a.shape[0], 1))
         aug = np.hstack([a, ones])
         gram = aug.T @ aug
         gram[np.diag_indices(a.shape[1])] += lam  # bias unpenalized
-        coef = np.linalg.solve(gram, aug.T @ b)
+        try:
+            coef = np.linalg.solve(gram, aug.T @ b)
+        except np.linalg.LinAlgError:
+            raise ValidationError(f"iterative imputation cannot regress feature {name!r} "
+                                  f"on the others: its ridge system is singular") from None
         return coef[:-1], float(coef[-1])
 
     def _fit(self, train: Dataset) -> None:
@@ -393,7 +406,8 @@ class IterativeImputer(MeanImputer):
             delta = 0.0
             for j in range(d):
                 obs = ~mask[:, j]
-                w, b = self._ridge(x[np.ix_(obs, others[j])], x[obs, j], self.lam)
+                w, b = self._ridge(x[np.ix_(obs, others[j])], x[obs, j], self.lam,
+                                   train.feature_names[j])
                 self.coefs_[j] = (w, b)
                 miss = mask[:, j]
                 if miss.any():

@@ -865,15 +865,22 @@ def test_load_config_of_a_missing_file_is_a_config_error(tmp_path):
         load_config(tmp_path / "absent.cfg")
 
 
-def test_clustering_alpha_below_one_over_the_groups_is_one_config_error(tmp_path):
-    # two groups in the synthetic data: alpha = 0.4 < 1/2 fails before any fit
+@pytest.mark.parametrize("bounds, got", [
+    ("alpha = 0.4", "alpha=0.4, beta=0.0"),
+    ("alpha = 1\nbeta = 0.6", "alpha=1.0, beta=0.6"),
+], ids=["alpha", "beta"])
+def test_clustering_alpha_below_one_over_the_groups_is_one_config_error(tmp_path, bounds, got):
+    # two groups in the synthetic data, and so in every training split: alpha
+    # = 0.4 < 1/2 or beta = 0.6 > 1/2 fails before any fit
     body = BASIC.format(out=tmp_path / "a").replace(
-        "name = indicators", "name = clustering\nalpha = 0.4")
+        "name = indicators", f"name = clustering\n{bounds}")
     cfg = load_config(write_config(tmp_path, body))
-    with pytest.raises(ConfigError, match=r"alpha >= 1/\|S\| = 1/2 .* got alpha=0.4"):
+    with pytest.raises(ConfigError, match=re.escape(
+            f"clustering: bounded representation needs 0 <= beta <= 1/|S| <= alpha <= 1 "
+            f"(got {got}, |S|=2)")):
         run_experiment(cfg)
     assert not (tmp_path / "a").exists()
-    cfg.method.alpha = 0.5
+    cfg.method.alpha, cfg.method.beta = 0.5, 0.5
     assert run_experiment(cfg).succeeded
 
 

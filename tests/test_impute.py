@@ -617,6 +617,39 @@ def test_infinite_observed_value_is_a_validation_error(spec):
         imp.transform(ds)
 
 
+@pytest.mark.parametrize("imputer, rows, feature", [
+    # two identical columns and no ridge penalty
+    (IterativeImputer(3, 0.0),
+     [[1, 1, 2], [2, 2, np.nan], [3, 3, 1], [4, 4, np.nan], [5, 5, 3]], "c"),
+    # the default penalty is lost to rounding beside 1e300
+    (IterativeImputer(), [[1e150, 2.0], [np.nan, np.nan]], "b"),
+], ids=["identical-columns", "penalty-below-rounding"])
+def test_singular_ridge_system_is_a_validation_error(imputer, rows, feature):
+    ds = ds_from(rows, names=("a", "b", "c")[:len(rows[0])])
+    with pytest.raises(ValidationError, match=f"cannot regress feature '{feature}' on the "
+                                              f"others: its ridge system is singular"):
+        imputer.fit(ds)
+
+
+@pytest.mark.parametrize("imputer, rows", [
+    # nanmean overflows
+    (MeanImputer(), [[1e308], [1e308], [-1e308], [-1e308], [np.nan]]),
+    # the Gram matrix's squares overflow
+    (IterativeImputer(), [[np.nan, -3e153], [5e153, 1.34e154], [1.34e154, np.nan]]),
+    # the donors' mean overflows
+    (KNNImputer(2), [[1e308, 1.0], [1e308, 1.0], [np.nan, 1.0]]),
+], ids=["mean", "iterative", "knn"])
+def test_non_finite_fill_is_a_validation_error(imputer, rows):
+    ds = ds_from(rows, names=("a", "b")[:len(rows[0])])
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)  # numpy's overflow warnings
+        imputer.fit(ds)
+        with pytest.raises(ValidationError,
+                           match=f"feature 'a' gets a non-finite fill from the "
+                                 f"{imputer.name} imputer"):
+            imputer.transform(ds)
+
+
 @st.composite
 def fit_and_target(draw, bootstrap=False):
     """A training set, a target and k; with ``bootstrap`` the training set is
