@@ -95,11 +95,13 @@ def _check_training_data(enc: Dataset) -> None:
 
 def _train(enc: Dataset, tau: float, constraint: str) -> LinearModel:
     _check_training_data(enc)
-    if tau > 0 and len(enc.group_set) < 2:
-        raise ValidationError("disparity penalty requires at least two groups")
+    labels = PENALTY_LABELS[constraint]
+    if tau > 0:
+        if len(enc.group_set) < 2:
+            raise ValidationError("disparity penalty requires at least two groups")
+        enc.require_cells(labels, "disparity penalty undefined")
     w0 = np.zeros(enc.dimension + 1)
-    obj = make_objective(enc.features, enc.labels, LAM, tau, enc.cells(),
-                         PENALTY_LABELS[constraint])
+    obj = make_objective(enc.features, enc.labels, LAM, tau, enc.cells(), labels)
     w, _, _ = descend(obj, w0)
     return LinearModel(w[:-1], float(w[-1]), enc.feature_names)
 
@@ -147,11 +149,8 @@ def eqodds_program(scores, ds) -> metrics.JointTable:
         raise ValidationError("scores must lie in [0, 1]")
     g = np.searchsorted(groups, ds.sensitive)
     x = 2 * g + 1 - (scores >= THRESHOLD)
+    ds.require_cells((0, 1), "rates undefined")
     counts = np.bincount(8 * g + 2 * x + ds.labels, minlength=16).reshape(2, 4, 2)
-    empty = np.argwhere(counts.sum(axis=1) == 0)  # in ds.cells() order
-    if empty.size:
-        s, y = empty[0]
-        raise ValidationError(f"empty cell (s={groups[s]}, y={y}): rates undefined")
     pairs = tuple((group, b) for group in groups for b in (1, 0))
     return metrics.JointTable(groups, pairs, counts / ds.labels.shape[0])
 

@@ -45,8 +45,7 @@ def _cmd_run(args) -> int:
                 f"gap={rec['gap']:.6f} mask_label_mi_bits={rec['mi_bits']:.6f}"
             )
     else:
-        for gid in sorted(result.aggregated.keys()):
-            agg = result.aggregated[gid]
+        for gid, agg in result.aggregated.items():
             print(
                 f"{gid}: test_accuracy={agg['test_accuracy'][0]:.4f} "
                 f"meo={agg['meo'][0]:.4f}"

@@ -32,6 +32,9 @@ class Dataset:
     sensitive    : (n,) integer group ids
     labels       : (n,) integers in {0, 1}
     feature_names: d distinct names; an encoding's are its column tags
+
+    ``cells()`` is the one (group, label) cell table and ``require_cells``
+    the one empty-cell rule; only the fnr penalty needs just the y = 1 cells.
     """
 
     features: np.ndarray
@@ -96,14 +99,25 @@ class Dataset:
         and labels are shared."""
         return Dataset(features, self.sensitive, self.labels, self.feature_names)
 
-    def cells(self) -> list:
-        """Per-(s, y) row indices, sorted by (s, y). Includes empty cells."""
-        out = []
-        for s in self.group_set:
-            for y in (0, 1):
-                idx = np.flatnonzero((self.sensitive == s) & (self.labels == y))
-                out.append(((int(s), y), idx))
-        return out
+    def cells(self) -> tuple:
+        """((s, y), ascending row indices) per cell, sorted by (s, y), empty cells
+        included; computed once, as ``mask`` is, with read-only index arrays."""
+        return self._cells
+
+    @cached_property
+    def _cells(self) -> tuple:
+        cells = tuple(((s, y), np.flatnonzero((self.sensitive == s) & (self.labels == y)))
+                      for s in self.group_set for y in (0, 1))
+        for _, idx in cells:
+            idx.setflags(write=False)
+        return cells
+
+    def require_cells(self, labels, problem: str) -> None:
+        """The one empty-cell rule: raise naming the first empty cell, in
+        ``cells()`` order, whose label is in ``labels``."""
+        for (s, y), idx in self.cells():
+            if y in labels and idx.size == 0:
+                raise ValidationError(f"empty cell (s={s}, y={y}): {problem}")
 
 
 def _integers(values, name: str) -> np.ndarray:
@@ -456,10 +470,9 @@ def fair_resample(ds: Dataset, seed: int) -> np.ndarray:
     preserved. Each cell draws from its own RNG stream (seed + cell index),
     making per-cell draws independent of the other cells.
     """
+    ds.require_cells((0, 1), "cannot resample")
     chosen = []
-    for c, ((s, y), idx) in enumerate(ds.cells()):
-        if len(idx) == 0:
-            raise ValidationError(f"empty cell (s={s}, y={y}), cannot resample")
+    for c, (_, idx) in enumerate(ds.cells()):
         rng = np.random.default_rng(seed + c)
         draws = rng.integers(0, len(idx), size=len(idx))
         chosen.extend(idx[draws].tolist())
@@ -469,15 +482,8 @@ def fair_resample(ds: Dataset, seed: int) -> np.ndarray:
 def balance_cells(ds: Dataset, seed: int) -> Dataset:
     """Downsample every (s, y) cell to the smallest cell size (optional
     harness preprocessing; equalizes both label and group counts)."""
-    cells = ds.cells()
-    sizes = [len(idx) for _, idx in cells]
-    if min(sizes) == 0:
-        (s, y), _ = cells[int(np.argmin(sizes))]
-        raise ValidationError(f"empty cell (s={s}, y={y}), cannot balance")
-    m = min(sizes)
-    keep = []
-    for c, (_, idx) in enumerate(cells):
-        rng = np.random.default_rng(seed + c)
-        perm = rng.permutation(len(idx))
-        keep.extend(idx[perm[:m]].tolist())
-    return ds.subset(sorted(keep))
+    ds.require_cells((0, 1), "cannot balance")
+    m = min(idx.size for _, idx in ds.cells())
+    keep = [idx[np.random.default_rng(seed + c).permutation(idx.size)[:m]]
+            for c, (_, idx) in enumerate(ds.cells())]
+    return ds.subset(np.sort(np.concatenate(keep)))

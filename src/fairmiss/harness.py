@@ -344,9 +344,9 @@ class ClusterRouter:
     seed + q.
 
     Leaf policy: a label-pure leaf is a ``ConstantPredictor``. A leaf that
-    lacks a group, or a (group, label) cell its penalty or eqodds needs,
-    cannot be fitted; the ValidationError ("empty cell ... undefined") fails
-    the whole grid point, and ``run_experiment`` records it as a failure."""
+    lacks a group, or a cell its intervention needs (eqodds and the meo
+    penalty all four, the fnr penalty the y = 1 cells), fails the whole grid
+    point by ``Dataset.require_cells``, and ``run_experiment`` records it."""
 
     partition: encode.ClusterPartition
     leaves: tuple
@@ -456,8 +456,8 @@ def evaluate_pipeline(fp: FittedPipeline, rep: RepeatFit, seed: int) -> dict:
 class RunResult:
     method: str
     grid: list
-    raw: list            # dicts: grid_id, params, repeat, metrics...
-    aggregated: dict     # gid -> {metric: (mean, stderr)}
+    raw: list            # dicts: grid_id, params, repeat, metrics...; grid-major
+    aggregated: dict     # gid -> {metric: (mean, stderr)}, in grid order
     pareto: list         # gids surviving Pareto filtering
     failures: list       # dicts: repeat, grid_id, error; one per (repeat, grid
     # point) without a raw record
@@ -519,14 +519,14 @@ def _mean_stderr(vals) -> tuple:
 
 def sweep_and_aggregate(raw: list, names=METRIC_NAMES) -> dict:
     """Mean and standard error (sample stddev / sqrt(n)) of each metric in
-    ``names``, per grid id of the ``raw`` records. A grid point is averaged
-    over the records that cover it, in their order in ``raw``.
+    ``names``, per grid id of the ``raw`` records in their order there. A
+    grid point is averaged over the records that cover it, in that order.
     """
     by_gid = {}
     for rec in raw:
         by_gid.setdefault(rec["grid_id"], []).append(rec)
-    return {gid: {m: _mean_stderr([rec[m] for rec in by_gid[gid]]) for m in names}
-            for gid in sorted(by_gid)}
+    return {gid: {m: _mean_stderr([rec[m] for rec in recs]) for m in names}
+            for gid, recs in by_gid.items()}
 
 
 def run_experiment(cfg: ExperimentConfig) -> RunResult:
@@ -590,6 +590,8 @@ def run_experiment(cfg: ExperimentConfig) -> RunResult:
             except FairmissError as exc:
                 fail(r, gp.gid, exc)
 
+    position = {gp.gid: i for i, gp in enumerate(grid)}
+    raw.sort(key=lambda rec: position[rec["grid_id"]])  # stable: repeats stay in order
     aggregated = sweep_and_aggregate(raw)
     pareto_gids = _pareto_gids(grid, aggregated)
     result = RunResult(cfg.method.name, grid, raw, aggregated, pareto_gids, failures)
@@ -633,11 +635,11 @@ def _write_outputs(out: Path, result: RunResult) -> None:
     _write_csv(out / "raw.csv", ("method", "grid_id", "params", "repeat") + result.metrics, (
         [result.method, rec["grid_id"], rec["params"], str(rec["repeat"])]
         + [_fmt(rec[m]) for m in result.metrics]
-        for rec in sorted(result.raw, key=lambda r: (r["grid_id"], r["repeat"]))
+        for rec in result.raw
     ))
     _write_csv(out / "summary.csv", SUMMARY_COLUMNS, (
-        [result.method, gid, by_gid[gid].label, m, *map(_fmt, result.aggregated[gid][m])]
-        for gid in sorted(result.aggregated) for m in result.metrics
+        [result.method, gid, by_gid[gid].label, m, *map(_fmt, agg[m])]
+        for gid, agg in result.aggregated.items() for m in result.metrics
     ))
     _write_csv(out / "pareto.csv", PARETO_COLUMNS, (
         [result.method, gid, by_gid[gid].label,

@@ -31,12 +31,8 @@ def group_rates(predictions, ds: Dataset) -> dict:
     pred = np.asarray(predictions).astype(np.int64)
     if pred.shape != ds.labels.shape:
         raise ValidationError("prediction length must equal dataset size")
-    table = {}
-    for (s, y), idx in ds.cells():
-        if len(idx) == 0:
-            raise ValidationError(f"empty cell (s={s}, y={y}): rates undefined")
-        table[(s, y)] = float(np.mean(pred[idx] == 1))
-    return table
+    ds.require_cells((0, 1), "rates undefined")
+    return {cell: float(np.mean(pred[idx] == 1)) for cell, idx in ds.cells()}
 
 
 def _max_gap(vals: list) -> float:

@@ -39,7 +39,7 @@ import sys
 
 import numpy as np
 
-from .errors import FairmissError, ValidationError
+from .errors import FairmissError
 
 log = logging.getLogger("fairmiss")
 
@@ -144,18 +144,14 @@ def make_objective(x, y, lam: float, tau: float = 0.0, cells=(), labels=(0, 1)):
     of per-group mean sigmoid scores, summed over group pairs and over the
     conditioning labels in ``labels``. ``cells`` lists ((s, y), row indices)
     as ``Dataset.cells`` orders them; every cell whose label is in ``labels``
-    must be non-empty. All gaps come from one contrast matrix built here, so
+    must be non-empty, which ``Dataset.require_cells`` checks (the penalty
+    trainer calls it). All gaps come from one contrast matrix built here, so
     an evaluation costs two products with the data like the plain loss.
     """
     x_aug = np.hstack([x, np.ones((x.shape[0], 1))])
     n = x_aug.shape[0]
     y = np.asarray(y).astype(np.float64)
     if tau > 0:
-        for (s, yy), idx in cells:
-            if yy in labels and idx.size == 0:
-                raise ValidationError(
-                    f"empty cell (s={s}, y={yy}): disparity penalty undefined"
-                )
         contrast = _contrast(cells, labels, n)
         weight = tau / len(labels)
 

@@ -1,4 +1,5 @@
 import csv
+import re
 import tempfile
 import warnings
 from pathlib import Path
@@ -9,6 +10,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from fairmiss import data
+from fairmiss.classify import Intervention, eqodds_program, train_intervention
 from fairmiss.data import (
     Dataset,
     FeatureScaler,
@@ -20,6 +22,7 @@ from fairmiss.data import (
     write_csv,
 )
 from fairmiss.errors import CsvParseError, SchemaError, ValidationError
+from fairmiss.metrics import group_rates
 
 from conftest import random_dataset
 from oracles import load_csv_rows, reference_split_indices
@@ -521,6 +524,50 @@ def test_mask_is_computed_once_and_read_only(rng):
     assert np.array_equal(mask, np.isnan(ds.features))
     with pytest.raises(ValueError, match="read-only"):
         mask[0, 0] = not mask[0, 0]
+
+
+def test_cells_are_computed_once_and_read_only(rng):
+    ds = random_dataset(rng, n=30, d=3, missing_rate=0.3)
+    cells = ds.cells()
+    assert ds.cells() is cells
+    assert [cell for cell, _ in cells] == [(s, y) for s in ds.group_set for y in (0, 1)]
+    for (s, y), idx in cells:
+        assert np.array_equal(idx, np.flatnonzero((ds.sensitive == s) & (ds.labels == y)))
+        with pytest.raises(ValueError, match="read-only"):
+            idx[:1] = 0
+
+
+# each consumer of the empty-cell rule: the labels whose cells it needs, its
+# wording, and a call that reads the cells
+_CELL_CONSUMERS = {
+    "group_rates": ((0, 1), "rates undefined",
+                    lambda ds: group_rates(np.zeros(ds.n_samples, int), ds)),
+    "eqodds_program": ((0, 1), "rates undefined",
+                       lambda ds: eqodds_program(np.full(ds.n_samples, 0.5), ds)),
+    "fair_resample": ((0, 1), "cannot resample", lambda ds: fair_resample(ds, 0)),
+    "balance_cells": ((0, 1), "cannot balance", lambda ds: balance_cells(ds, 0)),
+    "meo_penalty": ((0, 1), "disparity penalty undefined", lambda ds: train_intervention(
+        ds, Intervention("penalty", 1.0, "mean-equalized-odds"))),
+    "fnr_penalty": ((1,), "disparity penalty undefined", lambda ds: train_intervention(
+        ds, Intervention("penalty", 1.0, "fnr-difference"))),
+}
+
+
+@pytest.mark.parametrize("empty", [[(1, 0)], [(0, 1)], [(1, 1), (0, 0)], [(1, 0), (0, 1)]])
+@pytest.mark.parametrize("consumer", sorted(_CELL_CONSUMERS))
+def test_every_consumer_names_the_first_empty_cell_it_needs(consumer, empty):
+    labels, problem, call = _CELL_CONSUMERS[consumer]
+    cells = [(s, y) for s in (0, 1) for y in (0, 1) for _ in range(3)
+             if (s, y) not in empty]
+    s, y = np.array(cells).T
+    ds = Dataset(np.arange(len(cells), dtype=float)[:, None] / 10, s, y)
+    needed = sorted(cell for cell in empty if cell[1] in labels)
+    if not needed:  # the fnr penalty with only a y = 0 cell empty
+        assert np.isfinite(call(ds).weights).all()
+        return
+    want = f"empty cell (s={needed[0][0]}, y={needed[0][1]}): {problem}"
+    with pytest.raises(ValidationError, match=re.escape(want) + "$"):
+        call(ds)
 
 
 @pytest.mark.parametrize("sens, labels, bad", [

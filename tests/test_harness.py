@@ -487,6 +487,27 @@ dir = {tmp_path / "out"}
         out = capsys.readouterr().out
         assert out.count("failed repeat=") == 4 and "grid=:" not in out
 
+    def test_outputs_follow_grid_order_past_ten_points(self, tmp_path, capsys):
+        # g10 and g11 sort before g2 as strings; every output keeps grid order
+        taus = ", ".join(f"{0.1 * (i + 1):g}" for i in range(12))
+        body = BASIC.format(out=tmp_path / "o").replace("tau = 0.1, 10", f"tau = {taus}")
+        cfg_path = write_config(tmp_path, body)
+        assert cli.main(["run", str(cfg_path)]) == 0
+        gids = [f"g{i}" for i in range(12)]
+        printed = [line.split(":")[0] for line in capsys.readouterr().out.splitlines()]
+        assert printed[:12] == gids
+
+        def column(name, field):
+            lines = (tmp_path / "o" / name).read_text().splitlines()[1:]
+            return [line.split(",")[field] for line in lines]
+
+        assert list(zip(column("raw.csv", 1), column("raw.csv", 3))) == [
+            (gid, r) for gid in gids for r in ("0", "1")]
+        assert column("summary.csv", 1) == [gid for gid in gids
+                                            for _ in harness.METRIC_NAMES]
+        pareto = column("pareto.csv", 1)
+        assert pareto and pareto == sorted(pareto, key=gids.index)
+
 
 class TestPreprocessingEqualsAPreparedCsv:
     """A run's preprocessing writes the CSVs that a run on the data prepared
