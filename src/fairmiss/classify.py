@@ -23,7 +23,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import metrics
-from .data import Dataset, fair_resample
+from .data import Dataset, _integers, fair_resample, stream
 from .encode import encode_indicators
 from .errors import ValidationError
 from .impute import Imputer, make_imputer
@@ -193,8 +193,7 @@ def apply_postprocess(rates: PostprocessRates, base_predictions, sensitive,
                       seed: int) -> np.ndarray:
     """Randomize base predictions according to the fitted flip rates."""
     pred = np.asarray(base_predictions).astype(np.int64).copy()
-    rng = np.random.default_rng(seed)
-    u = rng.random(pred.shape[0])
+    u = stream(seed).random(pred.shape[0])
     return np.where(u < rates.flip_probs(sensitive, pred), 1 - pred, pred)
 
 
@@ -307,8 +306,11 @@ class Bag:
 def draw_bags(train: Dataset, bags: int, imputer_spec: str = "mean",
               seed: int = 0) -> tuple:
     """The intervention-free half of fair bagging: for each bag b = 1..bags,
-    resample within every (s, y) cell with seed + b, fit the imputer on that
-    bag alone and indicator-encode the training split with it."""
+    resample within every (s, y) cell by ``fair_resample`` with seed + b (its
+    cell c draws from ``stream(seed + b, c)``), fit the imputer on that bag
+    alone and indicator-encode the training split with it."""
+    stream(seed)  # the seed rule, before seed + b can make a negative seed valid
+    bags = int(_integers(bags, "bags"))
     if bags < 1:
         raise ValidationError("bag count must be >= 1")
     out = []
@@ -342,7 +344,7 @@ def predict_dataset(ens: FairEnsemble, encodings: tuple, seed: int) -> np.ndarra
         raise ValidationError("every bag's encoding must hold the same rows")
     scores = np.array([bag.scores(enc) for bag, enc in zip(ens.bags, encodings)])
     n = scores.shape[1]
-    rng = np.random.default_rng(seed)
+    rng = stream(seed)
     if ens.mode == "random-pick":
         p = scores[rng.integers(0, len(ens.bags), size=n), np.arange(n)]
     else:

@@ -13,6 +13,7 @@ import codecs
 import csv
 import itertools
 import math
+import operator
 from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
@@ -89,7 +90,13 @@ class Dataset:
         return mask
 
     def subset(self, indices) -> "Dataset":
-        idx = np.asarray(indices, dtype=np.int64)
+        """The rows at ``indices``, integers in [0, n), repeats allowed."""
+        idx = np.asarray(indices)
+        if idx.dtype == bool:  # a mask, which _integers would read as 0 and 1
+            raise ValidationError("indices must be integers, got a boolean mask")
+        idx = _integers(idx, "indices")
+        if idx.size and not (idx.min() >= 0 and idx.max() < self.n_samples):
+            raise ValidationError(f"indices must lie in [0, {self.n_samples})")
         # fancy indexing returns new arrays
         return Dataset(self.features[idx], self.sensitive[idx], self.labels[idx],
                        self.feature_names)
@@ -127,14 +134,27 @@ def _integers(values, name: str) -> np.ndarray:
     arr = np.asarray(values)
     if arr.dtype == np.int64:
         return arr
+    what = "an integer" if arr.ndim == 0 else "integers"
     if arr.dtype.kind not in "biuf":
-        raise ValidationError(f"{name} must be integers, got {arr.dtype} values")
+        raise ValidationError(f"{name} must be {what}, got {arr.dtype} values")
     with np.errstate(invalid="ignore"):
         out = arr.astype(np.int64)
     changed = out != arr
     if changed.any():
-        raise ValidationError(f"{name} must be integers, got {arr[changed][0].item()!r}")
+        raise ValidationError(f"{name} must be {what}, got {arr[changed][0].item()!r}")
     return out
+
+
+def stream(seed, index: int = 0) -> np.random.Generator:
+    """Stream ``index`` of ``seed``: numpy's default generator at seed + index,
+    the one place one is built and a seed (an integer >= 0) is checked."""
+    try:
+        seed = operator.index(seed)
+    except TypeError:
+        raise ValidationError(f"seed must be an integer, got {seed!r}") from None
+    if seed < 0:
+        raise ValidationError("seed must be >= 0")
+    return np.random.default_rng(seed + index)
 
 
 def read_text(path, error) -> str:
@@ -446,8 +466,7 @@ def stratified_split_indices(ds: Dataset, test_fraction: float, seed: int):
 
     test = np.zeros(ds.n_samples, dtype=bool)
     for c, (_, idx) in enumerate(cells):
-        perm = np.random.default_rng(seed + c).permutation(len(idx))
-        test[idx[perm[: counts[c]]]] = True
+        test[idx[stream(seed, c).permutation(idx.size)[:counts[c]]]] = True
     return np.flatnonzero(~test), np.flatnonzero(test)
 
 
@@ -467,16 +486,13 @@ def fair_resample(ds: Dataset, seed: int) -> np.ndarray:
     cell; ``ds.subset`` of them is the resampled dataset.
 
     Every cell contributes exactly its own size, so all cell counts are
-    preserved. Each cell draws from its own RNG stream (seed + cell index),
-    making per-cell draws independent of the other cells.
+    preserved. Cell c draws from ``stream(seed, c)``, so its draws do not
+    depend on the other cells.
     """
     ds.require_cells((0, 1), "cannot resample")
-    chosen = []
-    for c, (_, idx) in enumerate(ds.cells()):
-        rng = np.random.default_rng(seed + c)
-        draws = rng.integers(0, len(idx), size=len(idx))
-        chosen.extend(idx[draws].tolist())
-    return np.array(chosen, dtype=np.int64)
+    return np.concatenate([np.empty(0, np.int64)] + [
+        idx[stream(seed, c).integers(0, idx.size, size=idx.size)]
+        for c, (_, idx) in enumerate(ds.cells())])
 
 
 def balance_cells(ds: Dataset, seed: int) -> Dataset:
@@ -484,6 +500,6 @@ def balance_cells(ds: Dataset, seed: int) -> Dataset:
     harness preprocessing; equalizes both label and group counts)."""
     ds.require_cells((0, 1), "cannot balance")
     m = min(idx.size for _, idx in ds.cells())
-    keep = [idx[np.random.default_rng(seed + c).permutation(idx.size)[:m]]
+    keep = [idx[stream(seed, c).permutation(idx.size)[:m]]
             for c, (_, idx) in enumerate(ds.cells())]
     return ds.subset(np.sort(np.concatenate(keep)))

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import Dataset, stratified_split_indices
+from .data import Dataset, stratified_split_indices, stream
 from .errors import NotFittedError, ValidationError
 from .impute import Imputer, ZeroImputer
 from .optim import LAM, descend, logistic, make_objective
@@ -175,6 +175,7 @@ def cluster_missing_patterns(
     ``val_fraction`` > 0 a stratified share of the rows is held out once and
     the unregularized summed loss is evaluated on it instead.
     """
+    stream(seed)  # the seed rule, also when no holdout draws from it
     if train.n_samples == 0:
         raise ValidationError("cannot cluster an empty training set")
     n_groups = len(train.group_set)

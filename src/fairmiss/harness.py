@@ -62,7 +62,15 @@ from .impute import make_imputer
 
 log = logging.getLogger("fairmiss")
 
-METHODS = ("impute-then-classify", "indicators", "affine", "clustering", "fairmissbag")
+# the [method] and [intervention] keys each choice reads besides its name; a
+# key the chosen one does not read must keep its default
+READS = {
+    "method": {"impute-then-classify": ("imputer",), "indicators": (), "affine": (),
+               "clustering": ("k_min", "alpha", "beta", "val_fraction"),
+               "fairmissbag": ("imputer", "bags", "mode")},
+    "intervention": {"none": (), "penalty": ("constraint", "tau"), "eqodds": ("epsilon",)},
+}
+METHODS = tuple(READS["method"])
 
 METRIC_NAMES = ("train_accuracy", "test_accuracy", "fnr_diff", "fpr_diff", "meo")
 TABLE_METRICS = ("f_eps_original", "f_eps_imputed_best", "gap", "mi_bits")
@@ -260,6 +268,7 @@ def validate_config(cfg: ExperimentConfig) -> None:
         raise ConfigError(f"need 0 <= beta <= alpha <= 1, got alpha={m.alpha}, beta={m.beta}")
     try:
         make_imputer(cfg.method.imputer)
+        data.stream(cfg.sweep.seed)
         grid = grid_points(cfg.intervention)
         if cfg.data.source == "theorem1":
             _masked_positives(cfg.data)
@@ -269,8 +278,6 @@ def validate_config(cfg: ExperimentConfig) -> None:
         raise ConfigError(f"{cfg.intervention.name} intervention needs a non-empty grid")
     if cfg.sweep.repeats < 1:
         raise ConfigError("repeats must be >= 1")
-    if cfg.sweep.seed < 0:
-        raise ConfigError("seed must be >= 0")
     if not 0.0 < cfg.sweep.test_fraction < 1.0:
         raise ConfigError("test_fraction must lie strictly between 0 and 1")
     if cfg.data.source == "theorem1" and cfg.data.samples < 0:
@@ -284,6 +291,13 @@ def validate_config(cfg: ExperimentConfig) -> None:
             raise ConfigError(f"[method]: {table} trains no model; leave the section out")
         if cfg.intervention.name == "penalty":
             raise ConfigError(f"[intervention] name = penalty: {table} takes eqodds or none")
+    for section, reads in READS.items():
+        chosen = getattr(cfg, section)
+        default = vars(type(chosen)())
+        for key, value in vars(chosen).items():
+            if key != "name" and key not in reads[chosen.name] and value != default[key]:
+                raise ConfigError(f"[{section}] {key}: {section} {chosen.name!r} does not "
+                                  "read it; leave it out")
     if cfg.data.source == "csv":  # the loader's header check, without the rows
         schema = data.read_schema(cfg.data.schema)
         data.read_header(cfg.data.path, schema)

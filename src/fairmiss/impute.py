@@ -19,7 +19,7 @@ import warnings
 
 import numpy as np
 
-from .data import Dataset, _reject_features
+from .data import Dataset, _integers, _reject_features
 from .errors import NotFittedError, ValidationError
 
 log = logging.getLogger("fairmiss")
@@ -153,9 +153,9 @@ class KNNImputer(MeanImputer):
 
     def __init__(self, k: int = 5):
         super().__init__()
-        if k < 1:
+        self.k = int(_integers(k, "k"))
+        if self.k < 1:
             raise ValidationError("knn imputation requires k >= 1")
-        self.k = int(k)
 
     def _fit(self, train: Dataset) -> None:
         super()._fit(train)
@@ -369,11 +369,11 @@ class IterativeImputer(MeanImputer):
 
     def __init__(self, rounds: int = 10, lam: float = 1e-3):
         super().__init__()
-        if rounds < 1:
+        self.rounds = int(_integers(rounds, "rounds"))
+        if self.rounds < 1:
             raise ValidationError("iterative imputation requires rounds >= 1")
         if not (np.isfinite(lam) and lam >= 0):
             raise ValidationError(f"ridge penalty must be finite and >= 0, got {lam}")
-        self.rounds = int(rounds)
         self.lam = float(lam)
 
     @staticmethod

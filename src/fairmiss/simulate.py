@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import Dataset
+from .data import Dataset, stream
 from .errors import ValidationError
 from .metrics import JointTable
 
@@ -105,9 +105,9 @@ def inject_missing(ds: Dataset, spec: MissingnessSpec, seed: int) -> Dataset:
     """Independently blank each targeted cell with its branch probability.
 
     Indicators are evaluated on the pre-masking values (so a feature may
-    condition on itself), then the draws hide the targets. Each entry uses its
-    own RNG stream (seed + entry index). Observed values are never altered,
-    only converted to missing.
+    condition on itself), then the draws hide the targets. Entry k draws from
+    ``stream(seed, k)``. Observed values are never altered, only converted to
+    missing.
     """
     features = ds.features.copy()
     indicator_cache = [
@@ -117,8 +117,7 @@ def inject_missing(ds: Dataset, spec: MissingnessSpec, seed: int) -> Dataset:
         if entry.target not in ds.feature_names:
             raise ValidationError(f"target column {entry.target!r} not in dataset")
         j = ds.feature_names.index(entry.target)
-        rng = np.random.default_rng(seed + k)
-        u = rng.random(ds.n_samples)
+        u = stream(seed, k).random(ds.n_samples)
         p = np.where(indicator_cache[k] == 1, entry.p1, entry.p0)
         features[u < p, j] = np.nan
     return ds.with_features(features)
@@ -151,9 +150,7 @@ def gen_synthetic(seed: int) -> Dataset:
     the 800 rows where x2 is missing, so a single linear rule on zero-imputed
     data cannot fit both halves while per-pattern rules are near-perfect.
     """
-    if seed < 0:
-        raise ValidationError("seed must be >= 0")
-    rng = np.random.default_rng(seed)
+    rng = stream(seed)
     feats, sens, labels = [], [], []
     for y, s, n, m1, m2 in _COMPLETE_CELLS:
         block = rng.normal(size=(n, 2)) * np.sqrt(2.0) + np.array([m1, m2])
@@ -225,8 +222,7 @@ def sample_masked_positives(dist: MaskedPositives, n: int, seed: int) -> Dataset
         raise ValidationError("sample count must be positive")
     table = masked_positives_table(dist)
     flat = table.probs.reshape(-1)
-    rng = np.random.default_rng(seed)
-    draws = rng.choice(flat.size, size=n, p=flat)
+    draws = stream(seed).choice(flat.size, size=n, p=flat)
     si, xi, y = np.unravel_index(draws, table.probs.shape)
     xcol = np.array([np.nan if table.x_values[i] is None else table.x_values[i]
                      for i in xi])

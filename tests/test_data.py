@@ -10,7 +10,15 @@ import pytest
 from hypothesis import given, strategies as st
 
 from fairmiss import data
-from fairmiss.classify import Intervention, eqodds_program, train_intervention
+from fairmiss.classify import (
+    FairEnsemble,
+    Intervention,
+    PostprocessRates,
+    apply_postprocess,
+    draw_bags,
+    eqodds_program,
+    train_intervention,
+)
 from fairmiss.data import (
     Dataset,
     FeatureScaler,
@@ -21,8 +29,18 @@ from fairmiss.data import (
     split_train_test,
     write_csv,
 )
+from fairmiss.encode import cluster_missing_patterns, encode_indicators
 from fairmiss.errors import CsvParseError, SchemaError, ValidationError
+from fairmiss.impute import IterativeImputer, KNNImputer
 from fairmiss.metrics import group_rates
+from fairmiss.simulate import (
+    MaskedPositives,
+    MissingEntry,
+    MissingnessSpec,
+    gen_synthetic,
+    inject_missing,
+    sample_masked_positives,
+)
 
 from conftest import random_dataset
 from oracles import load_csv_rows, reference_split_indices
@@ -591,3 +609,72 @@ def test_integral_groups_and_labels_are_read_and_int64_input_is_kept():
 def test_duplicate_feature_names_raise():
     with pytest.raises(ValidationError, match="'b' appears more than once"):
         Dataset(np.zeros((2, 3)), [0, 1], [0, 1], ("a", "b", "b"))
+
+
+def test_stream_draws_the_bits_of_the_default_generator_at_seed_plus_index():
+    for seed, index in ((0, 0), (5, 3), (np.int64(7), 2), (2**40, 1)):
+        want = np.random.default_rng(int(seed) + index).random(16)
+        assert data.stream(seed, index).random(16).tobytes() == want.tobytes()
+
+
+def _seeded_calls():
+    """Each public seeded function, as a call of the seed alone."""
+    ds = gen_synthetic(0).subset(np.arange(0, 2400, 8))
+    spec = MissingnessSpec("mcar", (MissingEntry("x1", None, 0.1, 0.1),))
+    rates = PostprocessRates((0, 1), dict.fromkeys([(0, 0), (0, 1), (1, 0), (1, 1)], 0.2))
+    model = train_intervention(encode_indicators(ds), Intervention())
+    ensemble = FairEnsemble((model, model), "random-pick")
+    return {
+        "split_train_test": lambda seed: split_train_test(ds, 0.3, seed),
+        "stratified_split_indices": lambda seed: data.stratified_split_indices(ds, 0.3, seed),
+        "fair_resample": lambda seed: fair_resample(ds, seed),
+        "balance_cells": lambda seed: balance_cells(ds, seed),
+        "inject_missing": lambda seed: inject_missing(ds, spec, seed),
+        "gen_synthetic": gen_synthetic,
+        "sample_masked_positives": lambda seed: sample_masked_positives(
+            MaskedPositives((0.2, 0.2), (0.5, 0.5)), 10, seed),
+        # seed + b would be valid from bag 3 on
+        "draw_bags": lambda seed: draw_bags(ds, 3, "mean", seed),
+        "cluster_missing_patterns": lambda seed: cluster_missing_patterns(
+            ds, 1, 1.0, 0.0, val_fraction=0.2, seed=seed),
+        "apply_postprocess": lambda seed: apply_postprocess(rates, ds.labels, ds.sensitive, seed),
+        "FairEnsemble.predict": lambda seed: ensemble.predict((encode_indicators(ds),) * 2, seed),
+    }
+
+
+_SEEDED_NAMES = sorted(_seeded_calls())
+
+
+@pytest.mark.parametrize("seed, message", [
+    (-3, "seed must be >= 0"),
+    (2.5, "seed must be an integer, got 2.5"),
+])
+@pytest.mark.parametrize("name", _SEEDED_NAMES)
+def test_every_seeded_function_rejects_a_negative_or_fractional_seed(name, seed, message):
+    with pytest.raises(ValidationError, match=re.escape(message) + "$"):
+        _seeded_calls()[name](seed)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda ds: ds.subset([True, False, False, True]), "indices must be integers, got a boolean mask"),
+    (lambda ds: ds.subset([0, 1.7]), "indices must be integers, got 1.7"),
+    (lambda ds: ds.subset([0, 7]), r"indices must lie in \[0, 4\)"),
+    (lambda ds: ds.subset([-1]), r"indices must lie in \[0, 4\)"),
+    (lambda ds: KNNImputer(2.5), "k must be an integer, got 2.5"),
+    (lambda ds: IterativeImputer(2.7), "rounds must be an integer, got 2.7"),
+    (lambda ds: draw_bags(ds, 2.5), "bags must be an integer, got 2.5"),
+], ids=["mask", "fraction", "past-the-end", "negative", "knn-k", "rounds", "bags"])
+def test_integer_inputs_that_a_cast_would_misread_raise(call, message):
+    ds = Dataset(np.arange(4.0)[:, None], [0, 0, 1, 1], [0, 1, 0, 1])
+    with pytest.raises(ValidationError, match=message):
+        call(ds)
+
+
+def test_integral_indices_and_counts_are_read_as_integers():
+    ds = gen_synthetic(0).subset(np.arange(0, 2400, 8))
+    assert ds.subset(np.array([3.0, 0.0])).labels.tolist() == ds.labels[[3, 0]].tolist()
+    assert ds.subset([]).n_samples == 0
+    assert KNNImputer(np.int32(3)).k == 3 and IterativeImputer(4.0).rounds == 4
+    two = draw_bags(ds, 2.0, "mean", 1)
+    assert [bag.rows.tolist() for bag in two] == [bag.rows.tolist()
+                                                  for bag in draw_bags(ds, 2, "mean", 1)]

@@ -146,6 +146,10 @@ class TestConfig:
              r"\[method\]: the exact table .* trains no model"),
             ("data", "source = theorem1\n\n[intervention]\nname = penalty\ntau = 1",
              r"\[intervention\] name = penalty: the exact table"),
+            ("method", "name = indicators\nimputer = mean",
+             r"\[method\] imputer: method 'indicators' does not read it"),
+            ("intervention", "name = eqodds\ntau = 1",
+             r"\[intervention\] tau: intervention 'eqodds' does not read it"),
         ],
     )
     def test_malformed_setting_is_a_config_error(self, tmp_path, capsys, section, body, match):
