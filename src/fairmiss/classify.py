@@ -23,7 +23,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import metrics
-from .data import Dataset, _integers, fair_resample, stream
+from .data import Dataset, _integers, fair_resample, stream, stream_key
 from .encode import encode_indicators
 from .errors import ValidationError
 from .impute import Imputer, make_imputer
@@ -306,16 +306,15 @@ class Bag:
 def draw_bags(train: Dataset, bags: int, imputer_spec: str = "mean",
               seed: int = 0) -> tuple:
     """The intervention-free half of fair bagging: for each bag b = 1..bags,
-    resample within every (s, y) cell by ``fair_resample`` with seed + b (its
-    cell c draws from ``stream(seed + b, c)``), fit the imputer on that bag
-    alone and indicator-encode the training split with it."""
-    stream(seed)  # the seed rule, before seed + b can make a negative seed valid
+    resample within every (s, y) cell by ``fair_resample`` with key (seed, b)
+    (its cell c draws from ``stream(seed, b, c)``), fit the imputer on that
+    bag alone and indicator-encode the training split with it."""
     bags = int(_integers(bags, "bags"))
     if bags < 1:
         raise ValidationError("bag count must be >= 1")
     out = []
     for b in range(1, bags + 1):
-        rows = fair_resample(train, seed + b)
+        rows = fair_resample(train, stream_key(seed, b))
         imputer = make_imputer(imputer_spec).fit(train.subset(rows))
         enc = encode_indicators(train, imputer=imputer)
         out.append(Bag(rows, imputer, enc, TrainingSet(enc.subset(rows))))

@@ -145,16 +145,26 @@ def _integers(values, name: str) -> np.ndarray:
     return out
 
 
-def stream(seed, index: int = 0) -> np.random.Generator:
-    """Stream ``index`` of ``seed``: numpy's default generator at seed + index,
-    the one place one is built and a seed (an integer >= 0) is checked."""
-    try:
-        seed = operator.index(seed)
-    except TypeError:
-        raise ValidationError(f"seed must be an integer, got {seed!r}") from None
-    if seed < 0:
+def stream_key(seed, *path) -> tuple:
+    """The key (first, *rest, *path) of a seed, an integer >= 0 or a key tuple
+    (first, *rest) of them: the one place a seed is checked."""
+    key = (*(seed if isinstance(seed, tuple) and seed else (seed,)), *path)
+    bad = [part for part in key if not hasattr(type(part), "__index__")]
+    if bad:
+        raise ValidationError(f"seed must be an integer, got {bad[0]!r}")
+    key = tuple(map(operator.index, key))
+    if min(key) < 0:
         raise ValidationError("seed must be >= 0")
-    return np.random.default_rng(seed + index)
+    return key
+
+
+def stream(seed, *path) -> np.random.Generator:
+    """The generator of key (seed, *path), the one place one is built: the first
+    integer seeds it and the rest is its spawn key, so ``stream(seed)`` is numpy's
+    default generator at seed, and distinct keys draw apart (for a first integer
+    below 2**128 and the rest below 2**32)."""
+    first, *rest = stream_key(seed, *path)
+    return np.random.default_rng(np.random.SeedSequence(first, spawn_key=rest))
 
 
 def read_text(path, error) -> str:
@@ -436,7 +446,8 @@ def _round_half_up(x: float) -> int:
 
 
 def stratified_split_indices(ds: Dataset, test_fraction: float, seed: int):
-    """Index-level stratified split; see split_train_test for the contract."""
+    """Index-level stratified split; see split_train_test for the contract.
+    The c-th non-empty (s, y) cell draws its test rows from key (seed, c)."""
     if not 0.0 < test_fraction < 1.0:
         raise ValidationError("test_fraction must lie strictly between 0 and 1")
     if ds.n_samples == 0:
@@ -486,8 +497,8 @@ def fair_resample(ds: Dataset, seed: int) -> np.ndarray:
     cell; ``ds.subset`` of them is the resampled dataset.
 
     Every cell contributes exactly its own size, so all cell counts are
-    preserved. Cell c draws from ``stream(seed, c)``, so its draws do not
-    depend on the other cells.
+    preserved. Cell c draws from key (seed, c), so its draws do not depend
+    on the other cells.
     """
     ds.require_cells((0, 1), "cannot resample")
     return np.concatenate([np.empty(0, np.int64)] + [
@@ -498,6 +509,8 @@ def fair_resample(ds: Dataset, seed: int) -> np.ndarray:
 def balance_cells(ds: Dataset, seed: int) -> Dataset:
     """Downsample every (s, y) cell to the smallest cell size (optional
     harness preprocessing; equalizes both label and group counts)."""
+    if ds.n_samples == 0:
+        raise ValidationError("cannot balance an empty dataset")
     ds.require_cells((0, 1), "cannot balance")
     m = min(idx.size for _, idx in ds.cells())
     keep = [idx[stream(seed, c).permutation(idx.size)[:m]]

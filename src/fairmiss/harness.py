@@ -4,8 +4,9 @@ Builds a pipeline (data source -> optional missingness injection -> encoding
 method -> fairness intervention), sweeps the intervention's hyperparameter
 grid, repeats over stratified train/test splits, aggregates mean and standard
 error per grid point, and emits raw / summary / Pareto CSV files. Everything
-is a deterministic function of the config and its master seed. The exact
-table (``theorem1`` source, ``samples = 0``) is one repeat of the same shape:
+is a deterministic function of the config and its master seed, and stage S
+of repeat r draws from the stream of key (seed, S, r, ...). The exact table
+(``theorem1`` source, ``samples = 0``) is one repeat of the same shape:
 ``exact_table_analysis`` gives one record of ``TABLE_METRICS`` per eqodds
 epsilon, and the sweep's aggregation and CSV writer take those records.
 
@@ -29,16 +30,16 @@ Each repeat runs in two stages:
   - fairmissbag trains the ``classify.FairEnsemble``, one LinearModel per bag
     (``classify.train_fair_bagging``).
   - clustering searches the missing-pattern partition of the training split
-    with the repeat's seed and gives a ``ClusterRouter``: one leaf predictor
-    per cluster, leaf q drawing with seed + q. A leaf is a LinearModel
-    trained on the rows of the zero-imputed training encoding that the search
-    assigned it, or, when those rows carry a single label, a
-    ``ConstantPredictor`` of that label (no model can be trained there, so
-    neither the penalty nor eqodds applies to that leaf). The partition does
-    not depend on the intervention, yet it is still searched at every grid
-    point: searching it once per repeat changes which layer dominates the
-    benchmark's clustering workload, and that move waits for the change that
-    re-pins it (ROADMAP item 2).
+    (its holdout drawn with the repeat's ``HOLDOUT`` key) and gives a
+    ``ClusterRouter``: one leaf predictor per cluster, leaf q drawing with
+    key (seed, q). A leaf is a LinearModel trained on the rows of the
+    zero-imputed training encoding that the search assigned it, or, when
+    those rows carry a single label, a ``ConstantPredictor`` of that label
+    (no model can be trained there, so neither the penalty nor eqodds applies
+    to that leaf). The partition does not depend on the intervention, yet it
+    is still searched at every grid point: searching it once per repeat
+    changes which layer dominates the benchmark's clustering workload, and
+    that move waits for the change that re-pins it (ROADMAP item 2).
 - ``fit_pipeline``, once per grid point, calls the trainer with the grid
   point's intervention and scores the predictor on the training split.
 
@@ -61,6 +62,9 @@ from .errors import ConfigError, FairmissError, ValidationError
 from .impute import make_imputer
 
 log = logging.getLogger("fairmiss")
+
+# stage ids S of the stream keys (seed, S, r, ...); balancing has no repeat r
+SPLIT, MASK, TEST_MASK, BALANCE, BAG, HOLDOUT, TRAIN_PREDICT, EVALUATE = range(8)
 
 # the [method] and [intervention] keys each choice reads besides its name; a
 # key the chosen one does not read must keep its default
@@ -268,7 +272,7 @@ def validate_config(cfg: ExperimentConfig) -> None:
         raise ConfigError(f"need 0 <= beta <= alpha <= 1, got alpha={m.alpha}, beta={m.beta}")
     try:
         make_imputer(cfg.method.imputer)
-        data.stream(cfg.sweep.seed)
+        data.stream_key(cfg.sweep.seed)
         grid = grid_points(cfg.intervention)
         if cfg.data.source == "theorem1":
             _masked_positives(cfg.data)
@@ -355,7 +359,7 @@ class ConstantPredictor:
 @dataclass(frozen=True)
 class ClusterRouter:
     """Routes each row to its cluster's leaf predictor; leaf q draws with
-    seed + q.
+    key (seed, q).
 
     Leaf policy: a label-pure leaf is a ``ConstantPredictor``. A leaf that
     lacks a group, or a cell its intervention needs (eqodds and the meo
@@ -374,7 +378,7 @@ class ClusterRouter:
         for q, leaf in enumerate(self.leaves):
             rows = np.flatnonzero(assignments == q)
             if rows.size:
-                preds[rows] = leaf.predict(enc.subset(rows), seed + q)
+                preds[rows] = leaf.predict(enc.subset(rows), data.stream_key(seed, q))
         return preds
 
 
@@ -409,16 +413,17 @@ class RepeatFit:
 
 
 def fit_repeat(train: data.Dataset, test: data.Dataset, cfg: ExperimentConfig,
-               seed: int) -> RepeatFit:
+               seed: int, r: int = 0) -> RepeatFit:
     scaler = data.FeatureScaler().fit(train)
     train, test = scaler.transform(train), scaler.transform(test)
     name = cfg.method.name
     if name == "clustering":
         enc = encode.encode_plain(train)
         return RepeatFit(train, test, (train, enc), (test, encode.encode_plain(test)),
-                         functools.partial(_train_clusters, train, enc, cfg.method, seed))
+                         functools.partial(_train_clusters, train, enc, cfg.method,
+                                           (seed, HOLDOUT, r)))
     if name == "fairmissbag":
-        bags = classify.draw_bags(train, cfg.method.bags, cfg.method.imputer, seed)
+        bags = classify.draw_bags(train, cfg.method.bags, cfg.method.imputer, (seed, BAG, r))
         return RepeatFit(train, test, tuple(bag.train_encoded for bag in bags),
                          tuple(bag.encode(test) for bag in bags),
                          functools.partial(classify.train_fair_bagging, bags,
@@ -570,8 +575,9 @@ def run_experiment(cfg: ExperimentConfig) -> RunResult:
             encode.check_group_bounds(cfg.method.alpha, cfg.method.beta, len(ds.group_set))
         except ValidationError as exc:
             raise ConfigError(f"clustering: {exc}") from None
+    seed = cfg.sweep.seed
     if cfg.data.balance:
-        ds = data.balance_cells(ds, cfg.sweep.seed)
+        ds = data.balance_cells(ds, (seed, BALANCE))
 
     out = _output_dir(cfg)  # before the sweep, which may run long
     raw, failures = [], []
@@ -581,16 +587,15 @@ def run_experiment(cfg: ExperimentConfig) -> RunResult:
         failures.append({"repeat": r, "grid_id": gid, "error": str(exc)})
 
     for r in range(cfg.sweep.repeats):
-        seed_r = cfg.sweep.seed + r
         try:
             ds_r = ds
             if cfg.missingness is not None and cfg.sweep.inject_before_split:
-                ds_r = simulate.inject_missing(ds_r, cfg.missingness, seed_r * 1000)
-            train, test = data.split_train_test(ds_r, cfg.sweep.test_fraction, seed_r)
+                ds_r = simulate.inject_missing(ds_r, cfg.missingness, (seed, MASK, r))
+            train, test = data.split_train_test(ds_r, cfg.sweep.test_fraction, (seed, SPLIT, r))
             if cfg.missingness is not None and not cfg.sweep.inject_before_split:
-                train = simulate.inject_missing(train, cfg.missingness, seed_r * 1000)
-                test = simulate.inject_missing(test, cfg.missingness, seed_r * 1000 + 500)
-            rep = fit_repeat(train, test, cfg, seed_r)
+                train = simulate.inject_missing(train, cfg.missingness, (seed, MASK, r))
+                test = simulate.inject_missing(test, cfg.missingness, (seed, TEST_MASK, r))
+            rep = fit_repeat(train, test, cfg, seed, r)
         except FairmissError as exc:
             # every grid point would split, mask and fit this stage alike
             for gp in grid:
@@ -598,8 +603,8 @@ def run_experiment(cfg: ExperimentConfig) -> RunResult:
             continue
         for g_idx, gp in enumerate(grid):
             try:
-                fitted = fit_pipeline(rep, gp, seed_r)
-                scores = evaluate_pipeline(fitted, rep, seed_r * 1000 + 700 + g_idx)
+                fitted = fit_pipeline(rep, gp, (seed, TRAIN_PREDICT, r))
+                scores = evaluate_pipeline(fitted, rep, (seed, EVALUATE, r, g_idx))
                 raw.append({"grid_id": gp.gid, "params": gp.label, "repeat": r, **scores})
             except FairmissError as exc:
                 fail(r, gp.gid, exc)

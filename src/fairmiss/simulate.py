@@ -106,20 +106,16 @@ def inject_missing(ds: Dataset, spec: MissingnessSpec, seed: int) -> Dataset:
 
     Indicators are evaluated on the pre-masking values (so a feature may
     condition on itself), then the draws hide the targets. Entry k draws from
-    ``stream(seed, k)``. Observed values are never altered, only converted to
+    key (seed, k). Observed values are never altered, only converted to
     missing.
     """
     features = ds.features.copy()
-    indicator_cache = [
-        _indicator_values(ds, e) for e in spec.entries
-    ]
     for k, entry in enumerate(spec.entries):
+        p = np.where(_indicator_values(ds, entry) == 1, entry.p1, entry.p0)  # ds: pre-masking
         if entry.target not in ds.feature_names:
             raise ValidationError(f"target column {entry.target!r} not in dataset")
-        j = ds.feature_names.index(entry.target)
         u = stream(seed, k).random(ds.n_samples)
-        p = np.where(indicator_cache[k] == 1, entry.p1, entry.p0)
-        features[u < p, j] = np.nan
+        features[u < p, ds.feature_names.index(entry.target)] = np.nan
     return ds.with_features(features)
 
 

@@ -32,6 +32,19 @@ def random_dataset(rng, n=40, d=3, groups=2, missing_rate=0.2, ensure_cells=True
             return ds
 
 
+def count_calls(monkeypatch, owner, name):
+    """The positional arguments of every call of ``owner.name`` from now on."""
+    calls = []
+    original = getattr(owner, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counted)
+    return calls
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(12345)

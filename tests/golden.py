@@ -14,8 +14,9 @@ within ``ABS_TOL`` elsewhere. Rewrite the goldens with
 
     PYTHONPATH=src python tests/golden.py
 
-and list every changed config, with the reason, where the change is described.
-A golden is never rewritten to hide a defect.
+which prints the name of each config whose CSV bytes or failure list it
+changed (or that is new), and list every one of them, with the reason, where
+the change is described. A golden is never rewritten to hide a defect.
 """
 
 from __future__ import annotations
@@ -151,6 +152,10 @@ def main() -> None:
 
     with tempfile.TemporaryDirectory() as tmp:
         outputs = run_matrix(Path(tmp))
+    old = json.loads(GOLDEN_PATH.read_text())["configs"] if GOLDEN_PATH.exists() else {}
+    for name, got in outputs.items():
+        if old.get(name) != got:
+            print(name)
     GOLDEN_PATH.write_text(json.dumps({"environment": environment(), "configs": outputs},
                                       indent=1, sort_keys=True) + "\n")
     print(f"wrote {len(outputs)} configs to {GOLDEN_PATH}", file=sys.stderr)

@@ -357,9 +357,10 @@ def reference_descend(value_and_grad, w0: np.ndarray, tol: float = TOL,
 # ``data.stratified_split_indices`` built them before it used a mask
 # ---------------------------------------------------------------------------
 
-def reference_split_indices(ds: Dataset, test_fraction: float, seed: int):
+def reference_split_indices(ds: Dataset, test_fraction: float, seed):
     """``data.stratified_split_indices``, its train rows found by testing each
-    row index against a set of the test rows."""
+    row index against a set of the test rows. ``seed`` is an integer or a key
+    tuple (first, *rest); cell c draws with spawn key (*rest, c)."""
     if not 0.0 < test_fraction < 1.0:
         raise ValidationError("test_fraction must lie strictly between 0 and 1")
     if ds.n_samples == 0:
@@ -389,7 +390,8 @@ def reference_split_indices(ds: Dataset, test_fraction: float, seed: int):
 
     test_idx = []
     for c, ((_, _), idx) in enumerate(cells):
-        rng = np.random.default_rng(seed + c)
+        first, *rest = seed if isinstance(seed, tuple) else (seed,)
+        rng = np.random.default_rng(np.random.SeedSequence(first, spawn_key=(*rest, c)))
         perm = rng.permutation(len(idx))
         test_idx.extend(idx[perm[: counts[c]]].tolist())
     test_set = set(test_idx)

@@ -670,12 +670,29 @@ class TestFairBagging:
         test = random_dataset(rng, n=20, d=3, missing_rate=0.2, ensure_cells=False)
         bags = draw_bags(train, 1, "mean", seed=7)
         ens = train_fair_bagging(bags, Intervention("none"))
-        bag = train.subset(fair_resample(train, 7 + 1))
+        bag = train.subset(fair_resample(train, (7, 1)))  # bag 1 draws with key (seed, 1)
         imputer = make_imputer("mean").fit(bag)
         model = train_logreg(encode_indicators(bag, imputer=imputer))
         manual = model.predict(encode_indicators(test, imputer=imputer), 0)
         got = predict_dataset(ens, encode_bags(bags, test), seed=0)
         assert np.array_equal(got, manual)
+
+    def test_bag_b_cell_c_plus_1_and_bag_b_plus_1_cell_c_draw_apart(self):
+        # with seed + b per bag and seed + c per cell, bag 1's cell 1 and bag
+        # 2's cell 0 drew the same 700 of 700 within-cell positions here
+        ds = gen_synthetic(0)
+        idx = [idx for _, idx in ds.cells()]
+        ends = np.cumsum([i.size for i in idx])
+
+        def positions(bag, c):
+            rows = bag.rows[ends[c] - idx[c].size:ends[c]]
+            return np.searchsorted(idx[c], rows)
+
+        bag1, bag2 = draw_bags(ds, 2, "mean", seed=0)
+        for c in (0, 2):
+            assert idx[c].size == idx[c + 1].size
+            same = np.sum(positions(bag1, c + 1) == positions(bag2, c))
+            assert same < 10, (c, same)  # about 1 by chance
 
     def test_bags_differ(self, rng):
         train = random_dataset(rng, n=80, d=3, missing_rate=0.2)

@@ -463,14 +463,17 @@ class TestSplit:
 @st.composite
 def split_case(draw):
     """A dataset of 1-3 groups whose (group, label) cells hold 0-30 rows
-    each, in a drawn row order, and a test fraction and seed to split it."""
+    each, in a drawn row order, and a test fraction and seed (an integer or
+    a harness-style key tuple) to split it."""
     groups = draw(st.integers(1, 3))
     sizes = draw(st.lists(st.integers(0, 30), min_size=2 * groups, max_size=2 * groups))
     cell_of_row = [c for c, size in enumerate(sizes) for _ in range(size)]
     cell_of_row = np.array(draw(st.permutations(cell_of_row)), dtype=np.int64)
     ds = Dataset(np.zeros((cell_of_row.size, 1)), cell_of_row // 2, cell_of_row % 2)
     fraction = draw(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True))
-    return ds, fraction, draw(st.integers(0, 2**32))
+    seed = st.integers(0, 2**32)
+    return ds, fraction, draw(st.one_of(seed, st.tuples(seed, st.integers(0, 7),
+                                                         st.integers(0, 9))))
 
 
 @given(split_case())
@@ -611,10 +614,31 @@ def test_duplicate_feature_names_raise():
         Dataset(np.zeros((2, 3)), [0, 1], [0, 1], ("a", "b", "b"))
 
 
-def test_stream_draws_the_bits_of_the_default_generator_at_seed_plus_index():
-    for seed, index in ((0, 0), (5, 3), (np.int64(7), 2), (2**40, 1)):
-        want = np.random.default_rng(int(seed) + index).random(16)
-        assert data.stream(seed, index).random(16).tobytes() == want.tobytes()
+def test_stream_at_a_seed_draws_the_default_generator_and_distinct_keys_differ():
+    for seed in (0, 5, np.int64(7), 2**40):
+        want = np.random.default_rng(int(seed)).random(16)
+        assert data.stream(seed).random(16).tobytes() == want.tobytes()
+
+    def draws(*key):
+        return data.stream(*key).random(16).tobytes()
+
+    # a list seed [5, 1, 0] draws what [5, 1] draws, [5, 0, 0] what [5], and
+    # [2**32 + 3, 5] what [3, 1, 5]; keys do not
+    for a, b in (((5, 1, 0), (5, 1)), ((5, 0, 0), (5,)), ((2**32 + 3, 5), (3, 1, 5))):
+        assert draws(*a) != draws(*b)
+    # a key tuple and a path name one key
+    assert draws((5, 1), 0) == draws(5, 1, 0) == draws((5, 1, 0))
+    assert data.stream_key((5, np.int64(1)), 0) == (5, 1, 0)
+
+
+@pytest.mark.parametrize("seed, message", [
+    ((5, -1), "seed must be >= 0"),
+    ((5, 1.5), "seed must be an integer, got 1.5"),
+    ((), "seed must be an integer, got ()"),
+])
+def test_every_part_of_a_key_tuple_is_checked(seed, message):
+    with pytest.raises(ValidationError, match=re.escape(message) + "$"):
+        data.stream(seed)
 
 
 def _seeded_calls():
@@ -633,7 +657,6 @@ def _seeded_calls():
         "gen_synthetic": gen_synthetic,
         "sample_masked_positives": lambda seed: sample_masked_positives(
             MaskedPositives((0.2, 0.2), (0.5, 0.5)), 10, seed),
-        # seed + b would be valid from bag 3 on
         "draw_bags": lambda seed: draw_bags(ds, 3, "mean", seed),
         "cluster_missing_patterns": lambda seed: cluster_missing_patterns(
             ds, 1, 1.0, 0.0, val_fraction=0.2, seed=seed),

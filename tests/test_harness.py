@@ -33,7 +33,7 @@ from fairmiss.simulate import (
     MaskedPositives, MissingEntry, MissingnessSpec, gen_synthetic, inject_missing,
 )
 
-from conftest import random_dataset
+from conftest import count_calls, random_dataset
 
 
 def write_config(tmp_path, body, name="exp.cfg"):
@@ -569,7 +569,7 @@ dir = {tmp_path / name}
                      "entry1 = x2, label, 0.1, 0.5\nentry2 = x3, x1<0.2, 0.05, 0.4\n")
         assert cfg.sweep.inject_before_split
         ds = load_csv(csv_path, read_schema(tmp_path / "schema.txt"))
-        masked = inject_missing(ds, cfg.missingness, cfg.sweep.seed * 1000)
+        masked = inject_missing(ds, cfg.missingness, (cfg.sweep.seed, harness.MASK, 0))
         assert masked.mask.sum() > ds.mask.sum()
         write_csv(masked, tmp_path / "masked.csv")
         assert self.run(tmp_path, "masked", tmp_path / "masked.csv")[1] == injected
@@ -580,10 +580,116 @@ dir = {tmp_path / name}
         cfg, balanced_in_run = self.run(tmp_path, "balance", csv_path, data_lines="balance = true")
         assert cfg.data.balance
         ds = load_csv(csv_path, read_schema(tmp_path / "schema.txt"))
-        balanced = balance_cells(ds, cfg.sweep.seed)
+        balanced = balance_cells(ds, (cfg.sweep.seed, harness.BALANCE))
         assert balanced.n_samples < ds.n_samples
         write_csv(balanced, tmp_path / "balanced.csv")
         assert self.run(tmp_path, "balanced", tmp_path / "balanced.csv")[1] == balanced_in_run
+
+
+def record_stream_keys(monkeypatch) -> list:
+    """(stage, key) of every stream ``data.stream`` builds from now on. The
+    stage is the line of ``run_experiment`` that led to the draw and the
+    function that asked for the stream; the key is (seed, *spawn key)."""
+    built = []
+    seed_sequence = np.random.SeedSequence
+
+    def recording(entropy, *, spawn_key=()):
+        frame = sys._getframe(2)  # the caller of data.stream, or its comprehension
+        while frame.f_code.co_name.startswith("<"):
+            frame = frame.f_back
+        caller = frame.f_code.co_name
+        while frame.f_code is not run_experiment.__code__:
+            frame = frame.f_back
+        built.append(((frame.f_lineno, caller), (entropy, *spawn_key)))
+        return seed_sequence(entropy, spawn_key=spawn_key)
+
+    monkeypatch.setattr(np.random, "SeedSequence", recording)
+    return built
+
+
+STREAM_RUN = """
+[data]
+source = synthetic
+{data}
+
+[missingness]
+mechanism = mnar
+entry1 = x1, label, 0.1, 0.4
+
+[method]
+{method}
+
+[intervention]
+name = eqodds
+epsilon = 0, 0.05
+
+[sweep]
+repeats = 2
+seed = 0
+{sweep}
+
+[output]
+dir = {out}
+"""
+
+
+class TestRandomStreams:
+    def run(self, tmp_path, monkeypatch, data="", method="name = indicators", sweep=""):
+        body = STREAM_RUN.format(data=data, method=method, sweep=sweep, out=tmp_path / "out")
+        cfg = load_config(write_config(tmp_path, body))
+        built = record_stream_keys(monkeypatch)
+        result = run_experiment(cfg)
+        monkeypatch.undo()
+        return result, built
+
+    def test_no_key_is_built_by_two_stages(self, tmp_path, monkeypatch):
+        runs = [
+            # balance, masks after the split, bags, random-pick predictions
+            dict(data="balance = true",
+                 method="name = fairmissbag\nimputer = mean\nbags = 3\nmode = random-pick"),
+            # a mask before the split, clustering's holdout, leaf predictions
+            dict(method="name = clustering\nk_min = 20\nval_fraction = 0.2",
+                 sweep="inject_before_split = true"),
+        ]
+        stages = set()
+        for kwargs in runs:
+            result, built = self.run(tmp_path, monkeypatch, **kwargs)
+            assert result.raw
+            by_key = {}
+            for stage, key in built:
+                by_key.setdefault(key, set()).add(stage)
+            shared = {key: st for key, st in by_key.items() if len(st) > 1}
+            assert not shared, shared
+            stages |= {stage for stage, _ in built}
+        assert {caller for _, caller in stages} == {
+            "gen_synthetic", "balance_cells", "inject_missing", "stratified_split_indices",
+            "fair_resample", "predict_dataset", "apply_postprocess"}
+        # the data, balance, split, three masks, bags, the holdout, and the
+        # training and test predictions of bagging and of clustering's leaves
+        assert len(stages) == 12
+
+    def test_split_cells_of_consecutive_repeats_draw_apart(self, tmp_path, monkeypatch):
+        # with seed + r + c, repeat 0's cell (0, 1) and repeat 1's cell (0, 0)
+        # of the synthetic data put the same 210 of 700 positions in the test split
+        splits = count_calls(monkeypatch, harness.data, "split_train_test")
+        self.run(tmp_path, monkeypatch)
+        tests = []
+        for ds, fraction, key in splits:
+            test = harness.data.stratified_split_indices(ds, fraction, key)[1]
+            tests.append([np.flatnonzero(np.isin(idx, test)) for _, idx in ds.cells()])
+        repeat0, repeat1 = tests
+        assert repeat0[1].size == repeat1[0].size == 210
+        assert np.intersect1d(repeat0[1], repeat1[0]).size < 100  # 63 by chance
+
+    def test_training_predictions_and_split_cell_0_draw_apart(self, tmp_path, monkeypatch):
+        # with seed + r both drew from one stream
+        splits = count_calls(monkeypatch, harness.data, "split_train_test")
+        fits = count_calls(monkeypatch, harness, "fit_pipeline")
+        self.run(tmp_path, monkeypatch)
+        for r in (0, 1):
+            split_key, predict_key = splits[r][2], fits[2 * r][2]
+            assert not np.array_equal(harness.data.stream(split_key, 0).random(64),
+                                      harness.data.stream(predict_key).random(64))
 
 
 class TestLeafPolicy:
@@ -822,6 +928,17 @@ dir = {tmp_path / "out"}
         assert cli.main(["run", str(write_config(tmp_path, body))]) == 1
         err = capsys.readouterr().err
         assert err == f"error: {tmp_path / 's.txt'}: line 2: byte 0xe9 is not UTF-8 text\n"
+
+    def test_run_balancing_a_header_only_csv_is_one_error_line(self, tmp_path, capsys):
+        (tmp_path / "d.csv").write_text("x1,sensitive,label\n")
+        (tmp_path / "s.txt").write_text("x1 = feature\nsensitive = sensitive\nlabel = label\n")
+        body = (f"[data]\nsource = csv\npath = {tmp_path / 'd.csv'}\n"
+                f"schema = {tmp_path / 's.txt'}\nbalance = true\n\n"
+                f"[output]\ndir = {tmp_path / 'out'}\n")
+        assert cli.main(["run", str(write_config(tmp_path, body))]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == "error: cannot balance an empty dataset\n"
+        assert captured.out == ""
 
     @pytest.mark.parametrize("command", ["run", "validate"])
     @pytest.mark.parametrize("role, key", [("csv", "path"), ("schema", "schema")])

@@ -7,7 +7,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from fairmiss import classify, encode
+from fairmiss import classify, encode, harness
 from fairmiss.data import (
     Dataset,
     FeatureScaler,
@@ -23,6 +23,8 @@ from fairmiss.harness import grid_points, load_config, run_experiment
 from fairmiss.impute import Imputer, make_imputer
 from fairmiss.metrics import accuracy, disparity, group_rates
 from fairmiss.simulate import gen_synthetic, inject_missing
+
+from conftest import count_calls
 
 INTERVENTIONS = {
     "none": "name = none",
@@ -61,9 +63,14 @@ def _linear_predict(model, enc, seed):
     return preds
 
 
+def _rng(key):
+    """The generator of key (first, *rest): ``first`` seeds it, ``rest`` is its spawn key."""
+    return np.random.default_rng(np.random.SeedSequence(key[0], spawn_key=key[1:]))
+
+
 def _reference_clustering(train, cfg, interv, seed):
     """The partition and one model per leaf (a label-pure leaf predicts its
-    label), each leaf encoded anew; leaf q draws with seed + q."""
+    label), each leaf encoded anew; leaf q draws with key (*s, q)."""
     part = cluster_missing_patterns(
         train, cfg.method.k_min, cfg.method.alpha, cfg.method.beta,
         val_fraction=cfg.method.val_fraction, seed=seed,
@@ -84,7 +91,7 @@ def _reference_clustering(train, cfg, interv, seed):
             if rows.size and isinstance(leaf, int):
                 preds[rows] = leaf
             elif rows.size:
-                preds[rows] = _linear_predict(leaf, encode_plain(ds.subset(rows)), s + q)
+                preds[rows] = _linear_predict(leaf, encode_plain(ds.subset(rows)), (*s, q))
         return preds
 
     return predict
@@ -100,7 +107,7 @@ def _bag_scores(imputer, model, ds):
 
 
 def _reference_bagging(bags, mode, ds, seed):
-    rng = np.random.default_rng(seed)
+    rng = _rng(seed)
     if mode == "score-average":
         # the mean Pr(output = 1): thresholded without flip rates, drawn from with them
         p = np.mean([_bag_scores(*bag, ds) for bag in bags], axis=0)
@@ -118,19 +125,20 @@ def _reference_bagging(bags, mode, ds, seed):
     return out
 
 
-def reference_pipeline(train, test, cfg, gp, seed, eval_seed) -> dict:
-    """One grid point fitted from scratch: scaler, imputer or encoder and every
-    bag refitted, and every predicted row set encoded anew."""
+def reference_pipeline(train, test, cfg, gp, r, g) -> dict:
+    """Grid point g of repeat r fitted from scratch: scaler, imputer or encoder
+    and every bag refitted, and every predicted row set encoded anew."""
+    seed = cfg.sweep.seed
     scaler = FeatureScaler().fit(train)
     train, test = scaler.transform(train), scaler.transform(test)
     interv = gp.intervention
     name = cfg.method.name
     if name == "clustering":
-        predict = _reference_clustering(train, cfg, interv, seed)
+        predict = _reference_clustering(train, cfg, interv, (seed, harness.HOLDOUT, r))
     elif name == "fairmissbag":
         bags = []
         for b in range(1, cfg.method.bags + 1):
-            bag = train.subset(fair_resample(train, seed + b))
+            bag = train.subset(fair_resample(train, (seed, harness.BAG, r, b)))
             imputer = make_imputer(cfg.method.imputer).fit(bag)
             enc = encode_indicators(bag, imputer=imputer)
             bags.append((imputer, classify.train_intervention(enc, interv)))
@@ -145,8 +153,8 @@ def reference_pipeline(train, test, cfg, gp, seed, eval_seed) -> dict:
             encoder = AffineEncoder().fit(train).transform
         model = classify.train_intervention(encoder(train), interv)
         predict = lambda ds, s: _linear_predict(model, encoder(ds), s)  # noqa: E731
-    train_preds = predict(train, seed)
-    preds = predict(test, eval_seed)
+    train_preds = predict(train, (seed, harness.TRAIN_PREDICT, r))
+    preds = predict(test, (seed, harness.EVALUATE, r, g))
     rates = group_rates(preds, test)
     return {
         "train_accuracy": accuracy(train_preds, train),
@@ -161,17 +169,15 @@ def reference_experiment(cfg, ds) -> dict:
     """(repeat, grid id) -> metrics or error message, with run_experiment's
     splits and seeds (masking after the split)."""
     out = {}
+    seed = cfg.sweep.seed
     for r in range(cfg.sweep.repeats):
-        seed_r = cfg.sweep.seed + r
-        train, test = split_train_test(ds, cfg.sweep.test_fraction, seed_r)
+        train, test = split_train_test(ds, cfg.sweep.test_fraction, (seed, harness.SPLIT, r))
         if cfg.missingness is not None:
-            train = inject_missing(train, cfg.missingness, seed_r * 1000)
-            test = inject_missing(test, cfg.missingness, seed_r * 1000 + 500)
+            train = inject_missing(train, cfg.missingness, (seed, harness.MASK, r))
+            test = inject_missing(test, cfg.missingness, (seed, harness.TEST_MASK, r))
         for g, gp in enumerate(grid_points(cfg.intervention)):
             try:
-                out[(r, gp.gid)] = reference_pipeline(
-                    train, test, cfg, gp, seed_r, seed_r * 1000 + 700 + g
-                )
+                out[(r, gp.gid)] = reference_pipeline(train, test, cfg, gp, r, g)
             except FairmissError as exc:
                 out[(r, gp.gid)] = str(exc)
     return out
@@ -249,18 +255,6 @@ def test_a_failing_repeat_stage_fails_every_grid_point_as_before(tmp_path, sourc
     ]
     assert all(f["error"] == "k=1000 exceeds the 252 training rows" for f in result.failures)
     assert experiment(result) == reference_experiment(cfg, source_dataset(cfg))
-
-
-def count_calls(monkeypatch, owner, name):
-    calls = []
-    original = getattr(owner, name)
-
-    def counted(*args, **kwargs):
-        calls.append(args)
-        return original(*args, **kwargs)
-
-    monkeypatch.setattr(owner, name, counted)
-    return calls
 
 
 @pytest.mark.parametrize(
